@@ -27,130 +27,296 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
 )
 
-# Subcommand flag tables: (flag, type, help).  Grids and index sets are
-# passed as comma-separated strings (or JSON lists via --config).
-_FLAG_SPECS = {
+
+# ---------------------------------------------------------------------------
+# parameter parsers: each takes a CLI string or a JSON config value
+# ---------------------------------------------------------------------------
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _floats(value) -> list:
+    if isinstance(value, str):
+        value = [x for x in value.split(",") if x.strip()]
+    out = [float(x) for x in value]
+    if not out:
+        raise ValueError("expected a non-empty list")
+    return out
+
+
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _ints(value) -> list:
+    return [_int(x) for x in _floats(value)]
+
+
+def _pairs(value) -> list:
+    pts = []
+    for chunk in _text(value).split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        t, x = (float(v) for v in chunk.split(","))
+        pts.append((t, x))
+    return pts
+
+
+def _points(value) -> list:
+    pts = _pairs(value)
+    if len(pts) != 3:
+        raise ValueError("need exactly three t,x pairs")
+    return pts
+
+
+def _coeffs(value) -> list:
+    return [complex(re, im) for re, im in _pairs(value)]
+
+
+def _branch(value) -> str:
+    from . import classify
+    if value != "all" and value not in classify.BRANCHES:
+        raise ValueError(f"unknown branch {value!r}; "
+                         f"choose from {classify.BRANCHES}")
+    return value
+
+
+def _load_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@dataclass(frozen=True)
+class _Document:
+    """A JSON object given inline under the row's key in a config, or as
+    a file named by the `file` key (the only form with a CLI flag).
+    load(doc, params) builds the library object once the plain
+    parameters have resolved."""
+
+    file: str
+    load: object
+
+    def __call__(self, doc, params):
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {doc!r}")
+        return self.load(doc, params)
+
+
+def _curve(doc, p):
+    from . import curves
+    return curves.curve_from_dict(doc)
+
+
+def _measure(doc, p):
+    from . import curves
+    return curves.measure_from_dict(doc)
+
+
+def _gamma(doc, p):
+    from . import rigidity
+    return rigidity.ObservationCurveGamma(doc["kind"], doc.get("params", {}))
+
+
+def _potential(doc, p):
+    from . import schrodinger
+    return schrodinger.PotentialSpec(doc["kind"], doc.get("params", {}))
+
+
+def _state(doc, p):
+    from . import schrodinger
+    import numpy as np
+    coeffs = np.asarray(doc["coeffs_re"], dtype=float) \
+        + 1j * np.asarray(doc.get("coeffs_im", 0.0), dtype=float)
+    s = float(doc.get("s", 2.0 if p["s"] is None else p["s"]))
+    K = int(doc.get("K", (len(coeffs) - 1) // 2))
+    return schrodinger.TorusState(coeffs, float(doc.get("time", 0.0)), s, K)
+
+
+def _system(doc, p):
+    from . import rigidity
+    import numpy as np
+    coeffs = np.asarray(doc["coefficients_re"], dtype=float) \
+        + 1j * np.asarray(doc.get("coefficients_im", 0.0), dtype=float)
+    return rigidity.LowFreqSystem(int(doc["N"]), float(doc["s"]),
+                                  tuple(doc["lambdas"]), tuple(coeffs))
+
+
+CURVE = _Document("curve_file", _curve)
+MEASURE = _Document("measure_file", _measure)
+GAMMA = _Document("gamma_file", _gamma)
+
+# One table per subcommand: (key, parser, default, help).  The key is the
+# config `parameters` key and, with '_' written '-', the CLI flag; a
+# document row takes its flag from the document's file key.  The table
+# builds the flags, rejects unknown config keys, converts every value,
+# and fills a default only where the value is absent or None, so an
+# explicit 0 reaches the library's own range checks.  Defaults are
+# written as a user would give them and pass through the parser too.
+REQUIRED = object()
+
+_GRAM = [
+    ("curve", CURVE, None, "curve JSON document"),
+    ("measure", MEASURE, None, "measure JSON document"),
+    ("s", float, REQUIRED, "temporal exponent"),
+    ("N", _int, 10, "indices -N..N"),
+    ("T", float, None, "curve horizon (required with a curve)"),
+    ("tol", float, 1e-9, "entry tolerance"),
+    ("weight", _text, "lebesgue", "lebesgue or arclength (curve systems)"),
+]
+
+_PARAMS = {
     "validate-curve": [
-        ("curve-file", str, "curve JSON document"),
-        ("T", float, "time horizon (default 1)"),
-        ("grid", int, "validation grid size (default 256)"),
+        ("curve", CURVE, REQUIRED, "curve JSON document"),
+        ("T", float, 1.0, "time horizon"),
+        ("grid", _int, 256, "validation grid size"),
     ],
     "integral": [
-        ("n", int, "first index"),
-        ("m", int, "second index"),
-        ("s", float, "temporal exponent"),
-        ("curve-file", str, "curve JSON document"),
-        ("T", float, "upper integration limit"),
-        ("tol", float, "absolute tolerance (default 1e-9)"),
+        ("n", _int, REQUIRED, "first index"),
+        ("m", _int, REQUIRED, "second index"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("curve", CURVE, REQUIRED, "curve JSON document"),
+        ("T", float, REQUIRED, "upper integration limit"),
+        ("tol", float, 1e-9, "absolute tolerance"),
     ],
     "classify": [
-        ("s", float, "temporal exponent"),
-        ("tau", float, "threshold (computed from curve when omitted)"),
-        ("N", int, "grid half-width (default 50)"),
-        ("curve-file", str, "curve used to derive tau when not given"),
-        ("T", float, "horizon used to derive tau (default 1)"),
-        ("out-csv", str, "grid CSV path override"),
-        ("out-svg", str, "region SVG path override"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("tau", float, None, "threshold (computed from curve when omitted)"),
+        ("N", _int, 50, "grid half-width"),
+        ("curve", CURVE, None, "curve used to derive tau when not given"),
+        ("T", float, 1.0, "horizon used to derive tau"),
+        ("out_csv", _text, None, "grid CSV path override"),
+        ("out_svg", _text, None, "region SVG path override"),
     ],
     "boundary": [
-        ("branch", str, "branch name or 'all' (default all)"),
-        ("samples", int, "points per branch (default 250)"),
-        ("lo", float, "parameter range start override"),
-        ("hi", float, "parameter range end override"),
-        ("out-csv", str, "CSV path override"),
+        ("branch", _branch, "all", "branch name or 'all'"),
+        ("samples", _int, 250, "points per branch"),
+        ("lo", float, None, "parameter range start override"),
+        ("hi", float, None, "parameter range end override"),
+        ("out_csv", _text, None, "CSV path override"),
     ],
     "lemma21": [
-        ("gamma", float, "denominator exponent"),
-        ("s", float, "temporal exponent"),
-        ("N", int, "truncation (default 10000)"),
+        ("gamma", float, REQUIRED, "denominator exponent"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("N", _int, 10000, "truncation"),
     ],
     "tails": [
-        ("gamma", float, "pair-distance exponent"),
-        ("delta", float, "frequency-gap exponent"),
-        ("s", float, "temporal exponent"),
-        ("Ngrid", str, "comma list of N values"),
-        ("mset", str, "comma list of m values"),
-        ("horizon", int, "summation horizon override"),
+        ("gamma", float, REQUIRED, "pair-distance exponent"),
+        ("delta", float, REQUIRED, "frequency-gap exponent"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("Ngrid", _ints, "100,316,1000,3162,10000", "comma list of N values"),
+        ("mset", _ints, "0,1,7,100,1000", "comma list of m values"),
+        ("horizon", _int, None, "summation horizon override"),
     ],
-    "gram": [
-        ("curve-file", str, "curve JSON document"),
-        ("measure-file", str, "measure JSON document"),
-        ("s", float, "temporal exponent"),
-        ("N", int, "indices -N..N (default 10)"),
-        ("T", float, "curve horizon"),
-        ("tol", float, "entry tolerance (default 1e-9)"),
-        ("weight", str, "lebesgue or arclength (curve systems)"),
-    ],
-    "riesz": [
-        ("curve-file", str, "curve JSON document"),
-        ("measure-file", str, "measure JSON document"),
-        ("s", float, "temporal exponent"),
-        ("N", int, "indices -N..N (default 10)"),
-        ("T", float, "curve horizon"),
-        ("tol", float, "entry tolerance (default 1e-9)"),
-        ("weight", str, "lebesgue or arclength (curve systems)"),
-    ],
+    "gram": _GRAM,
+    "riesz": _GRAM,
     "ingham-sweep": [
-        ("curve-file", str, "curve JSON document"),
-        ("s", float, "temporal exponent"),
-        ("N", int, "indices -N..N (default 20)"),
-        ("Tgrid", str, "comma list of horizons"),
-        ("tol", float, "Gram entry tolerance (default 1e-8)"),
+        ("curve", CURVE, REQUIRED, "curve JSON document"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("N", _int, 20, "indices -N..N"),
+        ("Tgrid", _floats, "0.25,0.5,1,2,4,8", "comma list of horizons"),
+        ("tol", float, 1e-8, "Gram entry tolerance"),
     ],
     "minimal-time": [
-        ("curve-file", str, "curve JSON document"),
-        ("s", float, "temporal exponent"),
-        ("jgrid", str, "comma list of mode indices"),
+        ("curve", CURVE, REQUIRED, "curve JSON document"),
+        ("s", float, REQUIRED, "temporal exponent"),
+        ("jgrid", _ints, "2,5,10,50,200", "comma list of mode indices"),
     ],
     "highfreq": [
-        ("measure-file", str, "measure JSON document"),
-        ("s", float, "temporal exponent"),
-        ("Ngrid", str, "comma list of window base frequencies"),
-        ("window", int, "window width (default 30)"),
-        ("nodes-per-cycle", float, "quadrature density (default 16)"),
-        ("sgrid", str, "run the dispersion sweep over these s instead"),
+        ("measure", MEASURE, REQUIRED, "measure JSON document"),
+        ("s", float, None, "temporal exponent (required without --sgrid)"),
+        ("Ngrid", _ints, "25,50,100,200",
+         "comma list of window base frequencies"),
+        ("window", _int, None, "window width (default 30; 10 with --sgrid)"),
+        ("nodes_per_cycle", float, 16.0, "quadrature density"),
+        ("sgrid", _floats, None,
+         "run the dispersion sweep over these s instead"),
+        ("N", _int, None, "window base frequency with --sgrid (default 2)"),
     ],
     "sharpness": [
-        ("delta", float, "decay exponent (default 0.5)"),
-        ("s", float, "temporal exponent (default 1.5)"),
-        ("Ngrid", str, "comma list of N values"),
+        ("delta", float, 0.5, "decay exponent"),
+        ("s", float, 1.5, "temporal exponent"),
+        ("Ngrid", _ints, "32,64,128,256,512,1024", "comma list of N values"),
     ],
     "merged": [
-        ("curve-file", str, "curve JSON document"),
-        ("T", float, "horizon (default 1)"),
-        ("sgrid", str, "comma list of s values"),
-        ("N", int, "indices -N..N (default 20)"),
-        ("tol", float, "Gram entry tolerance (default 1e-8)"),
+        ("curve", CURVE, REQUIRED, "curve JSON document"),
+        ("T", float, 1.0, "horizon"),
+        ("sgrid", _floats, "1.6,2,2.5,3", "comma list of s values"),
+        ("N", _int, 20, "indices -N..N"),
+        ("tol", float, 1e-8, "Gram entry tolerance"),
     ],
     "wronskian": [
-        ("gamma-file", str, "observation curve JSON {kind, params}"),
-        ("samples", int, "sample count (default 100)"),
-        ("xmin", float, "sample range start (default 0.05)"),
-        ("xmax", float, "sample range end (default 2.0)"),
+        ("gamma_curve", GAMMA, REQUIRED,
+         "observation curve JSON {kind, params}"),
+        ("samples", _int, 100, "sample count"),
+        ("xmin", float, 0.05, "sample range start"),
+        ("xmax", float, 2.0, "sample range end"),
     ],
     "threepoint": [
-        ("points", str, "three t,x pairs: 't1,x1;t2,x2;t3,x3'"),
-        ("coeffs", str, "optional coefficient triple 're,im;re,im;re,im'"),
+        ("points", _points, REQUIRED, "three t,x pairs: 't1,x1;t2,x2;t3,x3'"),
+        ("coeffs", _coeffs, None,
+         "optional coefficient triple 're,im;re,im;re,im'"),
     ],
     "zeroprobe": [
-        ("system-file", str, "low-frequency system JSON"),
-        ("gamma-file", str, "observation curve JSON {kind, params}"),
-        ("T", float, "probe interval length (default 1)"),
-        ("grid", int, "probe grid size (default 2048)"),
+        ("system", _Document("system_file", _system), REQUIRED,
+         "low-frequency system JSON"),
+        ("gamma_curve", GAMMA, REQUIRED,
+         "observation curve JSON {kind, params}"),
+        ("T", float, 1.0, "probe interval length"),
+        ("grid", _int, 2048, "probe grid size"),
     ],
     "schrodinger": [
-        ("u0-file", str, "initial state JSON (evolve mode)"),
-        ("V-file", str, "potential JSON {kind, params} (default Zero)"),
-        ("s", float, "dispersion exponent"),
-        ("curve-file", str, "curve JSON document"),
-        ("T", float, "final time"),
-        ("dt", float, "time step override"),
-        ("trials", int, "trace-ratio trial count (trial mode)"),
-        ("K", int, "mode cutoff for trial mode (default 8)"),
-        ("out-csv", str, "CSV path override"),
+        ("u0", _Document("u0_file", _state), None,
+         "initial state JSON (evolve mode)"),
+        ("potential", _Document("V_file", _potential),
+         {"kind": "Zero", "params": {}}, "potential JSON {kind, params}"),
+        ("s", float, None, "dispersion exponent"),
+        ("curve", CURVE, None, "curve JSON document"),
+        ("T", float, REQUIRED, "final time"),
+        ("dt", float, None, "time step override"),
+        ("trials", _int, 8, "trace-ratio trial count (trial mode)"),
+        ("K", _int, 8, "mode cutoff for trial mode"),
+        ("out_csv", _text, None, "CSV path override"),
     ],
-    "run": [],
 }
+
+
+def _resolve(subcommand: str, given: dict) -> dict:
+    """The typed parameters of one experiment, with documents loaded.
+    Unknown keys, values the parser rejects and missing required values
+    raise ValueError naming the key."""
+    rows = _PARAMS[subcommand]
+    known = {key for key, *_ in rows} | {
+        kind.file for _, kind, *_ in rows if isinstance(kind, _Document)}
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {subcommand}: "
+                         f"{', '.join(unknown)}")
+    params = {}
+    # Documents last: a state document falls back on the resolved s.
+    for key, kind, default, _ in sorted(
+            rows, key=lambda row: isinstance(row[1], _Document)):
+        value = given.get(key)
+        path = given.get(kind.file) if isinstance(kind, _Document) else None
+        if value is None and path is None:
+            if default is REQUIRED:
+                raise ValueError(f"missing required parameter '{key}'")
+            value = default
+        try:
+            if value is None and path is not None:
+                value = _load_json(_text(path))
+            if value is not None:
+                value = kind(value, params) \
+                    if isinstance(kind, _Document) else kind(value)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"parameter '{key}': {exc}") from None
+        params[key] = value
+    return params
 
 
 @dataclass
@@ -184,6 +350,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "subcommand" not in doc:
             raise ValueError("config needs a 'subcommand' field")
+        if not isinstance(doc.get("parameters", {}), dict):
+            raise ValueError("config 'parameters' must be a JSON object")
         return cls(subcommand=doc["subcommand"],
                    parameters=dict(doc.get("parameters", {})),
                    seed=int(doc.get("seed", DEFAULT_SEED)),
@@ -243,73 +411,11 @@ class RunContext:
         return paths
 
 
-# ---------------------------------------------------------------------------
-# parameter helpers
-# ---------------------------------------------------------------------------
-
 def _need(params: dict, key: str):
-    if params.get(key) is None:
+    """A parameter whose requirement depends on the run's mode."""
+    if params[key] is None:
         raise ValueError(f"missing required parameter '{key}'")
     return params[key]
-
-
-def _floats(value) -> list:
-    if isinstance(value, str):
-        return [float(x) for x in value.split(",") if x.strip()]
-    return [float(x) for x in value]
-
-
-def _ints(value) -> list:
-    return [int(round(x)) for x in _floats(value)]
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_curve(params: dict):
-    from . import curves
-    if params.get("curve") is not None:
-        return curves.curve_from_dict(params["curve"])
-    return curves.curve_from_dict(_load_json(_need(params, "curve_file")))
-
-
-def _load_measure(params: dict):
-    from . import curves
-    if params.get("measure") is not None:
-        return curves.measure_from_dict(params["measure"])
-    return curves.measure_from_dict(_load_json(_need(params, "measure_file")))
-
-
-def _load_gamma(params: dict):
-    from . import rigidity
-    doc = params.get("gamma_curve")
-    if doc is None:
-        doc = _load_json(_need(params, "gamma_file"))
-    return rigidity.ObservationCurveGamma(doc["kind"], doc.get("params", {}))
-
-
-def _load_potential(params: dict):
-    from . import schrodinger
-    doc = params.get("potential")
-    if doc is None:
-        path = params.get("V_file")
-        doc = _load_json(path) if path else {"kind": "Zero", "params": {}}
-    return schrodinger.PotentialSpec(doc["kind"], doc.get("params", {}))
-
-
-def _load_state(params: dict, s_default=None):
-    from . import schrodinger
-    import numpy as np
-    doc = params.get("u0")
-    if doc is None:
-        doc = _load_json(_need(params, "u0_file"))
-    coeffs = np.asarray(doc["coeffs_re"], dtype=float) \
-        + 1j * np.asarray(doc.get("coeffs_im", 0.0), dtype=float)
-    s = float(doc.get("s", s_default if s_default is not None else 2.0))
-    K = int(doc.get("K", (len(coeffs) - 1) // 2))
-    return schrodinger.TorusState(coeffs, float(doc.get("time", 0.0)), s, K)
 
 
 def _py(obj):
@@ -333,18 +439,14 @@ def _py(obj):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (summary dict, ok flag)
+# runners: each takes the resolved parameters and returns (summary, ok)
 # ---------------------------------------------------------------------------
 
-def run_validate_curve(params, ctx, dry=False):
+def run_validate_curve(p, ctx):
     import numpy as np
     from . import curves
-    curve = _load_curve(params)
-    T = float(params.get("T") or 1.0)
-    grid = int(params.get("grid") or 256)
-    if dry:
-        return {}, True
-    rep = curves.validate_H_alpha(curve, T, grid)
+    curve, T = p["curve"], p["T"]
+    rep = curves.validate_H_alpha(curve, T, p["grid"])
     rows = [("passed", rep.passed),
             ("alpha", curve.alpha), ("c1", curve.c1), ("c2", curve.c2),
             ("c3", curve.c3),
@@ -366,17 +468,10 @@ def run_validate_curve(params, ctx, dry=False):
     return {"passed": rep.passed, "failures": list(rep.failures)}, rep.passed
 
 
-def run_integral(params, ctx, dry=False):
+def run_integral(p, ctx):
     from . import oscint
-    curve = _load_curve(params)
-    n = int(_need(params, "n"))
-    m = int(_need(params, "m"))
-    s = float(_need(params, "s"))
-    T = float(_need(params, "T"))
-    tol = float(params.get("tol") or 1e-9)
-    if dry:
-        return {}, True
-    r = oscint.oscillatory_integral(n, m, s, curve, T, tol=tol)
+    n, m, s, T = p["n"], p["m"], p["s"], p["T"]
+    r = oscint.oscillatory_integral(n, m, s, p["curve"], T, tol=p["tol"])
     summary = {
         "value_re": r.value.real, "value_im": r.value.imag,
         "modulus": abs(r.value), "abs_error_estimate": r.abs_error_estimate,
@@ -391,20 +486,12 @@ def run_integral(params, ctx, dry=False):
     return summary, True
 
 
-def run_classify(params, ctx, dry=False):
+def run_classify(p, ctx):
     from . import classify
-    s = float(_need(params, "s"))
-    N = int(params.get("N") or 50)
-    tau = params.get("tau")
+    s, tau = p["s"], p["tau"]
     if tau is None:
-        curve = _load_curve(params)
-        T = float(params.get("T") or 1.0)
-        if not dry:
-            tau = classify.tau_threshold(curve, T)
-    if dry:
-        return {}, True
-    tau = float(tau)
-    grid = classify.region_grid(s, tau, N)
+        tau = float(classify.tau_threshold(_need(p, "curve"), p["T"]))
+    grid = classify.region_grid(s, tau, p["N"])
     rows = []
     for i, n in enumerate(grid.ns):
         for j, m in enumerate(grid.ns):
@@ -415,9 +502,9 @@ def run_classify(params, ctx, dry=False):
                       meta={"s": s, "tau": tau,
                             **{f"count_{k}": int(v)
                                for k, v in sorted(grid.counts.items())}})
-    ctx.write(table, params.get("out_csv"))
-    svg = params.get("out_svg")
-    if svg:
+    ctx.write(table, p["out_csv"])
+    svg = p["out_svg"]
+    if svg is not None:
         os.makedirs(ctx.out_dir, exist_ok=True)
         from . import tables as _tables
         ctx.written.extend(_tables.emit_plot_data(
@@ -427,21 +514,13 @@ def run_classify(params, ctx, dry=False):
     return {"tau": tau, "counts": _py(grid.counts)}, True
 
 
-def run_boundary(params, ctx, dry=False):
+def run_boundary(p, ctx):
     from . import classify
-    branch = params.get("branch") or "all"
-    count = int(params.get("samples") or 250)
+    branch = p["branch"]
     branches = classify.BRANCHES if branch == "all" else (branch,)
-    for b in branches:
-        if b not in classify.BRANCHES:
-            raise ValueError(f"unknown branch {b!r}; "
-                             f"choose from {classify.BRANCHES}")
-    if dry:
-        return {}, True
     rows, max_res = [], 0.0
     for b in branches:
-        pts = classify.boundary_samples(b, count, params.get("lo"),
-                                        params.get("hi"))
+        pts = classify.boundary_samples(b, p["samples"], p["lo"], p["hi"])
         for pt in pts:
             res = abs(pt.residual())
             max_res = max(max_res, res)
@@ -450,17 +529,13 @@ def run_boundary(params, ctx, dry=False):
     table = ctx.table("boundary", ("branch", "parameter", "x", "y",
                                    "residual"), rows,
                       meta={"max_residual": max_res})
-    ctx.write(table, params.get("out_csv"))
+    ctx.write(table, p["out_csv"])
     return {"max_residual": max_res, "points": len(rows)}, True
 
 
-def run_lemma21(params, ctx, dry=False):
+def run_lemma21(p, ctx):
     from . import sums
-    gamma = float(_need(params, "gamma"))
-    s = float(_need(params, "s"))
-    N = int(params.get("N") or 10000)
-    if dry:
-        return {}, True
+    gamma, s, N = p["gamma"], p["s"], p["N"]
     checkpoints = [n for n in (10, 31, 100, 316, 1000, 3162, 10000, 31623)
                    if n < N]
     scan = sums.sup_M(gamma, s, N, checkpoints=checkpoints)
@@ -486,19 +561,10 @@ def run_lemma21(params, ctx, dry=False):
     return summary, True
 
 
-def run_tails(params, ctx, dry=False):
+def run_tails(p, ctx):
     from . import sums
-    gamma = float(_need(params, "gamma"))
-    delta = float(_need(params, "delta"))
-    s = float(_need(params, "s"))
-    N_grid = _ints(params.get("Ngrid") or [100, 316, 1000, 3162, 10000])
-    m_set = _ints(params["mset"]) if params.get("mset") is not None \
-        else list(sums._DEFAULT_MSET)
-    horizon = params.get("horizon")
-    if dry:
-        return {}, True
-    fit = sums.tail_decay_fit(gamma, delta, s, N_grid, m_set=m_set,
-                              horizon=int(horizon) if horizon else None)
+    fit = sums.tail_decay_fit(p["gamma"], p["delta"], p["s"], p["Ngrid"],
+                              m_set=p["mset"], horizon=p["horizon"])
     rows = []
     for i, m in enumerate(fit.m_set):
         for j, N in enumerate(fit.N_grid):
@@ -516,28 +582,20 @@ def run_tails(params, ctx, dry=False):
     return summary, bool(fit.passes)
 
 
-def _build_system(params):
+def _gram(p):
     from . import riesz
-    s = float(_need(params, "s"))
-    N = int(params.get("N") or 10)
-    indices = range(-N, N + 1)
-    if params.get("measure_file") is not None \
-            or params.get("measure") is not None:
-        measure = _load_measure(params)
-        return riesz.measure_system(indices, s, measure)
-    curve = _load_curve(params)
-    T = float(_need(params, "T"))
-    weight = params.get("weight") or "lebesgue"
-    return riesz.curve_system(indices, s, curve, T, weight=weight)
+    indices = range(-p["N"], p["N"] + 1)
+    if p["measure"] is not None:
+        system = riesz.measure_system(indices, p["s"], p["measure"])
+    else:
+        system = riesz.curve_system(indices, p["s"], _need(p, "curve"),
+                                    _need(p, "T"), weight=p["weight"])
+    return riesz.gram_matrix(system, tol=p["tol"])
 
 
-def run_gram(params, ctx, dry=False):
+def run_gram(p, ctx):
     from . import riesz
-    system = _build_system(params)
-    tol = float(params.get("tol") or 1e-9)
-    if dry:
-        return {}, True
-    G = riesz.gram_matrix(system, tol=tol)
+    G = _gram(p)
     os.makedirs(ctx.out_dir, exist_ok=True)
     path = os.path.join(ctx.out_dir, "gram.json")
     with open(path, "w", newline="\n") as fh:
@@ -554,13 +612,9 @@ def run_gram(params, ctx, dry=False):
     return {"dim": G.dim, "gram_json": path}, True
 
 
-def run_riesz(params, ctx, dry=False):
+def run_riesz(p, ctx):
     from . import riesz
-    system = _build_system(params)
-    tol = float(params.get("tol") or 1e-9)
-    if dry:
-        return {}, True
-    G = riesz.gram_matrix(system, tol=tol)
+    G = _gram(p)
     rep = riesz.riesz_bounds(G, seed=ctx.seed)
     ctx.write(ctx.table(
         "riesz_report",
@@ -571,16 +625,10 @@ def run_riesz(params, ctx, dry=False):
     return summary, True
 
 
-def run_ingham_sweep(params, ctx, dry=False):
+def run_ingham_sweep(p, ctx):
     from . import riesz
-    curve = _load_curve(params)
-    s = float(_need(params, "s"))
-    N = int(params.get("N") or 20)
-    T_grid = _floats(params.get("Tgrid") or [0.25, 0.5, 1, 2, 4, 8])
-    tol = float(params.get("tol") or 1e-8)
-    if dry:
-        return {}, True
-    res = riesz.ingham_sweep(curve, s, N, T_grid, tol=tol)
+    s, N = p["s"], p["N"]
+    res = riesz.ingham_sweep(p["curve"], s, N, p["Tgrid"], tol=p["tol"])
     rows = [(float(T), float(lo), float(hi), float(lo / T))
             for T, lo, hi in zip(res.T_grid, res.lambda_min, res.lambda_max)]
     table = ctx.table("ingham_sweep",
@@ -594,14 +642,10 @@ def run_ingham_sweep(params, ctx, dry=False):
     return summary, bool(res.monotone)
 
 
-def run_minimal_time(params, ctx, dry=False):
+def run_minimal_time(p, ctx):
     from . import riesz
-    curve = _load_curve(params)
-    s = float(_need(params, "s"))
-    j_grid = _ints(params.get("jgrid") or [2, 5, 10, 50, 200])
-    if dry:
-        return {}, True
-    res = riesz.minimal_time_counterexample(curve, s, j_grid)
+    s = p["s"]
+    res = riesz.minimal_time_counterexample(p["curve"], s, p["jgrid"])
     rows = [(int(j), float(T), float(r))
             for j, T, r in zip(res.j_grid, res.T_values, res.ratios)]
     ctx.write(ctx.table("minimal_time", ("j", "T_j", "ratio"), rows,
@@ -613,18 +657,15 @@ def run_minimal_time(params, ctx, dry=False):
     return summary, bool(res.decreasing)
 
 
-def run_highfreq(params, ctx, dry=False):
+def run_highfreq(p, ctx):
     from . import riesz
-    measure = _load_measure(params)
-    s_grid = params.get("sgrid")
-    if s_grid is not None:
-        s_grid = _floats(s_grid)
-        N = int(params.get("N") or 2)
-        window = int(params.get("window") or 10)
-        if dry:
-            return {}, True
-        res = riesz.highfreq_dispersion_sweep(measure, s_grid, N=N,
-                                              window=window)
+    measure, window = p["measure"], p["window"]
+    if p["sgrid"] is not None:
+        N = 2 if p["N"] is None else p["N"]
+        window = 10 if window is None else window
+        res = riesz.highfreq_dispersion_sweep(
+            measure, p["sgrid"], N=N, window=window,
+            nodes_per_cycle=p["nodes_per_cycle"])
         rows = [(float(s), float(lo), float(hi))
                 for s, lo, hi in zip(res.s_grid, res.lambda_min,
                                      res.lambda_max)]
@@ -637,14 +678,10 @@ def run_highfreq(params, ctx, dry=False):
         summary = {"eta_hat": res.eta_hat, "lo_target": res.lo_target,
                    "hi_target": res.hi_target}
         return summary, True
-    s = float(_need(params, "s"))
-    N_grid = _ints(params.get("Ngrid") or [25, 50, 100, 200])
-    window = int(params.get("window") or 30)
-    npc = float(params.get("nodes_per_cycle") or 16.0)
-    if dry:
-        return {}, True
-    res = riesz.highfreq_bounds(measure, s, N_grid, window=window,
-                                nodes_per_cycle=npc)
+    s = _need(p, "s")
+    window = 30 if window is None else window
+    res = riesz.highfreq_bounds(measure, s, p["Ngrid"], window=window,
+                                nodes_per_cycle=p["nodes_per_cycle"])
     rows = [(int(N), float(lo), float(hi))
             for N, lo, hi in zip(res.N_grid, res.lambda_min, res.lambda_max)]
     table = ctx.table("highfreq_bounds",
@@ -661,14 +698,10 @@ def run_highfreq(params, ctx, dry=False):
     return summary, res.N_star is not None
 
 
-def run_sharpness(params, ctx, dry=False):
+def run_sharpness(p, ctx):
     from . import riesz
-    delta = float(params.get("delta") or 0.5)
-    s = float(params.get("s") or 1.5)
-    N_grid = _ints(params.get("Ngrid") or [32, 64, 128, 256, 512, 1024])
-    if dry:
-        return {}, True
-    res = riesz.sharpness_sum(delta, s, N_grid)
+    delta, s = p["delta"], p["s"]
+    res = riesz.sharpness_sum(delta, s, p["Ngrid"])
     rows = [(int(N), float(v)) for N, v in zip(res.N_grid, res.values)]
     table = ctx.table("sharpness_sum", ("N", "S_N"), rows,
                       meta={"delta": delta, "s": s, "slope": res.slope,
@@ -683,19 +716,14 @@ def run_sharpness(params, ctx, dry=False):
     return summary, bool(res.passes)
 
 
-def run_merged(params, ctx, dry=False):
+def run_merged(p, ctx):
     from . import riesz
-    curve = _load_curve(params)
-    T = float(params.get("T") or 1.0)
-    s_grid = _floats(params.get("sgrid") or [1.6, 2.0, 2.5, 3.0])
-    N = int(params.get("N") or 20)
-    tol = float(params.get("tol") or 1e-8)
-    if dry:
-        return {}, True
-    res = riesz.merged_bound_experiment(curve, T, s_grid, N=N, tol=tol)
-    rows = [(float(s), float(lo), float(c), float(p))
-            for s, lo, c, p in zip(res.s_grid, res.lambda_min, res.coupling,
-                                   res.product_bound_max)]
+    T, N = p["T"], p["N"]
+    res = riesz.merged_bound_experiment(p["curve"], T, p["sgrid"], N=N,
+                                        tol=p["tol"])
+    rows = [(float(s), float(lo), float(c), float(pb))
+            for s, lo, c, pb in zip(res.s_grid, res.lambda_min, res.coupling,
+                                    res.product_bound_max)]
     ctx.write(ctx.table("merged_bound",
                         ("s", "lambda_min", "coupling", "product_bound_max"),
                         rows,
@@ -707,16 +735,11 @@ def run_merged(params, ctx, dry=False):
     return summary, bool(res.coupling_decreasing)
 
 
-def run_wronskian(params, ctx, dry=False):
+def run_wronskian(p, ctx):
     import numpy as np
     from . import rigidity
-    gamma = _load_gamma(params)
-    count = int(params.get("samples") or 100)
-    xmin = float(params.get("xmin") or 0.05)
-    xmax = float(params.get("xmax") or 2.0)
-    if dry:
-        return {}, True
-    xs = np.linspace(xmin, xmax, count)
+    gamma = p["gamma_curve"]
+    xs = np.linspace(p["xmin"], p["xmax"], p["samples"])
     w = rigidity.wronskian_n1(gamma, xs)
     rep = rigidity.n1_vanishing_classifier(gamma, xs)
     rows = [(float(x), float(z.real), float(z.imag), float(abs(z)))
@@ -730,31 +753,11 @@ def run_wronskian(params, ctx, dry=False):
     return summary, True
 
 
-def _parse_points(text: str) -> list:
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t, x = (float(v) for v in chunk.split(","))
-        pts.append((t, x))
-    return pts
-
-
-def run_threepoint(params, ctx, dry=False):
+def run_threepoint(p, ctx):
     from . import rigidity
     from .errors import InadmissiblePoints
-    points = _parse_points(_need(params, "points"))
-    if len(points) != 3:
-        raise ValueError("need exactly three t,x pairs")
-    coeffs = None
-    if params.get("coeffs") is not None:
-        coeffs = [complex(re, im)
-                  for re, im in _parse_points(params["coeffs"])]
-    if dry:
-        return {}, True
     try:
-        rep = rigidity.three_point_test(points, coeffs)
+        rep = rigidity.three_point_test(p["points"], p["coeffs"])
     except InadmissiblePoints as exc:
         ctx.write(ctx.table("threepoint", ("field", "value"),
                             [("admissible", False), ("detail", str(exc))]))
@@ -771,23 +774,10 @@ def run_threepoint(params, ctx, dry=False):
     return summary, bool(rep.admissible and rep.rank == 3)
 
 
-def run_zeroprobe(params, ctx, dry=False):
-    import numpy as np
+def run_zeroprobe(p, ctx):
     from . import rigidity
-    gamma = _load_gamma(params)
-    doc = params.get("system")
-    if doc is None:
-        doc = _load_json(_need(params, "system_file"))
-    coeffs = np.asarray(doc["coefficients_re"], dtype=float) \
-        + 1j * np.asarray(doc.get("coefficients_im", 0.0), dtype=float)
-    system = rigidity.LowFreqSystem(int(doc["N"]), float(doc["s"]),
-                                    tuple(doc["lambdas"]),
-                                    tuple(coeffs))
-    T = float(params.get("T") or 1.0)
-    grid = int(params.get("grid") or 2048)
-    if dry:
-        return {}, True
-    rep = rigidity.zero_set_probe(system, gamma, T, grid=grid)
+    rep = rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"],
+                                  grid=p["grid"])
     rows = [(float(t),) for t in rep.zeros]
     ctx.write(ctx.table("zero_probe", ("t",), rows,
                         meta={"verdict": rep.verdict, "max_abs": rep.max_abs,
@@ -797,17 +787,11 @@ def run_zeroprobe(params, ctx, dry=False):
     return summary, rep.verdict != "SuspectedIdenticallyZero"
 
 
-def run_schrodinger(params, ctx, dry=False):
+def run_schrodinger(p, ctx):
     from . import schrodinger
-    V = _load_potential(params)
-    T = float(_need(params, "T"))
-    if params.get("u0_file") is not None or params.get("u0") is not None:
-        u0 = _load_state(params, params.get("s"))
-        if dry:
-            return {}, True
-        dt = params.get("dt")
-        uT, diag = schrodinger.evolve(u0, V, T,
-                                      dt=float(dt) if dt else None)
+    V, T, u0 = p["potential"], p["T"], p["u0"]
+    if u0 is not None:
+        uT, diag = schrodinger.evolve(u0, V, T, dt=p["dt"])
         rows = [(int(n), float(c.real), float(c.imag), float(abs(c) ** 2))
                 for n, c in zip(uT.modes, uT.coeffs)]
         table = ctx.table("evolution", ("n", "re", "im", "mass"), rows,
@@ -815,7 +799,7 @@ def run_schrodinger(params, ctx, dry=False):
                                 "norm_drift": diag.norm_drift,
                                 "top_band_fraction":
                                 diag.top_band_fraction})
-        ctx.write(table, params.get("out_csv"))
+        ctx.write(table, p["out_csv"])
         os.makedirs(ctx.out_dir, exist_ok=True)
         path = os.path.join(ctx.out_dir, "state.json")
         with open(path, "w", newline="\n") as fh:
@@ -827,28 +811,21 @@ def run_schrodinger(params, ctx, dry=False):
         ctx.written.append(path)
         summary = {"steps": diag.steps, "norm_drift": diag.norm_drift,
                    "state_json": path}
-        if params.get("curve_file") is not None \
-                or params.get("curve") is not None:
-            curve = _load_curve(params)
-            trace = schrodinger.evolve_trace(u0, V, curve, T,
-                                             dt=float(dt) if dt else None)
-            summary["trace"] = trace
+        if p["curve"] is not None:
+            summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
+                                                        dt=p["dt"])
         return summary, True
-    curve = _load_curve(params)
-    s = float(_need(params, "s"))
-    K = int(params.get("K") or 8)
-    trials = int(params.get("trials") or 8)
-    if dry:
-        return {}, True
-    res = schrodinger.trace_bound_experiment(curve, s, V, T, K=K,
-                                             n_random=trials, seed=ctx.seed)
+    s = _need(p, "s")
+    res = schrodinger.trace_bound_experiment(_need(p, "curve"), s, V, T,
+                                             K=p["K"], n_random=p["trials"],
+                                             seed=ctx.seed)
     rows = [(name, float(r))
             for name, r in zip(res.trial_names, res.ratios)]
     table = ctx.table("trace_ratios", ("trial", "ratio"), rows,
                       meta={"T": T, "s": s, "V_sup": res.V_sup,
                             "max_ratio": res.max_ratio,
                             "min_ratio": res.min_ratio})
-    ctx.write(table, params.get("out_csv"))
+    ctx.write(table, p["out_csv"])
     summary = {"max_ratio": res.max_ratio, "min_ratio": res.min_ratio,
                "trials": len(rows)}
     return summary, True
@@ -876,13 +853,16 @@ _RUNNERS = {
 
 
 def execute(config: ExperimentConfig, dry=False):
-    """Run one experiment; returns (summary, ok, ctx)."""
+    """Run one experiment; returns (summary, ok, ctx).  A dry run stops
+    once the parameters and input documents have resolved."""
     if config.subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
     ctx = RunContext(config.out_dir, config.format, config.seed,
                      config.config_hash())
-    summary, ok = _RUNNERS[config.subcommand](config.parameters, ctx,
-                                              dry=dry)
+    params = _resolve(config.subcommand, config.parameters)
+    if dry:
+        return {}, True, ctx
+    summary, ok = _RUNNERS[config.subcommand](params, ctx)
     return summary, ok, ctx
 
 
@@ -906,6 +886,16 @@ def run_batch(doc: dict, out_dir: str, fmt: str, dry=False):
     return results, all_ok
 
 
+def _shown(default) -> str:
+    if default is REQUIRED:
+        return " (required)"
+    if default is None:
+        return ""
+    if isinstance(default, dict):
+        default = default["kind"]
+    return f" (default {default})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inghamlab",
@@ -926,10 +916,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dry-run", action="store_true",
                         help="validate inputs without computing")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, flags in _FLAG_SPECS.items():
+    for name, rows in _PARAMS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, ftype, help_text in flags:
-            p.add_argument(f"--{flag}", type=ftype, help=help_text)
+        for key, kind, default, help_text in rows:
+            # Only numbers are converted here; lists and paths stay the
+            # typed string, which is what the config hash is taken over.
+            flag = kind.file if isinstance(kind, _Document) else key
+            p.add_argument(f"--{flag.replace('_', '-')}",
+                           type={_int: int, float: float}.get(kind, str),
+                           help=help_text + _shown(default))
+    sub.add_parser("run", parents=[common])
     return parser
 
 

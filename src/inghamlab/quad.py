@@ -30,16 +30,3 @@ def panel_nodes(a, b, order: int):
     weights = half[:, None] * w[None, :]
     return nodes, weights
 
-
-def composite_gl(f, a: float, b: float, panels: int, order: int = 10):
-    """Composite Gauss-Legendre integral of a vectorized callable on [a, b].
-
-    The rule is open: neither endpoint is ever a node, so integrands with
-    integrable endpoint singularities are evaluated safely.
-    """
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = panel_nodes(edges[:-1], edges[1:], order)
-    vals = f(nodes.ravel())
-    return (vals * weights.ravel()).sum()

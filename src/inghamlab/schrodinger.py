@@ -115,6 +115,19 @@ def _truncate_spectrum(f: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _strang_step(c: np.ndarray, half: np.ndarray, free: np.ndarray,
+                 K: int, M: int) -> np.ndarray:
+    """One Strang step: half potential phase on the padded grid, exact
+    free flow, half potential phase."""
+    vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
+    vals *= half
+    c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+    c *= free
+    vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
+    vals *= half
+    return _truncate_spectrum(np.fft.fft(vals) / M, K)
+
+
 @dataclass
 class EvolveDiagnostics:
     steps: int
@@ -145,6 +158,8 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     cap = _MAX_DT_BASE / (1.0 + V.sup_norm)
     if dt is None:
         dt = cap
+    elif not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt must be at most 0.01/(1+|V|) = {cap:.3e}")
     if t_final == 0:
@@ -163,13 +178,7 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     drift = 0.0
     top_frac = 0.0
     for _ in range(steps):
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
-        c *= free
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+        c = _strang_step(c, half, free, K, M)
         total = float(np.vdot(c, c).real)
         drift = max(drift, abs(total - norm0))
         frac = float((np.abs(c[top]) ** 2).sum()) / total
@@ -277,6 +286,8 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     integrating with composite Simpson."""
     if u0.K < 2 * u0.max_active_mode():
         raise ValueError("need K >= 2 * max active mode of the data")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     path = _path_function(curve)
     tt = np.linspace(0.0, T, 512)
     dpmax = float(np.abs(np.gradient(path(tt), tt)).max())
@@ -298,13 +309,7 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     c = u0.coeffs.copy()
     samples[0] = abs(phases[0] @ c) ** 2
     for k in range(1, steps + 1):
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
-        c *= free
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+        c = _strang_step(c, half, free, K, M)
         samples[k] = abs(phases[k] @ c) ** 2
     return float(simpson(samples, x=times))
 
@@ -328,6 +333,9 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     the minimal Gram eigenvector (the V = 0 worst case), and random
     data.  The max ratio probes the upper trace bound, the min ratio is
     the empirical observability constant."""
+    if K < 2:
+        raise ValueError(f"K must be at least 2 for the two-mode trials, "
+                         f"got {K}")
     rng = np.random.default_rng(seed)
     dim = 2 * K + 1
     trials: dict = {}

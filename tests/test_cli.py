@@ -3,12 +3,18 @@ hashing, exit codes, output artifacts, and run determinism."""
 
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from inghamlab.cli import DEFAULT_SEED, ExperimentConfig, main, run_batch
+from inghamlab import riesz
+from inghamlab.cli import (_PARAMS, _RUNNERS, DEFAULT_SEED, ExperimentConfig,
+                           build_parser, main, run_batch)
 from inghamlab.curves import build_curve, curve_to_dict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -40,6 +46,8 @@ def test_config_rejects_unknown_and_missing_fields():
         ExperimentConfig.from_dict({"subcommand": "classify", "extra": 1})
     with pytest.raises(ValueError, match="subcommand"):
         ExperimentConfig.from_dict({"parameters": {}})
+    with pytest.raises(ValueError, match="parameters"):
+        ExperimentConfig.from_dict({"subcommand": "gram", "parameters": [3]})
 
 
 def test_config_defaults():
@@ -233,3 +241,120 @@ def test_batch_run(tmp_path, capsys):
 def test_batch_document_guard(tmp_path):
     with pytest.raises(ValueError, match="experiments"):
         run_batch({"runs": []}, str(tmp_path), "csv")
+    typo = {"experiments": [{"subcommand": "boundary",
+                             "parameters": {"sampels": 10}}]}
+    with pytest.raises(ValueError, match="sampels"):
+        run_batch(typo, str(tmp_path), "csv")
+
+
+def test_acceptance_batch_dry_run_accepts_every_key(tmp_path, capsys):
+    out = str(tmp_path / "res")
+    code = main(["run", "--config",
+                 os.path.join(ROOT, "experiments", "acceptance.json"),
+                 "--out-dir", out, "--dry-run"])
+    assert code == 0
+    doc = _out(capsys)
+    assert len(doc["experiments"]) == 17
+    assert all(e["tables"] == [] for e in doc["experiments"])
+    assert not os.path.exists(out)
+
+
+# ---------------------------------------------------------------------------
+# the parameter tables: explicit values, unknown keys, docs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def docs(tmp_path, mono2_file):
+    files = {"mono2": mono2_file}
+    for name, doc in {
+        "parabola": {"kind": "Polynomial", "params": {"coeffs": [0, 0, 1]}},
+        "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
+        "quarter": {"kind": "ArcLengthOnCircle",
+                    "params": {"radius": 1.0, "theta0": 0.0,
+                               "theta1": float(np.pi / 2)},
+                    "resolution": 1024},
+        "tgird": {"subcommand": "ingham-sweep",
+                  "parameters": {"curve_file": mono2_file, "s": 2.0, "N": 2,
+                                 "Tgird": "1,2"}},
+        "listN": {"subcommand": "gram",
+                  "parameters": {"curve_file": mono2_file, "s": 2.0,
+                                 "N": [3], "T": 1.0}},
+        "halfN": {"subcommand": "gram",
+                  "parameters": {"curve_file": mono2_file, "s": 2.0,
+                                 "N": 2.5, "T": 1.0}},
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files[name] = str(path)
+    return files
+
+
+def _table(out, name):
+    with open(os.path.join(out, f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+# (argv, exit code, check): a check is a predicate on (summary, out dir,
+# keyword arguments of each dispersion sweep) for exit 0, and the text
+# the error message must name for exit 1.
+_EXPLICIT_CASES = {
+    "gram-N0": (["gram", "--curve-file", "{mono2}", "--s", "2", "--N", "0",
+                 "--T", "1"], 0, lambda doc, out, sweeps: doc["dim"] == 1),
+    "wronskian-xmin0": (["wronskian", "--gamma-file", "{parabola}",
+                         "--xmin", "0", "--samples", "5"], 0,
+                        lambda doc, out, sweeps:
+                        _table(out, "wronskian")["rows"][0][0] == 0.0),
+    "boundary-samples0": (["boundary", "--samples", "0"], 0,
+                          lambda doc, out, sweeps: doc["points"] == 0),
+    "integral-tol0": (["integral", "--n", "3", "--m", "-2", "--s", "2",
+                       "--curve-file", "{mono2}", "--T", "1", "--tol", "0"],
+                      1, "tol"),
+    "validate-curve-T0": (["validate-curve", "--curve-file", "{mono2}",
+                           "--T", "0"], 1, "T must"),
+    "schrodinger-dt0": (["schrodinger", "--u0-file", "{u0}", "--T", "0.2",
+                         "--dt", "0"], 1, "dt"),
+    "empty-grid": (["sharpness", "--Ngrid", ""], 1, "'Ngrid'"),
+    "config-typo": (["ingham-sweep", "--config", "{tgird}"], 1, "Tgird"),
+    "config-list-for-int": (["gram", "--config", "{listN}"], 1, "'N'"),
+    "config-fraction-for-int": (["gram", "--config", "{halfN}"], 1, "'N'"),
+    "highfreq-sgrid-N-npc": (["highfreq", "--measure-file", "{quarter}",
+                              "--sgrid", "2.5", "--N", "3", "--window", "4",
+                              "--nodes-per-cycle", "8"], 0,
+                             lambda doc, out, sweeps:
+                             _table(out, "dispersion_sweep")["meta"]["N"] == 3
+                             and sweeps == [{"N": 3, "window": 4,
+                                             "nodes_per_cycle": 8.0}]),
+}
+
+
+@pytest.mark.parametrize("argv, code, check", _EXPLICIT_CASES.values(),
+                         ids=_EXPLICIT_CASES.keys())
+def test_explicit_values_are_honoured_and_bad_keys_exit_1(
+        argv, code, check, docs, tmp_path, capsys, monkeypatch):
+    sweeps = []
+    real_sweep = riesz.highfreq_dispersion_sweep
+
+    def spy(*args, **kwargs):
+        sweeps.append(kwargs)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(riesz, "highfreq_dispersion_sweep", spy)
+    out = str(tmp_path / "res")
+    argv = [a.format(**docs) for a in argv]
+    assert main(argv + ["--out-dir", out, "--format", "json"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert check(json.loads(captured.out)["summary"], out, sweeps)
+    else:
+        assert check in captured.err
+
+
+def test_readme_examples_parse_and_tables_match_runners():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        lines = [ln.strip() for ln in fh
+                 if re.match(r"\s*inghamlab [a-z]", ln)]
+    assert len(lines) >= 18
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+    assert set(_PARAMS) == set(_RUNNERS)
