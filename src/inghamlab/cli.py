@@ -286,6 +286,18 @@ _PARAMS = {
 }
 
 
+# Keys that one mode of a subcommand needs: (the key whose absence
+# selects that mode, the keys it then needs).  Checked in _resolve, so a
+# dry run checks them as well.
+_MODE_NEEDS = {
+    "gram": ("measure", ("curve", "T")),
+    "riesz": ("measure", ("curve", "T")),
+    "classify": ("tau", ("curve",)),
+    "highfreq": ("sgrid", ("s",)),
+    "schrodinger": ("u0", ("s", "curve")),
+}
+
+
 def _resolve(subcommand: str, given: dict) -> dict:
     """The typed parameters of one experiment, with documents loaded.
     Unknown keys, values the parser rejects and missing required values
@@ -316,6 +328,11 @@ def _resolve(subcommand: str, given: dict) -> dict:
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"parameter '{key}': {exc}") from None
         params[key] = value
+    mode, needs = _MODE_NEEDS.get(subcommand, (None, ()))
+    if params.get(mode) is None:
+        for key in needs:
+            if params[key] is None:
+                raise ValueError(f"missing required parameter '{key}'")
     return params
 
 
@@ -411,13 +428,6 @@ class RunContext:
         return paths
 
 
-def _need(params: dict, key: str):
-    """A parameter whose requirement depends on the run's mode."""
-    if params[key] is None:
-        raise ValueError(f"missing required parameter '{key}'")
-    return params[key]
-
-
 def _py(obj):
     """Recursively convert numpy scalars/arrays to plain Python."""
     import numpy as np
@@ -490,7 +500,7 @@ def run_classify(p, ctx):
     from . import classify
     s, tau = p["s"], p["tau"]
     if tau is None:
-        tau = float(classify.tau_threshold(_need(p, "curve"), p["T"]))
+        tau = float(classify.tau_threshold(p["curve"], p["T"]))
     grid = classify.region_grid(s, tau, p["N"])
     rows = []
     for i, n in enumerate(grid.ns):
@@ -588,8 +598,8 @@ def _gram(p):
     if p["measure"] is not None:
         system = riesz.measure_system(indices, p["s"], p["measure"])
     else:
-        system = riesz.curve_system(indices, p["s"], _need(p, "curve"),
-                                    _need(p, "T"), weight=p["weight"])
+        system = riesz.curve_system(indices, p["s"], p["curve"], p["T"],
+                                    weight=p["weight"])
     return riesz.gram_matrix(system, tol=p["tol"])
 
 
@@ -678,7 +688,7 @@ def run_highfreq(p, ctx):
         summary = {"eta_hat": res.eta_hat, "lo_target": res.lo_target,
                    "hi_target": res.hi_target}
         return summary, True
-    s = _need(p, "s")
+    s = p["s"]
     window = 30 if window is None else window
     res = riesz.highfreq_bounds(measure, s, p["Ngrid"], window=window,
                                 nodes_per_cycle=p["nodes_per_cycle"])
@@ -815,8 +825,8 @@ def run_schrodinger(p, ctx):
             summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
                                                         dt=p["dt"])
         return summary, True
-    s = _need(p, "s")
-    res = schrodinger.trace_bound_experiment(_need(p, "curve"), s, V, T,
+    s = p["s"]
+    res = schrodinger.trace_bound_experiment(p["curve"], s, V, T,
                                              K=p["K"], n_random=p["trials"],
                                              seed=ctx.seed)
     rows = [(name, float(r))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCurve, InsufficientDecay, NonAdmissible
-from .quad import leggauss, panel_nodes
+from .quad import panel_nodes
 
 CURVE_KINDS = ("Monomial", "Muntz", "ArctanModulated", "Affine", "UserTabulated")
 MEASURE_KINDS = ("ArcLengthOnGraph", "ArcLengthOnCircle", "SmoothBump", "ProductNuDelta")
@@ -422,8 +422,10 @@ def mu_hat(measure: MeasureSpec, xi) -> complex:
     return complex(np.exp(-2j * np.pi * phase) @ measure.weights)
 
 
-def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Vectorized mu_hat over an (K, 2) array of frequencies."""
+def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray, chunk: int = 8) -> np.ndarray:
+    """Vectorized mu_hat over an (K, 2) array of frequencies.  Small
+    chunks keep each temporary near the size of a Gram block, so that
+    repeated decay fits reuse freed memory instead of mapping new pages."""
     xis = np.asarray(xis, dtype=float)
     out = np.empty(xis.shape[0], dtype=complex)
     for lo in range(0, xis.shape[0], chunk):

@@ -36,44 +36,13 @@ _CLUSTER_WIDTH = 1e-6      # dyadic refinement floor around stationary points, r
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
 
 
-@dataclass(frozen=True)
-class PhaseSpec:
-    """Phase decomposition of the pair (n, m); requires |n| != |m|."""
-
-    n: int
-    m: int
-    s: float
-    curve: CurveSpec
-    lam: float            # 2 pi (|n|^s - |m|^s)
-    A: float              # |(n - m) / (|n|^s - |m|^s)|
-
-    @classmethod
-    def for_pair(cls, n: int, m: int, s: float, curve: CurveSpec) -> "PhaseSpec":
-        e = abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)
-        if e == 0.0:
-            raise ValueError("phase decomposition needs |n| != |m|")
-        return cls(n, m, s, curve, 2.0 * np.pi * float(e), abs((n - m) / float(e)))
-
-    def _signed_A(self) -> float:
-        return (self.n - self.m) / (self.lam / (2.0 * np.pi))
-
-    def phi(self, t):
-        return np.asarray(t, dtype=float) + self._signed_A() * self.curve.p(t)
-
-    def dphi(self, t):
-        return 1.0 + self._signed_A() * self.curve.dp(t)
-
-    def total_phase(self, t):
-        """2 pi ((n-m) p(t) + (|n|^s - |m|^s) t) = lam * phi(t)."""
-        return self.lam * self.phi(t)
-
-
 @dataclass
 class QuadResult:
     value: complex
     abs_error_estimate: float
     panels: int
     stationary_points: list
+    edges: np.ndarray      # sorted edges of the final panels
 
 
 def _sign_change_roots(f, b: float, a: float = 0.0) -> list:
@@ -109,7 +78,8 @@ def _sign_change_roots(f, b: float, a: float = 0.0) -> list:
 
 
 def stationary_points(n: int, m: int, s: float, curve: CurveSpec, T: float) -> list:
-    """Roots of phi'_(m,n) in (0, T), located by bracketing + bisection.
+    """Roots of (n - m) p'(t) + |n|^s - |m|^s in (0, T), the stationary
+    points of the pair's phase, located by bracketing + bisection.
 
     Monotone p' gives at most one root; the search is generic so tabulated
     curves with wiggly derivatives are still handled.
@@ -118,8 +88,9 @@ def stationary_points(n: int, m: int, s: float, curve: CurveSpec, T: float) -> l
         raise ValueError("stationary points are defined for |n| != |m|")
     if T <= 0:
         raise ValueError("T must be positive")
-    spec = PhaseSpec.for_pair(n, m, s, curve)
-    return _sign_change_roots(spec.dphi, T)
+    d = float(n - m)
+    e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
+    return _sign_change_roots(lambda t: d * curve.dp(t) + e, T)
 
 
 def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
@@ -213,7 +184,7 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         errs = np.concatenate([errs[keep], new_errs])
 
     return QuadResult(complex(vals.sum()), float(errs.sum()), int(a.size),
-                      [float(r) for r in roots])
+                      [float(r) for r in roots], np.append(np.sort(a), T))
 
 
 def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
@@ -226,7 +197,7 @@ def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
     if n == m and weight is None:
         if T <= 0:
             raise ValueError("T must be positive")
-        return QuadResult(complex(T), 0.0, 1, [])
+        return QuadResult(complex(T), 0.0, 1, [], np.array([0.0, T]))
     d = float(n - m)
     e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
     return phase_integral(d, e, curve, T, tol, weight, 0.0, panel_budget)

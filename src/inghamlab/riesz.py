@@ -21,6 +21,8 @@ from .quad import panel_nodes
 DEFAULT_SEED = 0x1CEB00DA
 _HERMITIAN_TOL = 1e-12
 _SANDWICH_SLACK = 1e-8
+_BLOCK = 4096              # nodes per block of the E^H W E product
+_MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
 
 
 # ---------------------------------------------------------------------------
@@ -103,59 +105,62 @@ def _phase_vectors(system: ExpSystem) -> np.ndarray:
                      np.asarray(system.lambdas, dtype=float)], axis=1)
 
 
-def _arclength_weight(curve: CurveSpec):
-    return lambda t: np.sqrt(1.0 + curve.dp(t) ** 2)
+def _gram_product(nodes: np.ndarray, wts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """G = E^H W E with E[k, n] = exp(-2 pi i <z_k, phi(n)>), summed over
+    fixed blocks of nodes z_k and Hermitian-symmetrized."""
+    G = np.zeros((phi.shape[0],) * 2, dtype=complex)
+    for lo in range(0, nodes.shape[0], _BLOCK):
+        E = np.exp(-2j * np.pi * (nodes[lo:lo + _BLOCK] @ phi.T))
+        G += E.conj().T @ (wts[lo:lo + _BLOCK, None] * E)
+    return 0.5 * (G + G.conj().T)
 
 
-def _curve_gram(system: ExpSystem, tol: float) -> GramMatrix:
-    idx = system.indices
-    J = len(idx)
-    lam = np.asarray(system.lambdas, dtype=float)
-    temp = np.atleast_1d(abs_pow(np.asarray(idx), system.s))
-    w = None if system.weight == "lebesgue" else _arclength_weight(system.curve)
-    entry_tol = tol / max(1, J)
-    G = np.zeros((J, J), dtype=complex)
-    for i in range(J):
-        for j in range(i, J):
-            d = lam[i] - lam[j]
-            e = temp[i] - temp[j]
-            if i == j and w is None:
-                G[i, i] = system.T
-                continue
-            res = phase_integral(d, e, system.curve, system.T,
-                                 tol=entry_tol, weight=w)
-            G[i, j] = res.value
-            if i != j:
-                G[j, i] = np.conj(res.value)
-    diag = float(G[0, 0].real)
-    return GramMatrix(G, idx, system.T if w is None else diag, tol)
+def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
+    curve, T = system.curve, system.T
+    w = None if system.weight == "lebesgue" else \
+        (lambda t: np.sqrt(1.0 + curve.dp(t) ** 2))
+    bound = tol / phi.shape[0]
+    # Panels of the envelope pair, whose phase speed |d p'(t) + e| bounds
+    # that of every pair of a monotone curve: d takes the sign of p'.
+    d, e = float(np.ptp(phi[:, 1])), float(np.ptp(phi[:, 0]))
+    if float(curve.p(T)) < float(curve.p(0.0)):
+        d = -d
+    edges = phase_integral(d, e, curve, T, tol=bound, weight=w).edges
 
+    def panel_gram(order):
+        t, gw = (x.ravel() for x in panel_nodes(edges[:-1], edges[1:], order))
+        gw = gw if w is None else gw * w(t)
+        return _gram_product(np.column_stack([t, curve.p(t)]), gw, phi)
 
-def _measure_gram(system: ExpSystem, tol: float, chunk: int = 1 << 16) -> GramMatrix:
-    meas = system.measure
-    phi = _phase_vectors(system)                       # (J, 2)
-    nodes, wts = meas.nodes, meas.weights
-    J = phi.shape[0]
-    G = np.zeros((J, J), dtype=complex)
-    for lo in range(0, nodes.shape[0], chunk):
-        hi = min(lo + chunk, nodes.shape[0])
-        E = np.exp(-2j * np.pi * (nodes[lo:hi] @ phi.T))
-        G += E.conj().T @ (wts[lo:hi, None] * E)
-    G = 0.5 * (G + G.conj().T)
-    return GramMatrix(G, system.indices, float(wts.sum()), tol)
+    for halvings in range(_MAX_HALVINGS + 1):
+        G = panel_gram(20)
+        err = float(np.abs(G - panel_gram(10)).max())
+        if err <= bound:
+            break
+        if halvings == _MAX_HALVINGS:
+            raise ToleranceNotMet(
+                f"curve Gram: max |G20 - G10| = {err:.3e} exceeds tol/J = "
+                f"{bound:.3e} on {edges.size - 1} panels")
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    if w is None:
+        np.fill_diagonal(G, T)
+    return G
 
 
 def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
-    """Gram matrix G[n, m] = <e_n, e_m> over the system's domain.
-
-    Curve domains integrate exp(2 pi i ((lam_n - lam_m) p(t) +
-    (|n|^s - |m|^s) t)) w(t) dt adaptively; measure domains evaluate the
-    measure transform at phi(m) - phi(n) through one fused quadrature
-    (exactly the PSD form E* W E, so positivity is structural).
-    """
-    if system.curve is not None:
-        return _curve_gram(system, tol)
-    return _measure_gram(system, tol)
+    """Gram matrix G[n, m] = <e_n, e_m> over the system's domain, formed
+    as the PSD product E* W E over weighted nodes (positivity is
+    structural): a measure's own nodes, or for a curve the nodes (t, p(t))
+    on the panels of one adaptive integral of the fastest pair, accepted
+    once the order-20 and order-10 products agree to tol / dim."""
+    phi = _phase_vectors(system)
+    if system.measure is not None:
+        meas = system.measure
+        return GramMatrix(_gram_product(meas.nodes, meas.weights, phi),
+                          system.indices, float(meas.weights.sum()), tol)
+    G = _curve_gram(system, phi, tol)
+    mass = system.T if system.weight == "lebesgue" else float(G[0, 0].real)
+    return GramMatrix(G, system.indices, mass, tol)
 
 
 def gram_to_dict(G: GramMatrix) -> dict:
@@ -463,6 +468,10 @@ def sharpness_sum(delta: float, s: float, N_grid) -> SharpnessResult:
     if not (0 < delta < 1 and delta * s <= 1.0):
         raise ValueError("sharpness regime needs 0 < delta < 1 and delta*s <= 1")
     N_grid = sorted(int(N) for N in N_grid)
+    if len(set(N_grid)) < 2:
+        raise ValueError(f"N_grid needs two distinct sizes for a slope, got {N_grid}")
+    if N_grid[0] < 1:
+        raise ValueError(f"N_grid sizes must be >= 1, got {N_grid}")
     Nmax = N_grid[-1]
     n = np.arange(1, Nmax + 1, dtype=float) ** s
     M = product_nu_hat(delta, n[:, None] - n[None, :])
@@ -497,6 +506,8 @@ def merged_bound_experiment(curve: CurveSpec, T: float, s_grid, N: int = 20,
     bounded."""
     if N > 30:
         raise ValueError("N above desk scale (30)")
+    if N < 2:
+        raise ValueError(f"N must be >= 2 to couple |m| <= 1 with |n| >= 2, got {N}")
     s_grid = sorted(float(x) for x in s_grid)
     idx = tuple(range(-N, N + 1))
     lmins, couplings, prods = [], [], []

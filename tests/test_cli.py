@@ -317,6 +317,8 @@ _EXPLICIT_CASES = {
     "config-typo": (["ingham-sweep", "--config", "{tgird}"], 1, "Tgird"),
     "config-list-for-int": (["gram", "--config", "{listN}"], 1, "'N'"),
     "config-fraction-for-int": (["gram", "--config", "{halfN}"], 1, "'N'"),
+    "merged-N0": (["merged", "--curve-file", "{mono2}", "--N", "0"], 1,
+                  "N must be >= 2"),
     "highfreq-sgrid-N-npc": (["highfreq", "--measure-file", "{quarter}",
                               "--sgrid", "2.5", "--N", "3", "--window", "4",
                               "--nodes-per-cycle", "8"], 0,
@@ -347,6 +349,33 @@ def test_explicit_values_are_honoured_and_bad_keys_exit_1(
         assert check(json.loads(captured.out)["summary"], out, sweeps)
     else:
         assert check in captured.err
+
+
+# Requirements that depend on the mode: (argv, the key the message names).
+_MODE_CASES = {
+    "gram-no-curve": (["gram", "--s", "2"], "curve"),
+    "gram-curve-no-T": (["gram", "--curve-file", "{mono2}", "--s", "2"], "T"),
+    "riesz-no-curve": (["riesz", "--s", "2", "--N", "1"], "curve"),
+    "classify-no-tau-no-curve": (["classify", "--s", "2"], "curve"),
+    "highfreq-no-s": (["highfreq", "--measure-file", "{quarter}"], "s"),
+    "schrodinger-trials-no-s": (["schrodinger", "--T", "0.2",
+                                 "--curve-file", "{mono2}"], "s"),
+    "schrodinger-trials-no-curve": (["schrodinger", "--T", "0.2", "--s", "2"],
+                                    "curve"),
+}
+
+
+@pytest.mark.parametrize("argv, key", _MODE_CASES.values(),
+                         ids=_MODE_CASES.keys())
+def test_dry_run_checks_mode_requirements_like_the_real_run(
+        argv, key, docs, tmp_path, capsys):
+    argv = [a.format(**docs) for a in argv] + ["--out-dir", str(tmp_path / "res")]
+    errors = []
+    for extra in (["--dry-run"], []):
+        assert main(argv + extra) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: missing required parameter '{key}'\n"
+    assert not os.path.exists(tmp_path / "res")
 
 
 def test_readme_examples_parse_and_tables_match_runners():

@@ -78,17 +78,6 @@ def test_stationary_point_location(mono2):
         oscint.stationary_points(0, 1, 2.0, mono2, 0.0)
 
 
-def test_phase_decomposition(mono2):
-    spec = oscint.PhaseSpec.for_pair(2, 1, 2.0, mono2)
-    assert spec.lam == pytest.approx(TWO_PI * 3.0)
-    assert spec.A == pytest.approx(1.0 / 3.0)
-    t = np.linspace(0.1, 2.0, 11)
-    np.testing.assert_allclose(
-        spec.total_phase(t), TWO_PI * (1.0 * mono2.p(t) + 3.0 * t), rtol=1e-14)
-    with pytest.raises(ValueError):
-        oscint.PhaseSpec.for_pair(2, -2, 2.0, mono2)
-
-
 def test_tolerance_controls_the_error(mono2):
     loose = oscint.phase_integral(12.0, -5.0, mono2, 2.0, tol=1e-6)
     tight = oscint.phase_integral(12.0, -5.0, mono2, 2.0, tol=1e-12)

@@ -43,19 +43,58 @@ def test_system_validation(mono2, full_circle):
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-def test_curve_gram_structure(mono2):
-    idx = range(-3, 4)
-    system = riesz.curve_system(idx, 2.0, mono2, 1.5)
-    G = riesz.gram_matrix(system, tol=1e-10)
+_TAB_T = np.linspace(0.0, 2.0, 41)
+_GRAM_CURVES = {
+    "mono2": ("Monomial", {"a": 0.0, "b": 1.0, "alpha": 2.0}),
+    "muntz-sqrt": ("Muntz", {"coefficients": [[1.0, 0.5], [1.0, 2.5]], "t0": 0.0}),
+    "tabulated": ("UserTabulated", {"t": _TAB_T, "p": _TAB_T ** 2,
+                                    "dp": 2.0 * _TAB_T, "d2p": 2.0 + 0.0 * _TAB_T}),
+    "mono1.5": ("Monomial", {"a": 0.0, "b": 1.0, "alpha": 1.5}),
+    "decreasing": ("Monomial", {"a": 0.0, "b": -1.0, "alpha": 2.0}),
+}
+
+
+@pytest.mark.parametrize("weight", ["lebesgue", "arclength"])
+@pytest.mark.parametrize("name", list(_GRAM_CURVES))
+def test_curve_gram_structure(name, weight):
+    curve = curves.build_curve(*_GRAM_CURVES[name])
+    idx, T, tol = tuple(range(-3, 4)), 1.5, 1e-9
+    if name == "muntz-sqrt" and weight == "arclength":
+        # The weight blows up like t^(-1/2) at 0; the per-entry reference
+        # then stops about 1.5e-9 from the exact diagonal (mpmath).
+        tol = 1e-8
+    system = riesz.curve_system(idx, 2.0, curve, T, weight=weight)
+    G = riesz.gram_matrix(system, tol=tol)
     H = G.entries
     assert np.abs(H - H.conj().T).max() < 1e-12
-    np.testing.assert_allclose(np.diag(H).real, 1.5, rtol=0, atol=1e-14)
-    assert G.T_or_mass == 1.5
+    w = None
+    if weight == "lebesgue":
+        np.testing.assert_allclose(np.diag(H).real, T, rtol=0, atol=1e-14)
+        assert G.T_or_mass == T
+    else:
+        w = lambda t: np.sqrt(1.0 + curve.dp(t) ** 2)
+        assert G.T_or_mass == H[0, 0].real
     # Entries are the pair integrals with d = n - m, e = |n|^s - |m|^s.
-    for (i, n), (j, m) in [((0, -3), (4, 1)), ((2, -1), (5, 2))]:
-        want = oscint.oscillatory_integral(n, m, 2.0, mono2, 1.5, tol=1e-12)
-        assert abs(H[i, j] - want.value) < 1e-9
+    for i, n in enumerate(idx):
+        for j, m in enumerate(idx[i:], start=i):
+            want = oscint.oscillatory_integral(n, m, 2.0, curve, T, tol=1e-12,
+                                               weight=w)
+            assert abs(H[i, j] - want.value) < tol, (n, m)
     assert np.linalg.eigvalsh(H).min() > -1e-10
+
+
+def test_curve_gram_makes_one_adaptive_integral(mono2, monkeypatch):
+    calls = []
+    real = riesz.phase_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riesz, "phase_integral", counted)
+    riesz.gram_matrix(riesz.curve_system(range(-4, 5), 2.0, mono2, 2.0))
+    # One integral, of the fastest pair: d = 8 (= 4 - (-4)), e = 4^2 - 0.
+    assert calls == [(8.0, pytest.approx(16.0, rel=1e-15))]
 
 
 def test_measure_gram_matches_transform(full_circle):
@@ -185,6 +224,20 @@ def test_sharpness_sum_grows_at_the_predicted_rate():
     assert res.exceeds_diagonal
     with pytest.raises(ValueError):
         riesz.sharpness_sum(0.9, 2.0, [32, 64])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda c: riesz.sharpness_sum(0.5, 1.5, []), "N_grid"),
+    (lambda c: riesz.sharpness_sum(0.5, 1.5, [5]), "N_grid"),
+    (lambda c: riesz.sharpness_sum(0.5, 1.5, [5, 5]), "N_grid"),
+    (lambda c: riesz.sharpness_sum(0.5, 1.5, [0, 5]), "N_grid"),
+    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=1), "N must"),
+    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=0), "N must"),
+], ids=["sharpness-empty", "sharpness-one-size", "sharpness-repeated-size",
+        "sharpness-zero-size", "merged-N1", "merged-N0"])
+def test_degenerate_sizes_name_the_parameter(call, name, mono2):
+    with pytest.raises(ValueError, match=name):
+        call(mono2)
 
 
 def test_merged_bound_coupling_decays_in_s(mono2):
