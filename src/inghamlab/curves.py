@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DegenerateCurve, InsufficientDecay, NonAdmissible
 from .quad import panel_nodes
 
-CURVE_KINDS = ("Monomial", "Muntz", "ArctanModulated", "Affine", "UserTabulated")
 MEASURE_KINDS = ("ArcLengthOnGraph", "ArcLengthOnCircle", "SmoothBump", "ProductNuDelta")
 
 _REL_SLACK = 1e-9  # relative slack for the grid inequalities
@@ -44,6 +43,9 @@ class CurveSpec:
     kind is one of CURVE_KINDS; params holds the construction parameters so
     the curve round-trips through JSON.  Affine curves are retained as a
     straight-line baseline; they carry alpha = 1 and always fail validation.
+    The kind's builder in CURVE_KINDS supplies p, p', p'' and `knots`, the
+    sorted times where p may fail to be smooth (a tabulated curve's t grid,
+    empty for the closed-form kinds).
     """
 
     kind: str
@@ -53,71 +55,19 @@ class CurveSpec:
     c2: float
     c3: float
 
+    def __post_init__(self):
+        _, _, formulas, knots = _curve_builder(self.kind)(self.params)
+        object.__setattr__(self, "_formulas", formulas)
+        object.__setattr__(self, "knots", knots)
+
     def p(self, t):
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "Monomial":
-            a, b, al = self.params["a"], self.params["b"], self.params["alpha"]
-            return a + b * np.power(t, al)
-        if k == "Muntz":
-            u = self.params["t0"] + t
-            out = np.zeros_like(u)
-            for coef, ex in self.params["coefficients"]:
-                out += coef * np.power(u, ex)
-            return out
-        if k == "ArctanModulated":
-            eta = (1.0 + (2.0 / np.pi) * np.arctan(t)) / 3.0
-            return eta * t ** 3
-        if k == "Affine":
-            return self.params["intercept"] + self.params["slope"] * t
-        if k == "UserTabulated":
-            return np.interp(t, self.params["t"], self.params["p"])
-        raise ValueError(f"unknown curve kind {k!r}")
+        return self._formulas[0](np.asarray(t, dtype=float))
 
     def dp(self, t):
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "Monomial":
-            b, al = self.params["b"], self.params["alpha"]
-            return al * b * np.power(t, al - 1.0)
-        if k == "Muntz":
-            u = self.params["t0"] + t
-            out = np.zeros_like(u)
-            for coef, ex in self.params["coefficients"]:
-                out += coef * ex * np.power(u, ex - 1.0)
-            return out
-        if k == "ArctanModulated":
-            eta = (1.0 + (2.0 / np.pi) * np.arctan(t)) / 3.0
-            deta = 2.0 / (3.0 * np.pi * (1.0 + t * t))
-            return deta * t ** 3 + 3.0 * eta * t * t
-        if k == "Affine":
-            return np.full_like(t, float(self.params["slope"]))
-        if k == "UserTabulated":
-            return np.interp(t, self.params["t"], self.params["dp"])
-        raise ValueError(f"unknown curve kind {k!r}")
+        return self._formulas[1](np.asarray(t, dtype=float))
 
     def d2p(self, t):
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "Monomial":
-            b, al = self.params["b"], self.params["alpha"]
-            return al * (al - 1.0) * b * np.power(t, al - 2.0)
-        if k == "Muntz":
-            u = self.params["t0"] + t
-            out = np.zeros_like(u)
-            for coef, ex in self.params["coefficients"]:
-                out += coef * ex * (ex - 1.0) * np.power(u, ex - 2.0)
-            return out
-        if k == "ArctanModulated":
-            eta = (1.0 + (2.0 / np.pi) * np.arctan(t)) / 3.0
-            deta = 2.0 / (3.0 * np.pi * (1.0 + t * t))
-            d2eta = -4.0 * t / (3.0 * np.pi * (1.0 + t * t) ** 2)
-            return d2eta * t ** 3 + 6.0 * deta * t * t + 6.0 * eta * t
-        if k == "Affine":
-            return np.zeros_like(t)
-        if k == "UserTabulated":
-            return np.interp(t, self.params["t"], self.params["d2p"])
-        raise ValueError(f"unknown curve kind {k!r}")
+        return self._formulas[2](np.asarray(t, dtype=float))
 
 
 @dataclass
@@ -173,13 +123,126 @@ def validate_H_alpha(curve: CurveSpec, T: float, grid_size: int = 256) -> Valida
     )
 
 
-def _muntz_constants(coefficients):
-    lead_coef, lead_exp = coefficients[-1]
-    al = float(lead_exp)
-    c1 = al * abs(lead_coef) / 2.0
-    c2 = 3.0 * al * abs(lead_coef) / 2.0
-    c3 = al * (al - 1.0) * abs(lead_coef) / 2.0
-    return al, c1, c2, c3
+# One builder per curve kind: params -> (normalized params, (alpha, c1,
+# c2, c3), (p, p', p''), knots).  The formulas take float arrays.
+
+_SMOOTH = np.empty(0)
+
+
+def _monomial(params):
+    """p = a + b t^alpha; c1 = c2 = alpha|b|, c3 = alpha(alpha-1)|b|."""
+    params = dict(params)
+    params.setdefault("a", 0.0)
+    a, b, al = params["a"], params["b"], params["alpha"]
+    if float(al) <= 1.0:
+        raise NonAdmissible(f"Monomial exponent alpha={float(al)} must exceed 1")
+    if float(b) == 0.0:
+        raise NonAdmissible("Monomial scale b must be nonzero")
+    fa, fb = float(al), abs(float(b))
+    return params, (fa, fa * fb, fa * fb, fa * (fa - 1.0) * fb), (
+        lambda t: a + b * np.power(t, al),
+        lambda t: al * b * np.power(t, al - 1.0),
+        lambda t: al * (al - 1.0) * b * np.power(t, al - 2.0)), _SMOOTH
+
+
+def _muntz(params):
+    """p = P(t0 + t) = sum_k a_k (t0 + t)^(e_k); with a_n the leading
+    coefficient, c1 = alpha|a_n|/2, c2 = 3 alpha|a_n|/2 and
+    c3 = alpha(alpha-1)|a_n|/2.  Without t0 the smallest validating
+    shift is searched for."""
+    coefficients = [(float(a), float(e)) for a, e in params["coefficients"]]
+    exps = [e for _, e in coefficients]
+    if any(e <= 0 for e in exps) or sorted(exps) != exps or len(set(exps)) != len(exps):
+        raise NonAdmissible("Muntz exponents must be strictly increasing and positive")
+    lead_coef, al = coefficients[-1]
+    if lead_coef == 0.0:
+        raise NonAdmissible("Muntz leading coefficient must be nonzero")
+    if al <= 1.0:
+        raise NonAdmissible(f"Muntz leading exponent alpha={al} must exceed 1")
+    t0 = params.get("t0")
+    if t0 is None:
+        t0 = _find_muntz_shift(coefficients)
+    t0 = float(t0)
+
+    def series(terms):
+        def f(t):
+            u = t0 + t
+            out = np.zeros_like(u)
+            for coef, ex in terms:
+                out += coef * np.power(u, ex)
+            return out
+        return f
+
+    c = abs(lead_coef)
+    return {"coefficients": coefficients, "t0": t0}, \
+        (al, al * c / 2.0, 3.0 * al * c / 2.0, al * (al - 1.0) * c / 2.0), (
+            series(coefficients),
+            series([(a * e, e - 1.0) for a, e in coefficients]),
+            series([(a * e * (e - 1.0), e - 2.0) for a, e in coefficients])), _SMOOTH
+
+
+def _arctan_modulated(params):
+    """p = (1 + (2/pi) arctan t) t^3 / 3; alpha = 3, c1 = 1, c2 = 2, c3 = 2."""
+    if float(params.get("alpha", 3.0)) != 3.0:
+        raise NonAdmissible("only the alpha = 3 arctan-modulated profile is supported")
+
+    def eta(t):
+        return (1.0 + (2.0 / np.pi) * np.arctan(t)) / 3.0
+
+    def deta(t):
+        return 2.0 / (3.0 * np.pi * (1.0 + t * t))
+
+    def d2eta(t):
+        return -4.0 * t / (3.0 * np.pi * (1.0 + t * t) ** 2)
+
+    return {"alpha": 3.0}, (3.0, 1.0, 2.0, 2.0), (
+        lambda t: eta(t) * t ** 3,
+        lambda t: deta(t) * t ** 3 + 3.0 * eta(t) * t * t,
+        lambda t: d2eta(t) * t ** 3 + 6.0 * deta(t) * t * t + 6.0 * eta(t) * t), _SMOOTH
+
+
+def _affine(params):
+    """p = intercept + slope t: the straight baseline, never admissible."""
+    params = dict(params)
+    params.setdefault("intercept", 0.0)
+    intercept, slope = params["intercept"], params["slope"]
+    m = abs(float(slope))
+    if m == 0.0:
+        raise NonAdmissible("Affine slope must be nonzero")
+    return params, (1.0, m, m, m), (
+        lambda t: intercept + slope * t,
+        lambda t: np.full_like(t, float(slope)),
+        np.zeros_like), _SMOOTH
+
+
+def _user_tabulated(params):
+    """(t, p, p', p'') samples, each linearly interpolated; alpha, c1, c2
+    and c3 are declared (defaults 2, 1, 1, 1)."""
+    clean = {key: np.asarray(params[key], dtype=float) for key in ("t", "p", "dp", "d2p")}
+    t = clean["t"]
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        raise NonAdmissible("UserTabulated needs a strictly increasing t grid")
+    constants = tuple(float(params.get(key, default)) for key, default in
+                      (("alpha", 2.0), ("c1", 1.0), ("c2", 1.0), ("c3", 1.0)))
+    return clean, constants, tuple(
+        (lambda x, y=clean[key]: np.interp(x, t, y)) for key in ("p", "dp", "d2p")), t
+
+
+CURVE_KINDS = {
+    "Monomial": _monomial,
+    "Muntz": _muntz,
+    "ArctanModulated": _arctan_modulated,
+    "Affine": _affine,
+    "UserTabulated": _user_tabulated,
+}
+
+
+def _curve_builder(kind: str):
+    try:
+        return CURVE_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown curve kind {kind!r}; "
+                         f"choose from {tuple(CURVE_KINDS)}") from None
 
 
 def _find_muntz_shift(coefficients, window: float = 10.0) -> float:
@@ -190,11 +253,8 @@ def _find_muntz_shift(coefficients, window: float = 10.0) -> float:
     geometric ladder for the first passing shift and bisect down to the
     fail/pass boundary.
     """
-    al, c1, c2, c3 = _muntz_constants(coefficients)
-
     def passes(t0: float) -> bool:
-        cand = CurveSpec("Muntz", {"coefficients": list(coefficients), "t0": float(t0)},
-                         al, c1, c2, c3)
+        cand = build_curve("Muntz", {"coefficients": coefficients, "t0": float(t0)})
         return validate_H_alpha(cand, window, 256).passed
 
     if passes(0.0):
@@ -218,62 +278,10 @@ def _find_muntz_shift(coefficients, window: float = 10.0) -> float:
 
 
 def build_curve(kind: str, params: dict) -> CurveSpec:
-    """Construct a CurveSpec with the family's declared constants.
-
-    Monomial         p = a + b t^alpha      c1 = c2 = alpha|b|, c3 = alpha(alpha-1)|b|
-    Muntz            p = P(t0 + t)          c1 = alpha|a_n|/2, c2 = 3 alpha|a_n|/2,
-                                            c3 = alpha(alpha-1)|a_n|/2, a_n leading coef
-    ArctanModulated  p = (1 + (2/pi) arctan t) t^3 / 3, alpha = 3, c1 = 1, c2 = 2, c3 = 2
-    Affine           p = intercept + slope t (baseline; never admissible)
-    UserTabulated    interpolated (t, p, p', p'') samples
-    """
-    params = dict(params)
-    if kind == "Monomial":
-        al = float(params["alpha"])
-        b = float(params["b"])
-        params.setdefault("a", 0.0)
-        if al <= 1.0:
-            raise NonAdmissible(f"Monomial exponent alpha={al} must exceed 1")
-        if b == 0.0:
-            raise NonAdmissible("Monomial scale b must be nonzero")
-        return CurveSpec(kind, params, al, al * abs(b), al * abs(b), al * (al - 1.0) * abs(b))
-    if kind == "Muntz":
-        coefficients = [(float(a), float(e)) for a, e in params["coefficients"]]
-        exps = [e for _, e in coefficients]
-        if any(e <= 0 for e in exps) or sorted(exps) != exps or len(set(exps)) != len(exps):
-            raise NonAdmissible("Muntz exponents must be strictly increasing and positive")
-        if coefficients[-1][0] == 0.0:
-            raise NonAdmissible("Muntz leading coefficient must be nonzero")
-        al, c1, c2, c3 = _muntz_constants(coefficients)
-        if al <= 1.0:
-            raise NonAdmissible(f"Muntz leading exponent alpha={al} must exceed 1")
-        t0 = params.get("t0")
-        if t0 is None:
-            t0 = _find_muntz_shift(coefficients)
-        params = {"coefficients": coefficients, "t0": float(t0)}
-        return CurveSpec(kind, params, al, c1, c2, c3)
-    if kind == "ArctanModulated":
-        al = float(params.get("alpha", 3.0))
-        if al != 3.0:
-            raise NonAdmissible("only the alpha = 3 arctan-modulated profile is supported")
-        return CurveSpec(kind, {"alpha": 3.0}, 3.0, 1.0, 2.0, 2.0)
-    if kind == "Affine":
-        slope = float(params["slope"])
-        params.setdefault("intercept", 0.0)
-        if slope == 0.0:
-            raise NonAdmissible("Affine slope must be nonzero")
-        return CurveSpec(kind, params, 1.0, abs(slope), abs(slope), abs(slope))
-    if kind == "UserTabulated":
-        t = np.asarray(params["t"], dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise NonAdmissible("UserTabulated needs a strictly increasing t grid")
-        clean = {key: np.asarray(params[key], dtype=float) for key in ("t", "p", "dp", "d2p")}
-        al = float(params.get("alpha", 2.0))
-        c1 = float(params.get("c1", 1.0))
-        c2 = float(params.get("c2", 1.0))
-        c3 = float(params.get("c3", 1.0))
-        return CurveSpec(kind, clean, al, c1, c2, c3)
-    raise ValueError(f"unknown curve kind {kind!r}")
+    """Construct a CurveSpec of a kind in CURVE_KINDS, with the family's
+    declared constants (see each builder's docstring)."""
+    params, constants, _, _ = _curve_builder(kind)(params)
+    return CurveSpec(kind, params, *constants)
 
 
 def curve_to_dict(curve: CurveSpec) -> dict:
@@ -290,11 +298,7 @@ def curve_to_dict(curve: CurveSpec) -> dict:
 
 
 def curve_from_dict(doc: dict) -> CurveSpec:
-    kind = doc["kind"]
-    params = dict(doc["params"])
-    if kind == "Muntz":
-        params["coefficients"] = [(float(a), float(e)) for a, e in params["coefficients"]]
-    return build_curve(kind, params)
+    return build_curve(doc["kind"], doc["params"])
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,12 @@ class QuadResult:
 
 
 def _sign_change_roots(f, b: float, a: float = 0.0) -> list:
-    """Roots of a continuous scalar function on (a, b) by bracketing."""
+    """Roots of a continuous scalar function on (a, b) by bracketing.  The
+    grid skips t = 0, where p' is infinite for Muntz exponents below 1."""
     lo = max(a, b * 1e-9)
     grid = np.unique(np.concatenate([
         np.geomspace(lo, b, 200),
-        np.linspace(a, b, 257),
+        np.linspace(a, b, 257)[1:],
     ]))
     vals = np.asarray(f(grid), dtype=float)
     roots = []
@@ -101,7 +102,8 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
 
     The returned abs_error_estimate is the summed per-panel |GL20 - GL10|
     discrepancy; panels are split until it drops below tol or the panel
-    budget is exhausted (ToleranceNotMet).
+    budget is exhausted (ToleranceNotMet).  The curve's knots are panel
+    edges, so the estimate never misses a tabulated curve's kinks.
     """
     if not T > t0 >= 0.0:
         raise ValueError("need 0 <= t0 < T")
@@ -121,7 +123,8 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     else:
         roots = _sign_change_roots(dpsi, T, t0)
 
-    # breakpoints: ends, plus dyadic shells around every stationary point
+    # breakpoints: ends, the curve's knots, and dyadic shells around every
+    # stationary point
     pts = [t0, T]
     for r in roots:
         w = span
@@ -130,7 +133,8 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
             for c in (r - w, r + w):
                 if t0 < c < T:
                     pts.append(c)
-    edges = np.unique(np.asarray(pts, dtype=float))
+    knots = curve.knots[(curve.knots > t0) & (curve.knots < T)]
+    edges = np.unique(np.concatenate([np.asarray(pts, dtype=float), knots]))
     a, b = edges[:-1], edges[1:]
     pa, pb = psi(a), psi(b)
 

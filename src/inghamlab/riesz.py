@@ -352,11 +352,31 @@ def _window_indices(N: int, window: int):
     return tuple(range(-(N + window), -N + 1)) + tuple(range(N, N + window + 1))
 
 
-def _auto_resolution(measure: MeasureSpec, phi: np.ndarray,
-                     nodes_per_cycle: float) -> int:
+def _resolved(measure: MeasureSpec, xi_max: float,
+              nodes_per_cycle: float) -> MeasureSpec:
+    """The measure rebuilt with nodes_per_cycle nodes per cycle of the
+    frequency xi_max across its diameter (at least 4,096 nodes)."""
+    return measure.with_resolution(
+        max(4096, int(np.ceil(nodes_per_cycle * xi_max * measure.diameter()))))
+
+
+def _decay_fit(measure: MeasureSpec, nodes_per_cycle: float, radii=None):
+    """Fourier decay fit of the measure on radii (default 36 radii over
+    [1, 200]), with a quadrature that resolves the largest radius."""
+    if radii is None:
+        radii = np.geomspace(1.0, 200.0, 36)
+    return fit_fourier_decay(
+        _resolved(measure, float(np.max(radii)), nodes_per_cycle), radii)
+
+
+def _window_bounds(measure: MeasureSpec, s: float, indices,
+                   nodes_per_cycle: float) -> RieszReport:
+    """Riesz bounds of the measure system on indices, with the measure's
+    quadrature rebuilt to resolve the largest frequency difference."""
+    phi = _phase_vectors(measure_system(indices, s, measure))
     span = phi.max(axis=0) - phi.min(axis=0)
-    xi_max = float(np.hypot(span[0], span[1]))
-    return max(4096, int(np.ceil(nodes_per_cycle * xi_max * measure.diameter())))
+    meas = _resolved(measure, float(np.hypot(span[0], span[1])), nodes_per_cycle)
+    return riesz_bounds(gram_matrix(measure_system(indices, s, meas)))
 
 
 @dataclass
@@ -383,12 +403,7 @@ def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
     fitted once and a DecayTooWeak warning (not an error) is emitted
     when s * delta_hat <= 1, where the theorem gives no guarantee.
     """
-    if fit_radii is None:
-        fit_radii = np.geomspace(1.0, 200.0, 36)
-    fit_meas = measure.with_resolution(
-        max(4096, int(np.ceil(nodes_per_cycle * float(np.max(fit_radii))
-                              * measure.diameter()))))
-    fit = fit_fourier_decay(fit_meas, fit_radii)
+    fit = _decay_fit(measure, nodes_per_cycle, fit_radii)
     if s * fit.delta_hat <= 1.0:
         warnings.warn(
             f"fitted decay delta_hat={fit.delta_hat:.3f} gives "
@@ -397,12 +412,8 @@ def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
     N_grid = sorted(int(N) for N in N_grid)
     lmins, lmaxs, N_star = [], [], None
     for N in N_grid:
-        system = measure_system(_window_indices(N, window), s, measure)
-        phi = _phase_vectors(system)
-        meas_N = measure.with_resolution(
-            _auto_resolution(measure, phi, nodes_per_cycle))
-        rep = riesz_bounds(gram_matrix(
-            measure_system(system.indices, s, meas_N)))
+        rep = _window_bounds(measure, s, _window_indices(N, window),
+                             nodes_per_cycle)
         lmins.append(rep.lambda_min)
         lmaxs.append(rep.lambda_max)
         if N_star is None and rep.lambda_min >= 0.45 and rep.lambda_max <= 1.55:
@@ -429,17 +440,11 @@ def highfreq_dispersion_sweep(measure: MeasureSpec, s_grid, N: int = 2,
     """Fixed small N, dispersion s swept upward: the two-sided bounds
     should approach the window [(1 - eta)/2, (3 + eta)/2] where eta is
     the measure's fitted near-frequency sup.  Reported, not asserted."""
-    fit_meas = measure.with_resolution(
-        max(4096, int(np.ceil(nodes_per_cycle * 200.0 * measure.diameter()))))
-    fit = fit_fourier_decay(fit_meas, np.geomspace(1.0, 200.0, 36))
+    fit = _decay_fit(measure, nodes_per_cycle)
     idx = _window_indices(N, window)
     lmins, lmaxs = [], []
     for s in sorted(float(x) for x in s_grid):
-        system = measure_system(idx, s, measure)
-        phi = _phase_vectors(system)
-        meas_s = measure.with_resolution(
-            _auto_resolution(measure, phi, nodes_per_cycle))
-        rep = riesz_bounds(gram_matrix(measure_system(idx, s, meas_s)))
+        rep = _window_bounds(measure, s, idx, nodes_per_cycle)
         lmins.append(rep.lambda_min)
         lmaxs.append(rep.lambda_max)
     eta = fit.eta_hat

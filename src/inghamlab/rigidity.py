@@ -41,37 +41,41 @@ _PROGRESSION_TOL = 1e-9
 # observation curves
 # ---------------------------------------------------------------------------
 
+# Each kind as ascending (numerator, denominator) coefficient lists.
+_GAMMA_KINDS = {
+    "Horizontal": lambda p: ([p["x0"]], [1.0]),
+    "Affine": lambda p: ([p["beta"], p["slope"]], [1.0]),
+    "Polynomial": lambda p: (p["coeffs"], [1.0]),
+    "Rational": lambda p: (p["num"], p["den"]),
+}
+
+
 @dataclass(frozen=True)
 class ObservationCurveGamma:
     """Scalar observation curve x = gamma(t) with two derivatives.
 
     kinds: Horizontal {x0}; Affine {beta, slope}; Polynomial {coeffs,
     ascending}; Rational {num, den} (polynomial coefficient lists,
-    ascending; the denominator must not vanish where evaluated).
+    ascending; the denominator must not vanish where evaluated).  Every
+    kind is held as a rational num/den, the first three with den = 1.
     """
 
     kind: str
     params: dict
 
     def __post_init__(self):
-        if self.kind not in ("Horizontal", "Affine", "Polynomial", "Rational"):
-            raise ValueError(f"unknown observation curve kind {self.kind!r}")
-
-    def _polys(self):
-        num = np.asarray(self.params["num"], dtype=float)[::-1]
-        den = np.asarray(self.params["den"], dtype=float)[::-1]
-        return np.poly1d(num), np.poly1d(den)
+        build = _GAMMA_KINDS.get(self.kind)
+        if build is None:
+            raise ValueError(f"unknown observation curve kind {self.kind!r}; "
+                             f"choose from {tuple(_GAMMA_KINDS)}")
+        num, den = (np.poly1d(np.asarray(c, dtype=float)[::-1])
+                    for c in build(self.params))
+        object.__setattr__(self, "_polys", (num, num.deriv(), num.deriv(2),
+                                            den, den.deriv(), den.deriv(2)))
 
     def gamma(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "Horizontal":
-            return np.full_like(x, float(self.params["x0"]))
-        if self.kind == "Affine":
-            return float(self.params["beta"]) + float(self.params["slope"]) * x
-        if self.kind == "Polynomial":
-            return np.polynomial.polynomial.polyval(
-                x, np.asarray(self.params["coeffs"], dtype=float))
-        num, den = self._polys()
+        num, den = self._polys[0], self._polys[3]
         dvals = den(x)
         if np.any(np.abs(dvals) < 1e-12):
             raise ValueError("rational curve denominator vanishes on the domain")
@@ -79,33 +83,17 @@ class ObservationCurveGamma:
 
     def dgamma(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "Horizontal":
-            return np.zeros_like(x)
-        if self.kind == "Affine":
-            return np.full_like(x, float(self.params["slope"]))
-        if self.kind == "Polynomial":
-            c = np.polynomial.polynomial.polyder(
-                np.asarray(self.params["coeffs"], dtype=float))
-            return np.polynomial.polynomial.polyval(x, c)
-        num, den = self._polys()
+        num, dn, _, den, dd, _ = self._polys
         p, q = num(x), den(x)
-        return (num.deriv()(x) * q - p * den.deriv()(x)) / q ** 2
+        return (dn(x) * q - p * dd(x)) / q ** 2
 
     def d2gamma(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind in ("Horizontal", "Affine"):
-            return np.zeros_like(x)
-        if self.kind == "Polynomial":
-            c = np.polynomial.polynomial.polyder(
-                np.asarray(self.params["coeffs"], dtype=float), 2)
-            return np.polynomial.polynomial.polyval(x, c)
-        num, den = self._polys()
-        dn, dd = num.deriv(), den.deriv()
+        num, dn, d2n, den, dd, d2d = self._polys
         p, q = num(x), den(x)
         dp, dq = dn(x), dd(x)
-        d2p, d2q = dn.deriv()(x), dd.deriv()(x)
         d1 = (dp * q - p * dq) / q ** 2
-        return (d2p - 2.0 * d1 * dq - p * d2q / q) / q
+        return (d2n(x) - 2.0 * d1 * dq - p * d2d(x) / q) / q
 
 
 # ---------------------------------------------------------------------------

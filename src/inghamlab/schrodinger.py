@@ -57,43 +57,51 @@ class TorusState:
         return int(np.abs(nz - self.K).max()) if nz.size else 0
 
 
+def _constant_potential(v0):
+    v0 = float(v0)
+    return (lambda M: np.full(M, v0)), abs(v0)
+
+
+def _cosine_potential(params):
+    a, k = float(params["amplitude"]), int(params["mode"])
+    return (lambda M: a * np.cos(2.0 * np.pi * k * (np.arange(M) / M))), abs(a)
+
+
+def _tabulated_potential(params):
+    samples = np.asarray(params["values"], dtype=float)
+    grid = np.concatenate([np.arange(samples.size) / samples.size, [1.0]])
+    cyclic = np.concatenate([samples, samples[:1]])
+    return (lambda M: np.interp(np.arange(M) / M, grid, cyclic)), \
+        float(np.abs(samples).max())
+
+
+# Each kind as params -> (values on the M-point grid, sup |V|).
+_POTENTIAL_KINDS = {
+    "Zero": lambda p: _constant_potential(0.0),
+    "Constant": lambda p: _constant_potential(p["v0"]),
+    "Cosine": _cosine_potential,
+    "Tabulated": _tabulated_potential,
+}
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Real bounded potential on the torus: Zero, Constant {v0},
     Cosine {amplitude, mode}, or Tabulated {values} (equispaced samples
-    on [0, 1), linearly interpolated)."""
+    on [0, 1), linearly interpolated).  values(M) samples V on the grid
+    x_j = j / M; sup_norm is sup |V|."""
 
     kind: str
     params: dict
 
     def __post_init__(self):
-        if self.kind not in ("Zero", "Constant", "Cosine", "Tabulated"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-
-    def values(self, M: int) -> np.ndarray:
-        x = np.arange(M) / M
-        if self.kind == "Zero":
-            return np.zeros(M)
-        if self.kind == "Constant":
-            return np.full(M, float(self.params["v0"]))
-        if self.kind == "Cosine":
-            a = float(self.params["amplitude"])
-            k = int(self.params["mode"])
-            return a * np.cos(2.0 * np.pi * k * x)
-        samples = np.asarray(self.params["values"], dtype=float)
-        grid = np.arange(samples.size) / samples.size
-        return np.interp(x, np.concatenate([grid, [1.0]]),
-                         np.concatenate([samples, samples[:1]]))
-
-    @property
-    def sup_norm(self) -> float:
-        if self.kind == "Zero":
-            return 0.0
-        if self.kind == "Constant":
-            return abs(float(self.params["v0"]))
-        if self.kind == "Cosine":
-            return abs(float(self.params["amplitude"]))
-        return float(np.abs(np.asarray(self.params["values"])).max())
+        build = _POTENTIAL_KINDS.get(self.kind)
+        if build is None:
+            raise ValueError(f"unknown potential kind {self.kind!r}; "
+                             f"choose from {tuple(_POTENTIAL_KINDS)}")
+        values, sup_norm = build(self.params)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sup_norm", sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +109,17 @@ class PotentialSpec:
 # ---------------------------------------------------------------------------
 
 def _pad_spectrum(coeffs: np.ndarray, K: int, M: int) -> np.ndarray:
-    f = np.zeros(M, dtype=complex)
-    f[: K + 1] = coeffs[K:]
-    f[M - K:] = coeffs[:K]
+    f = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
+    f[..., : K + 1] = coeffs[..., K:]
+    f[..., M - K:] = coeffs[..., :K]
     return f
 
 
 def _truncate_spectrum(f: np.ndarray, K: int) -> np.ndarray:
-    M = f.size
-    out = np.empty(2 * K + 1, dtype=complex)
-    out[K:] = f[: K + 1]
-    out[:K] = f[M - K:]
+    M = f.shape[-1]
+    out = np.empty(f.shape[:-1] + (2 * K + 1,), dtype=complex)
+    out[..., K:] = f[..., : K + 1]
+    out[..., :K] = f[..., M - K:]
     return out
 
 
@@ -206,23 +214,12 @@ def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
     rot = np.exp(2j * np.pi * np.outer(taus, temp))       # free phases
     U = rot * u0.coeffs[None, :]                           # free flow iterate
     for _ in range(n_iter):
-        spec = np.zeros((taus.size, M), dtype=complex)
-        spec[:, : K + 1] = U[:, K:]
-        spec[:, M - K:] = U[:, :K]
-        vals = np.fft.ifft(spec, axis=1) * M
+        vals = np.fft.ifft(_pad_spectrum(U, K, M), axis=1) * M
         vu = np.fft.fft(vals * vgrid[None, :], axis=1) / M
-        integrand = np.conj(rot) * _truncate_rows(vu, K)
+        integrand = np.conj(rot) * _truncate_spectrum(vu, K)
         acc = cumulative_trapezoid(integrand, taus, axis=0, initial=0.0)
         U = rot * (u0.coeffs[None, :] - 2j * np.pi * acc)
     return TorusState(U[-1], u0.time + t_final, u0.s, u0.K)
-
-
-def _truncate_rows(f: np.ndarray, K: int) -> np.ndarray:
-    M = f.shape[1]
-    out = np.empty((f.shape[0], 2 * K + 1), dtype=complex)
-    out[:, K:] = f[:, : K + 1]
-    out[:, :K] = f[:, M - K:]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,8 @@ def docs(tmp_path, mono2_file):
     files = {"mono2": mono2_file}
     for name, doc in {
         "parabola": {"kind": "Polynomial", "params": {"coeffs": [0, 0, 1]}},
+        "flat_no_x0": {"kind": "Horizontal", "params": {}},
+        "cosine_no_amplitude": {"kind": "Cosine", "params": {"mode": 3}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
         "quarter": {"kind": "ArcLengthOnCircle",
                     "params": {"radius": 1.0, "theta0": 0.0,
@@ -319,6 +321,12 @@ _EXPLICIT_CASES = {
     "config-fraction-for-int": (["gram", "--config", "{halfN}"], 1, "'N'"),
     "merged-N0": (["merged", "--curve-file", "{mono2}", "--N", "0"], 1,
                   "N must be >= 2"),
+    "wronskian-gamma-no-x0": (["wronskian", "--gamma-file", "{flat_no_x0}",
+                               "--dry-run"], 1, "'x0'"),
+    "schrodinger-cosine-no-amplitude": (["schrodinger", "--u0-file", "{u0}",
+                                         "--V-file", "{cosine_no_amplitude}",
+                                         "--T", "0.2", "--dry-run"],
+                                        1, "'amplitude'"),
     "highfreq-sgrid-N-npc": (["highfreq", "--measure-file", "{quarter}",
                               "--sgrid", "2.5", "--N", "3", "--window", "4",
                               "--nodes-per-cycle", "8"], 0,

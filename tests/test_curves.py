@@ -96,6 +96,8 @@ def test_monomial_rejects_degenerate_parameters():
 def test_unknown_curve_kind_raises():
     with pytest.raises(ValueError):
         curves.build_curve("Nonsense", {})
+    with pytest.raises(ValueError, match="Nonsense"):
+        curves.CurveSpec("Nonsense", {}, 2.0, 1.0, 1.0, 1.0)
 
 
 def test_user_tabulated_parabola_validates():

@@ -61,6 +61,32 @@ def test_adaptive_matches_simpson_oracle(mono2, mono3):
             assert abs(got - want) < 1e-7
 
 
+def test_tabulated_curve_matches_piecewise_linear_closed_form():
+    # p = t^2 tabulated on 41 points is piecewise linear, so on each
+    # segment [a, a + h] the phase is A + B t and the integral is
+    # h exp(i (A + B (a + h/2))) sinc(B h / 2 pi).  Kinks inside a panel
+    # would hide from the |GL20 - GL10| estimate.
+    from inghamlab.curves import build_curve
+    t = np.linspace(0.0, 4.0, 41)
+    p = t ** 2
+    curve = build_curve("UserTabulated", {"t": t, "p": p, "dp": 2.0 * t,
+                                          "d2p": np.full_like(t, 2.0)})
+    s, T, tol = 2.5, 4.0, 4e-10
+    a, h = t[:-1], np.diff(t)
+    slope = np.diff(p) / h
+    worst = 0.0
+    for n in range(-12, 13):
+        for m in range(-12, n):
+            d, e = n - m, abs(n) ** s - abs(m) ** s
+            B = TWO_PI * (d * slope + e)
+            A = TWO_PI * d * (p[:-1] - slope * a)
+            exact = np.sum(h * np.exp(1j * (A + B * (a + h / 2)))
+                           * np.sinc(B * h / TWO_PI))
+            res = oscint.oscillatory_integral(n, m, s, curve, T, tol)
+            worst = max(worst, abs(res.value - exact))
+    assert worst <= tol
+
+
 def test_stationary_point_location(mono2):
     # phi'(t) = 1 + A p'(t) with signed A = (n - m) / (|n|^s - |m|^s):
     # the pair (0, -1) at s = 2 gives A = -1 and a root at t = 1/2.
