@@ -9,6 +9,8 @@ thread-count environment variables before numpy loads.
 """
 
 __version__ = "0.1.0"
+# Seed of every random draw the package makes when the caller gives none.
+DEFAULT_SEED = 0x1CEB00DA
 
 _SUBMODULES = ("curves", "classify", "oscint", "sums", "riesz", "rigidity",
                "schrodinger", "tables", "cli", "errors", "quad")

@@ -15,12 +15,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-from . import __version__
-
-DEFAULT_SEED = 0x1CEB00DA
+from . import DEFAULT_SEED, __version__
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -347,6 +345,10 @@ class ExperimentConfig:
     out_dir: str = "results"
     format: str = "csv"
 
+    def __post_init__(self):
+        self.parameters = dict(self.parameters)
+        self.seed = int(self.seed)
+
     def to_dict(self) -> dict:
         return {
             "subcommand": self.subcommand,
@@ -361,19 +363,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"subcommand", "parameters", "seed", "out_dir", "format"}
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "subcommand" not in doc:
             raise ValueError("config needs a 'subcommand' field")
         if not isinstance(doc.get("parameters", {}), dict):
             raise ValueError("config 'parameters' must be a JSON object")
-        return cls(subcommand=doc["subcommand"],
-                   parameters=dict(doc.get("parameters", {})),
-                   seed=int(doc.get("seed", DEFAULT_SEED)),
-                   out_dir=doc.get("out_dir", "results"),
-                   format=doc.get("format", "csv"))
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -502,13 +499,8 @@ def run_classify(p, ctx):
     if tau is None:
         tau = float(classify.tau_threshold(p["curve"], p["T"]))
     grid = classify.region_grid(s, tau, p["N"])
-    rows = []
-    for i, n in enumerate(grid.ns):
-        for j, m in enumerate(grid.ns):
-            ratio = grid.ratios[i, j]
-            rows.append((int(n), int(m), classify.TAGS[grid.tags[i, j]],
-                         float(ratio)))
-    table = ctx.table("region_grid", ("n", "m", "tag", "ratio"), rows,
+    table = ctx.table("region_grid", ("n", "m", "tag", "ratio"),
+                      list(grid.rows()),
                       meta={"s": s, "tau": tau,
                             **{f"count_{k}": int(v)
                                for k, v in sorted(grid.counts.items())}})
@@ -669,19 +661,20 @@ def run_minimal_time(p, ctx):
 
 def run_highfreq(p, ctx):
     from . import riesz
-    measure, window = p["measure"], p["window"]
+    measure = p["measure"]
+    # Sizes left unset take the library's defaults, which differ by mode;
+    # N sizes only the dispersion sweep.
+    sizes = {key: p[key] for key in ("N", "window") if p[key] is not None}
     if p["sgrid"] is not None:
-        N = 2 if p["N"] is None else p["N"]
-        window = 10 if window is None else window
         res = riesz.highfreq_dispersion_sweep(
-            measure, p["sgrid"], N=N, window=window,
-            nodes_per_cycle=p["nodes_per_cycle"])
+            measure, p["sgrid"], nodes_per_cycle=p["nodes_per_cycle"],
+            **sizes)
         rows = [(float(s), float(lo), float(hi))
                 for s, lo, hi in zip(res.s_grid, res.lambda_min,
                                      res.lambda_max)]
         ctx.write(ctx.table("dispersion_sweep",
                             ("s", "lambda_min", "lambda_max"), rows,
-                            meta={"N": N, "window": window,
+                            meta={"N": res.N, "window": res.window,
                                   "eta_hat": res.eta_hat,
                                   "lo_target": res.lo_target,
                                   "hi_target": res.hi_target}))
@@ -689,14 +682,14 @@ def run_highfreq(p, ctx):
                    "hi_target": res.hi_target}
         return summary, True
     s = p["s"]
-    window = 30 if window is None else window
-    res = riesz.highfreq_bounds(measure, s, p["Ngrid"], window=window,
-                                nodes_per_cycle=p["nodes_per_cycle"])
+    sizes.pop("N", None)
+    res = riesz.highfreq_bounds(measure, s, p["Ngrid"],
+                                nodes_per_cycle=p["nodes_per_cycle"], **sizes)
     rows = [(int(N), float(lo), float(hi))
             for N, lo, hi in zip(res.N_grid, res.lambda_min, res.lambda_max)]
     table = ctx.table("highfreq_bounds",
                       ("N", "lambda_min", "lambda_max"), rows,
-                      meta={"s": s, "window": window,
+                      meta={"s": s, "window": res.window,
                             "N_star": -1 if res.N_star is None
                             else res.N_star,
                             "delta_hat": res.delta_hat,
@@ -920,9 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP thread pools")
     common.add_argument("--out-dir", help="output directory "
-                        "(default results)")
+                        f"(default {ExperimentConfig.out_dir})")
     common.add_argument("--format", choices=("csv", "json"),
-                        help="table format (default csv)")
+                        help=f"table format (default {ExperimentConfig.format})")
     common.add_argument("--dry-run", action="store_true",
                         help="validate inputs without computing")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -952,38 +945,35 @@ def main(argv=None) -> int:
         if args.config is not None:
             config_doc = _load_json(args.config)
 
+        base = ExperimentConfig(args.subcommand)    # the field defaults
         if args.subcommand == "run":
             if config_doc is None:
                 raise ValueError("run requires --config")
             results, ok = run_batch(config_doc,
-                                    args.out_dir or "results",
-                                    args.format or "csv",
+                                    args.out_dir or base.out_dir,
+                                    args.format or base.format,
                                     dry=args.dry_run)
             print(json.dumps({"ok": ok, "experiments": results},
                              indent=1, sort_keys=True))
             return 0 if ok else 2
 
-        params = {}
-        seed, out_dir, fmt = DEFAULT_SEED, "results", "csv"
         if config_doc is not None:
             base = ExperimentConfig.from_dict(config_doc)
             if base.subcommand != args.subcommand:
                 raise ValueError(
                     f"config is for {base.subcommand!r}, not "
                     f"{args.subcommand!r}")
-            params.update(base.parameters)
-            seed, out_dir, fmt = base.seed, base.out_dir, base.format
         cli_params = {
             k: v for k, v in vars(args).items()
             if k not in ("subcommand", "config", "seed", "threads",
                          "out_dir", "format", "dry_run") and v is not None
         }
-        params.update(cli_params)
         config = ExperimentConfig(
-            subcommand=args.subcommand, parameters=params,
-            seed=args.seed if args.seed is not None else seed,
-            out_dir=args.out_dir or out_dir,
-            format=args.format or fmt)
+            subcommand=args.subcommand,
+            parameters={**base.parameters, **cli_params},
+            seed=args.seed if args.seed is not None else base.seed,
+            out_dir=args.out_dir or base.out_dir,
+            format=args.format or base.format)
         summary, ok, ctx = execute(config, dry=args.dry_run)
         if args.dry_run:
             print(json.dumps({"dry_run": True, "ok": True,

@@ -27,9 +27,9 @@ import numpy as np
 from .errors import DegenerateCurve, InsufficientDecay, NonAdmissible
 from .quad import panel_nodes
 
-MEASURE_KINDS = ("ArcLengthOnGraph", "ArcLengthOnCircle", "SmoothBump", "ProductNuDelta")
-
 _REL_SLACK = 1e-9  # relative slack for the grid inequalities
+_MU_HAT_CHUNK = 8  # frequencies per block of mu_hat_grid
+_DECAY_DIRECTIONS = 64  # equispaced directions per radius of a decay fit
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,8 @@ def _curve_builder(kind: str):
                          f"choose from {tuple(CURVE_KINDS)}") from None
 
 
-def _find_muntz_shift(coefficients, window: float = 10.0) -> float:
-    """Smallest shift t0 >= 0 whose grid validation passes on [0, window].
+def _find_muntz_shift(coefficients) -> float:
+    """Smallest shift t0 >= 0 whose grid validation passes on [0, 10].
 
     The shift that tames the lower-order terms is not given by a formula;
     we search: accept t0 = 0 if it already validates, otherwise scan a
@@ -255,7 +255,7 @@ def _find_muntz_shift(coefficients, window: float = 10.0) -> float:
     """
     def passes(t0: float) -> bool:
         cand = build_curve("Muntz", {"coefficients": coefficients, "t0": float(t0)})
-        return validate_H_alpha(cand, window, 256).passed
+        return validate_H_alpha(cand, 10.0, 256).passed
 
     if passes(0.0):
         return 0.0
@@ -323,11 +323,11 @@ class MeasureSpec:
         return build_measure(self.kind, self.params, resolution)
 
 
-def _gl_open_grid(a: float, b: float, count: int, order: int = 10):
-    """Composite GL nodes/weights on [a, b]; endpoints are never nodes."""
-    panels = max(1, int(math.ceil(count / order)))
+def _gl_open_grid(a: float, b: float, count: int):
+    """Composite order-10 GL nodes/weights on [a, b]; endpoints are never nodes."""
+    panels = max(1, int(math.ceil(count / 10)))
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = panel_nodes(edges[:-1], edges[1:], order)
+    nodes, weights = panel_nodes(edges[:-1], edges[1:], 10)
     return nodes.ravel(), weights.ravel()
 
 
@@ -426,14 +426,14 @@ def mu_hat(measure: MeasureSpec, xi) -> complex:
     return complex(np.exp(-2j * np.pi * phase) @ measure.weights)
 
 
-def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray, chunk: int = 8) -> np.ndarray:
+def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray) -> np.ndarray:
     """Vectorized mu_hat over an (K, 2) array of frequencies.  Small
     chunks keep each temporary near the size of a Gram block, so that
     repeated decay fits reuse freed memory instead of mapping new pages."""
     xis = np.asarray(xis, dtype=float)
     out = np.empty(xis.shape[0], dtype=complex)
-    for lo in range(0, xis.shape[0], chunk):
-        hi = min(lo + chunk, xis.shape[0])
+    for lo in range(0, xis.shape[0], _MU_HAT_CHUNK):
+        hi = min(lo + _MU_HAT_CHUNK, xis.shape[0])
         phase = xis[lo:hi] @ measure.nodes.T
         out[lo:hi] = np.exp(-2j * np.pi * phase) @ measure.weights
     return out
@@ -450,10 +450,10 @@ class DecayFit:
     fit_radii: np.ndarray
 
 
-def fit_fourier_decay(measure: MeasureSpec, radii, directions: int = 64) -> DecayFit:
+def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:
     """Fit |mu_hat| ~ R^(-delta_hat); eta_hat = max sampled |mu_hat| at |xi| >= 1.
 
-    Per radius the supremum over `directions` equispaced directions is taken;
+    Per radius the supremum over _DECAY_DIRECTIONS equispaced directions is taken;
     the least-squares slope is fitted over the grid's upper decade.  The
     angular grid carries a half-step offset so the coordinate axes are never
     sampled exactly: a product measure with a point-mass factor is flat along
@@ -462,7 +462,7 @@ def fit_fourier_decay(measure: MeasureSpec, radii, directions: int = 64) -> Deca
     radii = np.asarray(radii, dtype=float)
     if radii.min() <= 0 or radii.max() / radii.min() < 99.0:
         raise ValueError("radial grid must be positive and span at least two decades")
-    ang = (np.arange(directions) + 0.5) * (2.0 * np.pi / directions)
+    ang = (np.arange(_DECAY_DIRECTIONS) + 0.5) * (2.0 * np.pi / _DECAY_DIRECTIONS)
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     sups = np.empty(radii.size)
     for i, r in enumerate(radii):

@@ -192,8 +192,7 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
 
 
 def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
-                         tol: float = 1e-9, weight=None,
-                         panel_budget: int = 2 ** 20) -> QuadResult:
+                         tol: float = 1e-9, weight=None) -> QuadResult:
     """I_(n,m)(T) for the pair (n, m) at dispersion s, optionally weighted.
 
     Unweighted diagonal pairs short-circuit to the exact value T.
@@ -204,7 +203,7 @@ def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
         return QuadResult(complex(T), 0.0, 1, [], np.array([0.0, T]))
     d = float(n - m)
     e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
-    return phase_integral(d, e, curve, T, tol, weight, 0.0, panel_budget)
+    return phase_integral(d, e, curve, T, tol, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +295,19 @@ class RatioScan:
     pairs: int
 
 
-def vdc_ratio_scan(curve: CurveSpec, s: float, T: float, N: int,
-                   eta: float | None = None, tol: float = 1e-9) -> RatioScan:
-    """Max of |I_(n,m)(T)| / vdc_theoretical_bound over |n|, |m| <= N, n != m.
+def vdc_ratio_scan(curve: CurveSpec, s: float, T: float, N: int) -> RatioScan:
+    """Max of |I_(n,m)(T)| / vdc_theoretical_bound over |n|, |m| <= N, n != m,
+    with the bad-pair bound at default_eta.
 
     By conjugation symmetry only pairs with n > m are computed.  Reported,
     not asserted: the implied constants of the bounds are not explicit.
     """
-    if eta is None:
-        eta = default_eta(s, curve.alpha)
+    eta = default_eta(s, curve.alpha)
     best, arg, pairs = 0.0, (0, 0), 0
     for n in range(-N, N + 1):
         for m in range(-N, n):
             bound = vdc_theoretical_bound(n, m, s, curve, T, eta)
-            val = abs(oscillatory_integral(n, m, s, curve, T, tol).value)
+            val = abs(oscillatory_integral(n, m, s, curve, T).value)
             pairs += 1
             ratio = val / bound
             if ratio > best:

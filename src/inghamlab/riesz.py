@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .classify import abs_pow
 from .curves import CurveSpec, MeasureSpec, fit_fourier_decay, product_nu_hat
 from .errors import DecayTooWeak, NotHermitian, ToleranceNotMet
 from .oscint import phase_integral
 from .quad import panel_nodes
 
-DEFAULT_SEED = 0x1CEB00DA
 _HERMITIAN_TOL = 1e-12
 _SANDWICH_SLACK = 1e-8
+_RANDOM_VECTORS = 64       # unit vectors of the Riesz sandwich check
+_POINTS_PER_CYCLE = 12.0   # quadrature density of quadratic_form_quadrature
+_EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the empirical T
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
 
@@ -209,8 +212,7 @@ def _charpoly_eigs(H: np.ndarray) -> np.ndarray:
     return np.sort(np.roots(coeffs).real)
 
 
-def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED,
-                 n_random: int = 64) -> RieszReport:
+def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED) -> RieszReport:
     """Extreme eigenvalues of the Gram form, triple-checked: Hermitian
     eigensolver, characteristic polynomial for dim <= 3, and a
     random-unit-vector sandwich lambda_min - 1e-8 <= c*Gc <= lambda_max + 1e-8.
@@ -229,7 +231,7 @@ def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED,
                 "eigensolver disagrees with characteristic polynomial roots")
     rng = np.random.default_rng(seed)
     passed = 0
-    for _ in range(n_random):
+    for _ in range(_RANDOM_VECTORS):
         c = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
         c /= np.linalg.norm(c)
         q = float(np.real(c.conj() @ H @ c))
@@ -239,8 +241,7 @@ def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED,
     return RieszReport(lmin, lmax, (lmin / diag, lmax / diag), passed)
 
 
-def quadratic_form_quadrature(system: ExpSystem, coeffs,
-                              points_per_cycle: float = 12.0) -> float:
+def quadratic_form_quadrature(system: ExpSystem, coeffs) -> float:
     """The quadratic form c^H G c realized directly as the integral of
     |sum_n conj(c_n) e_n|^2 over the system's domain (dense composite
     Gauss-Legendre along the curve, or a plain weighted sum over measure
@@ -257,7 +258,7 @@ def quadratic_form_quadrature(system: ExpSystem, coeffs,
     curve, T = system.curve, system.T
     pmax = float(np.abs(curve.p(np.linspace(0.0, T, 512))).max())
     cycles = float(np.abs(phi[:, 1]).max() * pmax + np.abs(phi[:, 0]).max() * T)
-    panels = max(64, int(points_per_cycle * cycles / 10.0) + 1)
+    panels = max(64, int(_POINTS_PER_CYCLE * cycles / 10.0) + 1)
     edges = np.linspace(0.0, T, panels + 1)
     nodes, wts = panel_nodes(edges[:-1], edges[1:], 10)
     t = nodes.ravel()
@@ -285,12 +286,12 @@ class SweepResult:
 
 
 def ingham_sweep(curve: CurveSpec, s: float, N: int, T_grid,
-                 tol: float = 1e-8, threshold_frac: float = 0.1) -> SweepResult:
+                 tol: float = 1e-8) -> SweepResult:
     """lambda_min / lambda_max of the full system -N..N over a grid of
     observation times.  lambda_min must be nondecreasing in T (the Gram
     increment over [T, T'] is itself PSD); the empirical observation
     time is the smallest grid T whose normalized lambda_min/T reaches
-    threshold_frac of its value at the largest T."""
+    a tenth of its value at the largest T."""
     if N > 60:
         raise ValueError("N above desk scale (60)")
     T_grid = sorted(float(T) for T in T_grid)
@@ -305,7 +306,7 @@ def ingham_sweep(curve: CurveSpec, s: float, N: int, T_grid,
     slack = 1e-7 * max(1.0, max(lmaxs))
     monotone = bool(np.all(np.diff(lmins) >= -slack))
     ratios = np.asarray(lmins) / np.asarray(T_grid)
-    target = threshold_frac * ratios[-1]
+    target = _EMPIRICAL_T_FRAC * ratios[-1]
     hits = np.nonzero(ratios >= target)[0]
     empirical_T = float(T_grid[hits[0]]) if hits.size else float("inf")
     return SweepResult(s, N, T_grid, lmins, lmaxs, monotone, empirical_T)
@@ -322,8 +323,8 @@ class MinimalTimeResult:
     decreasing: bool
 
 
-def minimal_time_counterexample(curve: CurveSpec, s: float, j_grid,
-                                order: int = 10, panels: int = 256) -> MinimalTimeResult:
+def minimal_time_counterexample(curve: CurveSpec, s: float,
+                                j_grid) -> MinimalTimeResult:
     """Short-time failure family: two-mode data c_0 = 1,
     c_j = -exp(-2 pi i j p(0)) observed over the shrinking windows
     T_j = j^(-(s+eps)), eps = (alpha s - 1)/(2 s).  The normalized
@@ -334,8 +335,8 @@ def minimal_time_counterexample(curve: CurveSpec, s: float, j_grid,
     eps = (alpha * s - 1.0) / (2.0 * s)
     j_grid = sorted(int(j) for j in j_grid)
     p0 = float(curve.p(np.array([0.0]))[0])
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    nodes, wts = panel_nodes(edges[:-1], edges[1:], order)
+    edges = np.linspace(0.0, 1.0, 257)
+    nodes, wts = panel_nodes(edges[:-1], edges[1:], 10)
     tau = nodes.ravel()
     Ts, ratios = [], []
     for j in j_grid:

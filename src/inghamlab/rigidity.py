@@ -73,24 +73,26 @@ class ObservationCurveGamma:
         object.__setattr__(self, "_polys", (num, num.deriv(), num.deriv(2),
                                             den, den.deriv(), den.deriv(2)))
 
+    def _den(self, x):
+        q = self._polys[3](x)
+        if np.any(np.abs(q) < 1e-12):
+            raise ValueError("rational curve denominator vanishes on the domain")
+        return q
+
     def gamma(self, x):
         x = np.asarray(x, dtype=float)
-        num, den = self._polys[0], self._polys[3]
-        dvals = den(x)
-        if np.any(np.abs(dvals) < 1e-12):
-            raise ValueError("rational curve denominator vanishes on the domain")
-        return num(x) / dvals
+        return self._polys[0](x) / self._den(x)
 
     def dgamma(self, x):
         x = np.asarray(x, dtype=float)
-        num, dn, _, den, dd, _ = self._polys
-        p, q = num(x), den(x)
+        num, dn, _, _, dd, _ = self._polys
+        p, q = num(x), self._den(x)
         return (dn(x) * q - p * dd(x)) / q ** 2
 
     def d2gamma(self, x):
         x = np.asarray(x, dtype=float)
-        num, dn, d2n, den, dd, d2d = self._polys
-        p, q = num(x), den(x)
+        num, dn, d2n, _, dd, d2d = self._polys
+        p, q = num(x), self._den(x)
         dp, dq = dn(x), dd(x)
         d1 = (dp * q - p * dq) / q ** 2
         return (d2n(x) - 2.0 * d1 * dq - p * d2d(x) / q) / q
@@ -114,11 +116,10 @@ def wronskian_n1(gamma: ObservationCurveGamma, x):
     return w
 
 
-def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float,
-                    h: float = 1e-5) -> complex:
+def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float) -> complex:
     """The same Wronskian as a direct 3x3 determinant of (f, f', f'')
     rows with derivatives taken by central finite differences."""
-    x = float(x)
+    x, h = float(x), 1e-5
 
     def triple(xx):
         g = float(gamma.gamma(np.asarray([xx]))[0])

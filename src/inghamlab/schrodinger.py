@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from . import DEFAULT_SEED
 from .classify import abs_pow
 from .curves import CurveSpec
 from .errors import ResolutionExceeded
@@ -24,6 +25,8 @@ from .quad import panel_nodes
 from .riesz import curve_system, gram_matrix
 
 _MAX_DT_BASE = 0.01
+_PICARD_GRID = 2048            # tau intervals of the Picard quadrature
+_TRACE_POINTS_PER_CYCLE = 48.0  # trace steps per cycle of the fastest mode
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
 
 
 def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
-                   n_iter: int = 3, grid: int = 2048) -> TorusState:
+                   n_iter: int = 3) -> TorusState:
     """Duhamel fixed-point cross-check for small sup|V| * t:
     c(t) = e^(2 pi i |n|^s t) (c(0) - 2 pi i int_0^t e^(-2 pi i |n|^s tau)
     (V u(tau))_n d tau), iterated n_iter times from the free flow.
@@ -209,7 +212,7 @@ def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
     K = u0.K
     M = 4 * K + 4
     vgrid = V.values(M)
-    taus = np.linspace(0.0, t_final, grid + 1)
+    taus = np.linspace(0.0, t_final, _PICARD_GRID + 1)
     temp = abs_pow(u0.modes, u0.s)
     rot = np.exp(2j * np.pi * np.outer(taus, temp))       # free phases
     U = rot * u0.coeffs[None, :]                           # free flow iterate
@@ -276,7 +279,7 @@ def trace_along_curve(u_eval, curve, T: float, resolution: int | None = None,
 
 
 def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
-                 dt: float | None = None, points_per_cycle: float = 48.0) -> float:
+                 dt: float | None = None) -> float:
     """Trace of the potential-perturbed solution along the curve:
     steps the solver with a dt fine enough for both stability and
     quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
@@ -290,7 +293,8 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     dpmax = float(np.abs(np.gradient(path(tt), tt)).max())
     modes = u0.modes
     omega = float((abs_pow(modes, u0.s) + np.abs(modes) * dpmax).max()) + 1.0
-    cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm), 1.0 / (points_per_cycle * omega))
+    cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm),
+              1.0 / (_TRACE_POINTS_PER_CYCLE * omega))
     if dt is None or dt > cap:
         dt = cap
     steps = max(2, int(np.ceil(T / dt)))
@@ -324,7 +328,7 @@ class TraceBoundResult:
 
 def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
                            T: float, K: int = 8, n_random: int = 8,
-                           seed: int = 0x1CEB00DA) -> TraceBoundResult:
+                           seed: int = DEFAULT_SEED) -> TraceBoundResult:
     """Trace/mass ratios over a trial set of initial data: single modes,
     the two-mode short-time vectors c_0 = 1, c_j = -exp(-2 pi i j p(0)),
     the minimal Gram eigenvector (the V = 0 worst case), and random

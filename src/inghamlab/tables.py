@@ -165,9 +165,10 @@ def _plot_loglog_fit(table, out_base, x, y):
     return paths
 
 
-def _plot_region_svg(table, out_base, cell=6):
+def _plot_region_svg(table, out_base):
     """Classification square: n horizontal, m vertical (m up), one
     colored cell per pair."""
+    cell = 6   # pixels per side
     rows = table.sorted_rows()
     ns = _column(table, "n", rows)
     ms = _column(table, "m", rows)

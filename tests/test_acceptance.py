@@ -39,10 +39,9 @@ def test_criterion_01_oscillatory_oracle(mono2, mono3, capsys):
     idx = range(-12, 13)
     pairs = [(n, m) for n in idx for m in idx]
     worst = 0.0
-    for curve, s, T in itertools.product((mono2, mono3), (1.6, 2.0, 2.5),
-                                         (0.5, 1.0, 2.0)):
-        oracle = simpson_pair_oracle(curve.p, s, T, pairs)
-        for (n, m), ref in oracle.items():
+    for curve, T in itertools.product((mono2, mono3), (0.5, 1.0, 2.0)):
+        oracle = simpson_pair_oracle(curve.p, (1.6, 2.0, 2.5), T, pairs)
+        for (s, n, m), ref in oracle.items():
             got = oscint.oscillatory_integral(n, m, s, curve, T).value
             err = abs(got - ref)
             if err > worst:

@@ -334,6 +334,12 @@ _EXPLICIT_CASES = {
                              _table(out, "dispersion_sweep")["meta"]["N"] == 3
                              and sweeps == [{"N": 3, "window": 4,
                                              "nodes_per_cycle": 8.0}]),
+    "highfreq-sgrid-defaults": (["highfreq", "--measure-file", "{quarter}",
+                                 "--sgrid", "2.5"], 0,
+                                lambda doc, out, sweeps:
+                                [_table(out, "dispersion_sweep")["meta"][k]
+                                 for k in ("N", "window")] == [2, 10]
+                                and sweeps == [{"nodes_per_cycle": 16.0}]),
 }
 
 

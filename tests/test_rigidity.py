@@ -70,6 +70,13 @@ def test_curve_argument_guards():
         bad.gamma(np.linspace(-1.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("method", ["gamma", "dgamma", "d2gamma"])
+def test_rational_curve_fails_where_denominator_vanishes(method):
+    bad = ObservationCurveGamma("Rational", {"num": [1.0], "den": [0.0, 1.0]})
+    with pytest.raises(ValueError, match="denominator vanishes"):
+        getattr(bad, method)(np.array([0.0]))
+
+
 # ---------------------------------------------------------------------------
 # Wronskian criterion
 # ---------------------------------------------------------------------------
