@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import DEFAULT_SEED, __version__
@@ -284,29 +284,44 @@ _PARAMS = {
 }
 
 
-# Keys that one mode of a subcommand needs: (the key whose absence
-# selects that mode, the keys it then needs).  Checked in _resolve, so a
-# dry run checks them as well.
+# Keys that depend on the mode of a subcommand: (the key whose presence
+# selects the second mode, the keys the first mode needs, the keys the
+# first mode never reads, the keys the second mode never reads).  Checked
+# on the keys as given, before defaults fill in, so a dry run checks
+# them as well.
 _MODE_NEEDS = {
-    "gram": ("measure", ("curve", "T")),
-    "riesz": ("measure", ("curve", "T")),
-    "classify": ("tau", ("curve",)),
-    "highfreq": ("sgrid", ("s",)),
-    "schrodinger": ("u0", ("s", "curve")),
+    "gram": ("measure", ("curve", "T"), (), ("curve", "T", "weight")),
+    "riesz": ("measure", ("curve", "T"), (), ("curve", "T", "weight")),
+    "classify": ("tau", ("curve",), (), ("curve", "T")),
+    "highfreq": ("sgrid", ("s",), ("N",), ("s", "Ngrid")),
+    "schrodinger": ("u0", ("s", "curve"), ("dt",), ("K", "trials")),
 }
 
 
 def _resolve(subcommand: str, given: dict) -> dict:
     """The typed parameters of one experiment, with documents loaded.
-    Unknown keys, values the parser rejects and missing required values
-    raise ValueError naming the key."""
+    Unknown keys, keys the mode does not read, values the parser rejects
+    and missing required values raise ValueError naming the key."""
     rows = _PARAMS[subcommand]
-    known = {key for key, *_ in rows} | {
-        kind.file for _, kind, *_ in rows if isinstance(kind, _Document)}
-    unknown = sorted(set(given) - known)
+    files = {kind.file: key for key, kind, *_ in rows
+             if isinstance(kind, _Document)}
+    unknown = sorted(set(given) - {key for key, *_ in rows} - set(files))
     if unknown:
         raise ValueError(f"unknown parameter(s) for {subcommand}: "
                          f"{', '.join(unknown)}")
+    present = {files.get(key, key) for key, value in given.items()
+               if value is not None}
+    mode, needs, unread, unread_with = _MODE_NEEDS.get(
+        subcommand, (None, (), (), ()))
+    word = "without"
+    if mode in present:
+        needs, unread, word = (), unread_with, "with"
+    for key in needs:
+        if key not in present:
+            raise ValueError(f"missing required parameter '{key}'")
+    for key in unread:
+        if key in present:
+            raise ValueError(f"parameter '{key}' is not read {word} '{mode}'")
     params = {}
     # Documents last: a state document falls back on the resolved s.
     for key, kind, default, _ in sorted(
@@ -326,11 +341,6 @@ def _resolve(subcommand: str, given: dict) -> dict:
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"parameter '{key}': {exc}") from None
         params[key] = value
-    mode, needs = _MODE_NEEDS.get(subcommand, (None, ()))
-    if params.get(mode) is None:
-        for key in needs:
-            if params[key] is None:
-                raise ValueError(f"missing required parameter '{key}'")
     return params
 
 
@@ -350,13 +360,7 @@ class ExperimentConfig:
         self.seed = int(self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "format": self.format,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -393,56 +397,41 @@ class RunContext:
     config_hash: str
     written: list = field(default_factory=list)
 
-    def provenance(self):
+    def emit(self, name, columns, rows, meta=None, path=None, plot=None,
+             plot_base=None, **axes):
+        """Write one table to path (default <out_dir>/<name>.<fmt>; a
+        .json path writes JSON, any other CSV) and, given a plot kind,
+        its plot files at plot_base (default <out_dir>/<name>)."""
         from . import tables
         stamp = datetime.now(timezone.utc).isoformat()
-        return tables.Provenance(__version__, self.config_hash, stamp)
-
-    def table(self, name, columns, rows, meta=None):
-        from . import tables
-        return tables.ResultTable(name, columns, rows, self.provenance(),
-                                  dict(meta or {}))
-
-    def write(self, table, path: str | None = None) -> str:
-        from . import tables
+        table = tables.ResultTable(
+            name, columns, rows,
+            tables.Provenance(__version__, self.config_hash, stamp),
+            meta or {})
         os.makedirs(self.out_dir, exist_ok=True)
         if path is None:
-            path = os.path.join(self.out_dir, f"{table.name}.{self.fmt}")
-        if path.endswith(".json"):
-            out = tables.write_json(table, path)
-        else:
-            out = tables.write_csv(table, path)
-        self.written.append(out)
-        return out
+            path = os.path.join(self.out_dir, f"{name}.{self.fmt}")
+        write = tables.write_json if path.endswith(".json") \
+            else tables.write_csv
+        self.written.append(write(table, path))
+        if plot is not None:
+            if plot_base is None:
+                plot_base = os.path.join(self.out_dir, name)
+            self.written.extend(
+                tables.emit_plot_data(table, plot, plot_base, **axes))
 
-    def write_plot(self, table, kind, stem, **kwargs) -> list:
+    def emit_document(self, name, doc) -> str:
+        """Write a JSON document to <out_dir>/<name>.json."""
         from . import tables
         os.makedirs(self.out_dir, exist_ok=True)
-        paths = tables.emit_plot_data(table, kind,
-                                      os.path.join(self.out_dir, stem),
-                                      **kwargs)
-        self.written.extend(paths)
-        return paths
+        path = tables.dump_json(tables.plain(doc),
+                                os.path.join(self.out_dir, f"{name}.json"))
+        self.written.append(path)
+        return path
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays to plain Python."""
-    import numpy as np
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
+def _pick(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -454,84 +443,56 @@ def run_validate_curve(p, ctx):
     from . import curves
     curve, T = p["curve"], p["T"]
     rep = curves.validate_H_alpha(curve, T, p["grid"])
-    rows = [("passed", rep.passed),
-            ("alpha", curve.alpha), ("c1", curve.c1), ("c2", curve.c2),
-            ("c3", curve.c3),
-            ("lower_ratio_min", rep.lower_ratio_min),
-            ("upper_ratio_max", rep.upper_ratio_max),
-            ("curvature_ratio_min", rep.curvature_ratio_min),
-            ("sign_constant", rep.sign_constant)]
-    ctx.write(ctx.table("curve_validation", ("field", "value"), rows))
+    fields = {**_pick(rep, "passed", "lower_ratio_min", "upper_ratio_max",
+                      "curvature_ratio_min", "sign_constant"),
+              **_pick(curve, "alpha", "c1", "c2", "c3")}
+    ctx.emit("curve_validation", ("field", "value"), fields.items())
     ts = np.linspace(T * 1e-3, T, 256)
     ps = curve.p(ts) - curve.p(np.zeros(1))[0]
     lower = curve.c1 / curve.alpha * ts ** curve.alpha
     upper = curve.c2 / curve.alpha * ts ** curve.alpha
-    profile = ctx.table(
-        "curve_profile", ("t", "p_shifted", "lower", "upper"),
-        list(zip(ts.tolist(), ps.tolist(), lower.tolist(), upper.tolist())))
-    ctx.write(profile)
-    ctx.write_plot(profile, "curve", "curve_profile",
-                   ys=["p_shifted", "lower", "upper"])
-    return {"passed": rep.passed, "failures": list(rep.failures)}, rep.passed
+    ctx.emit("curve_profile", ("t", "p_shifted", "lower", "upper"),
+             np.column_stack((ts, ps, lower, upper)).tolist(), plot="curve",
+             ys=["p_shifted", "lower", "upper"])
+    return _pick(rep, "passed", "failures"), rep.passed
 
 
 def run_integral(p, ctx):
     from . import oscint
-    n, m, s, T = p["n"], p["m"], p["s"], p["T"]
-    r = oscint.oscillatory_integral(n, m, s, p["curve"], T, tol=p["tol"])
-    summary = {
-        "value_re": r.value.real, "value_im": r.value.imag,
-        "modulus": abs(r.value), "abs_error_estimate": r.abs_error_estimate,
-        "panels": r.panels, "stationary_points": list(r.stationary_points),
-    }
-    ctx.write(ctx.table(
-        "integral",
-        ("n", "m", "s", "T", "value_re", "value_im", "modulus",
-         "abs_error_estimate", "panels"),
-        [(n, m, s, T, r.value.real, r.value.imag, abs(r.value),
-          r.abs_error_estimate, r.panels)]))
-    return summary, True
+    r = oscint.oscillatory_integral(p["n"], p["m"], p["s"], p["curve"],
+                                    p["T"], tol=p["tol"])
+    result = {"value_re": r.value.real, "value_im": r.value.imag,
+              "modulus": abs(r.value),
+              **_pick(r, "abs_error_estimate", "panels")}
+    row = {key: p[key] for key in ("n", "m", "s", "T")} | result
+    ctx.emit("integral", tuple(row), [tuple(row.values())])
+    return result | _pick(r, "stationary_points"), True
 
 
 def run_classify(p, ctx):
     from . import classify
-    s, tau = p["s"], p["tau"]
+    s, tau, svg = p["s"], p["tau"], p["out_svg"]
     if tau is None:
-        tau = float(classify.tau_threshold(p["curve"], p["T"]))
+        tau = classify.tau_threshold(p["curve"], p["T"])
     grid = classify.region_grid(s, tau, p["N"])
-    table = ctx.table("region_grid", ("n", "m", "tag", "ratio"),
-                      list(grid.rows()),
-                      meta={"s": s, "tau": tau,
-                            **{f"count_{k}": int(v)
-                               for k, v in sorted(grid.counts.items())}})
-    ctx.write(table, p["out_csv"])
-    svg = p["out_svg"]
-    if svg is not None:
-        os.makedirs(ctx.out_dir, exist_ok=True)
-        from . import tables as _tables
-        ctx.written.extend(_tables.emit_plot_data(
-            table, "region-svg", svg[:-4] if svg.endswith(".svg") else svg))
-    else:
-        ctx.write_plot(table, "region-svg", "region_grid")
-    return {"tau": tau, "counts": _py(grid.counts)}, True
+    ctx.emit("region_grid", ("n", "m", "tag", "ratio"), grid.rows(),
+             meta={"s": s, "tau": tau,
+                   **{f"count_{k}": v for k, v in grid.counts.items()}},
+             path=p["out_csv"], plot="region-svg",
+             plot_base=None if svg is None else svg.removesuffix(".svg"))
+    return {"tau": tau, "counts": grid.counts}, True
 
 
 def run_boundary(p, ctx):
     from . import classify
     branch = p["branch"]
-    branches = classify.BRANCHES if branch == "all" else (branch,)
-    rows, max_res = [], 0.0
-    for b in branches:
-        pts = classify.boundary_samples(b, p["samples"], p["lo"], p["hi"])
-        for pt in pts:
-            res = abs(pt.residual())
-            max_res = max(max_res, res)
-            rows.append((pt.branch, float(pt.parameter),
-                         float(pt.point[0]), float(pt.point[1]), res))
-    table = ctx.table("boundary", ("branch", "parameter", "x", "y",
-                                   "residual"), rows,
-                      meta={"max_residual": max_res})
-    ctx.write(table, p["out_csv"])
+    rows = [(pt.branch, pt.parameter, *pt.point, abs(pt.residual()))
+            for b in (classify.BRANCHES if branch == "all" else (branch,))
+            for pt in classify.boundary_samples(b, p["samples"], p["lo"],
+                                                p["hi"])]
+    max_res = max([0.0, *(row[-1] for row in rows)])
+    ctx.emit("boundary", ("branch", "parameter", "x", "y", "residual"), rows,
+             meta={"max_residual": max_res}, path=p["out_csv"])
     return {"max_residual": max_res, "points": len(rows)}, True
 
 
@@ -541,47 +502,32 @@ def run_lemma21(p, ctx):
     checkpoints = [n for n in (10, 31, 100, 316, 1000, 3162, 10000, 31623)
                    if n < N]
     scan = sums.sup_M(gamma, s, N, checkpoints=checkpoints)
-    rows = [(int(n), float(v)) for n, v in scan.checkpoints]
-    rows.append((N, scan.sup_value))
     meta = {"gamma": gamma, "s": s, "sup": scan.sup_value,
             "argmax_n": scan.argmax[0], "argmax_m": scan.argmax[1]}
     if scan.growth_fit is not None:
         meta["growth_fit"] = scan.growth_fit
-    table = ctx.table("sup_scan", ("N", "sup"), rows, meta=meta)
-    ctx.write(table)
-    ctx.write_plot(table, "loglog-fit", "sup_scan")
-    summary = {"sup": scan.sup_value, "argmax": list(scan.argmax),
-               "growth_fit": scan.growth_fit}
+    ctx.emit("sup_scan", ("N", "sup"), [*scan.checkpoints,
+                                        (N, scan.sup_value)],
+             meta=meta, plot="loglog-fit")
     wit = sums.inf_witness(gamma, s, N)
-    ctx.write(ctx.table("inf_witness", ("m", "ratio"),
-                        [(int(m), float(r))
-                         for m, r in zip(wit.ms, wit.ratios)],
-                        meta={"family": wit.family,
-                              "contracted": wit.contracted}))
-    summary["witness_family"] = wit.family
-    summary["witness_contracted"] = wit.contracted
-    return summary, True
+    ctx.emit("inf_witness", ("m", "ratio"), zip(wit.ms, wit.ratios),
+             meta=_pick(wit, "family", "contracted"))
+    return {"sup": scan.sup_value, "argmax": scan.argmax,
+            "growth_fit": scan.growth_fit, "witness_family": wit.family,
+            "witness_contracted": wit.contracted}, True
 
 
 def run_tails(p, ctx):
     from . import sums
     fit = sums.tail_decay_fit(p["gamma"], p["delta"], p["s"], p["Ngrid"],
                               m_set=p["mset"], horizon=p["horizon"])
-    rows = []
-    for i, m in enumerate(fit.m_set):
-        for j, N in enumerate(fit.N_grid):
-            rows.append((int(N), int(m), float(fit.values[i, j])))
-    ctx.write(ctx.table("tail_sums", ("N", "m", "S_m_N"), rows))
-    fit_table = ctx.table(
-        "tail_fit", ("N", "max_S"),
-        [(int(N), float(v)) for N, v in zip(fit.N_grid, fit.max_per_N)],
-        meta={"slope": fit.slope, "sigma_expected": fit.sigma_expected,
-              "passes": fit.passes, "N0_empirical": fit.N0_empirical})
-    ctx.write(fit_table)
-    ctx.write_plot(fit_table, "loglog-fit", "tail_fit")
-    summary = {"slope": fit.slope, "sigma_expected": fit.sigma_expected,
-               "passes": fit.passes, "N0_empirical": fit.N0_empirical}
-    return summary, bool(fit.passes)
+    ctx.emit("tail_sums", ("N", "m", "S_m_N"),
+             [(N, m, fit.values[i, j]) for i, m in enumerate(fit.m_set)
+              for j, N in enumerate(fit.N_grid)])
+    meta = _pick(fit, "slope", "sigma_expected", "passes", "N0_empirical")
+    ctx.emit("tail_fit", ("N", "max_S"), zip(fit.N_grid, fit.max_per_N),
+             meta=meta, plot="loglog-fit")
+    return meta, bool(fit.passes)
 
 
 def _gram(p):
@@ -598,19 +544,12 @@ def _gram(p):
 def run_gram(p, ctx):
     from . import riesz
     G = _gram(p)
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    path = os.path.join(ctx.out_dir, "gram.json")
-    with open(path, "w", newline="\n") as fh:
-        json.dump(riesz.gram_to_dict(G), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    ctx.written.append(path)
-    rows = []
-    for i, n in enumerate(G.indices):
-        for j, m in enumerate(G.indices):
-            rows.append((int(n), int(m), float(G.entries[i, j].real),
-                         float(G.entries[i, j].imag)))
-    ctx.write(ctx.table("gram_entries", ("n", "m", "re", "im"), rows,
-                        meta={"dim": G.dim, "T_or_mass": G.T_or_mass}))
+    path = ctx.emit_document("gram", riesz.gram_to_dict(G))
+    ctx.emit("gram_entries", ("n", "m", "re", "im"),
+             [(n, m, z.real, z.imag)
+              for n, row in zip(G.indices, G.entries)
+              for m, z in zip(G.indices, row)],
+             meta=_pick(G, "dim", "T_or_mass"))
     return {"dim": G.dim, "gram_json": path}, True
 
 
@@ -618,105 +557,75 @@ def run_riesz(p, ctx):
     from . import riesz
     G = _gram(p)
     rep = riesz.riesz_bounds(G, seed=ctx.seed)
-    ctx.write(ctx.table(
-        "riesz_report",
-        ("lambda_min", "lambda_max", "dim", "random_vector_checks"),
-        [(rep.lambda_min, rep.lambda_max, G.dim, rep.random_vector_checks)]))
-    summary = {"lambda_min": rep.lambda_min, "lambda_max": rep.lambda_max,
-               "normalized": list(rep.normalized), "dim": G.dim}
-    return summary, True
+    ctx.emit("riesz_report",
+             ("lambda_min", "lambda_max", "dim", "random_vector_checks"),
+             [(rep.lambda_min, rep.lambda_max, G.dim,
+               rep.random_vector_checks)])
+    return {**_pick(rep, "lambda_min", "lambda_max", "normalized"),
+            "dim": G.dim}, True
 
 
 def run_ingham_sweep(p, ctx):
     from . import riesz
     s, N = p["s"], p["N"]
     res = riesz.ingham_sweep(p["curve"], s, N, p["Tgrid"], tol=p["tol"])
-    rows = [(float(T), float(lo), float(hi), float(lo / T))
-            for T, lo, hi in zip(res.T_grid, res.lambda_min, res.lambda_max)]
-    table = ctx.table("ingham_sweep",
-                      ("T", "lambda_min", "lambda_max", "ratio"), rows,
-                      meta={"s": s, "N": N, "monotone": res.monotone,
-                            "empirical_T": res.empirical_T})
-    ctx.write(table)
-    ctx.write_plot(table, "xy", "ingham_sweep", x="T", y="lambda_min")
-    summary = {"monotone": res.monotone, "empirical_T": res.empirical_T,
-               "lambda_min_final": res.lambda_min[-1]}
-    return summary, bool(res.monotone)
+    found = _pick(res, "monotone", "empirical_T")
+    ctx.emit("ingham_sweep", ("T", "lambda_min", "lambda_max", "ratio"),
+             [(T, lo, hi, lo / T) for T, lo, hi in
+              zip(res.T_grid, res.lambda_min, res.lambda_max)],
+             meta={"s": s, "N": N, **found}, plot="xy", x="T",
+             y="lambda_min")
+    return {**found, "lambda_min_final": res.lambda_min[-1]}, \
+        bool(res.monotone)
 
 
 def run_minimal_time(p, ctx):
     from . import riesz
     s = p["s"]
     res = riesz.minimal_time_counterexample(p["curve"], s, p["jgrid"])
-    rows = [(int(j), float(T), float(r))
-            for j, T, r in zip(res.j_grid, res.T_values, res.ratios)]
-    ctx.write(ctx.table("minimal_time", ("j", "T_j", "ratio"), rows,
-                        meta={"s": s, "eps": res.eps,
-                              "decreasing": res.decreasing,
-                              "c_norm_sq": res.c_norm_sq}))
-    summary = {"eps": res.eps, "decreasing": res.decreasing,
-               "first_ratio": res.ratios[0], "last_ratio": res.ratios[-1]}
-    return summary, bool(res.decreasing)
+    ctx.emit("minimal_time", ("j", "T_j", "ratio"),
+             zip(res.j_grid, res.T_values, res.ratios),
+             meta={"s": s, **_pick(res, "eps", "decreasing", "c_norm_sq")})
+    return {**_pick(res, "eps", "decreasing"), "first_ratio": res.ratios[0],
+            "last_ratio": res.ratios[-1]}, bool(res.decreasing)
 
 
 def run_highfreq(p, ctx):
     from . import riesz
     measure = p["measure"]
     # Sizes left unset take the library's defaults, which differ by mode;
-    # N sizes only the dispersion sweep.
+    # _MODE_NEEDS rejects N without sgrid.
     sizes = {key: p[key] for key in ("N", "window") if p[key] is not None}
     if p["sgrid"] is not None:
         res = riesz.highfreq_dispersion_sweep(
             measure, p["sgrid"], nodes_per_cycle=p["nodes_per_cycle"],
             **sizes)
-        rows = [(float(s), float(lo), float(hi))
-                for s, lo, hi in zip(res.s_grid, res.lambda_min,
-                                     res.lambda_max)]
-        ctx.write(ctx.table("dispersion_sweep",
-                            ("s", "lambda_min", "lambda_max"), rows,
-                            meta={"N": res.N, "window": res.window,
-                                  "eta_hat": res.eta_hat,
-                                  "lo_target": res.lo_target,
-                                  "hi_target": res.hi_target}))
-        summary = {"eta_hat": res.eta_hat, "lo_target": res.lo_target,
-                   "hi_target": res.hi_target}
-        return summary, True
+        found = _pick(res, "eta_hat", "lo_target", "hi_target")
+        ctx.emit("dispersion_sweep", ("s", "lambda_min", "lambda_max"),
+                 zip(res.s_grid, res.lambda_min, res.lambda_max),
+                 meta={**_pick(res, "N", "window"), **found})
+        return found, True
     s = p["s"]
-    sizes.pop("N", None)
     res = riesz.highfreq_bounds(measure, s, p["Ngrid"],
                                 nodes_per_cycle=p["nodes_per_cycle"], **sizes)
-    rows = [(int(N), float(lo), float(hi))
-            for N, lo, hi in zip(res.N_grid, res.lambda_min, res.lambda_max)]
-    table = ctx.table("highfreq_bounds",
-                      ("N", "lambda_min", "lambda_max"), rows,
-                      meta={"s": s, "window": res.window,
-                            "N_star": -1 if res.N_star is None
-                            else res.N_star,
-                            "delta_hat": res.delta_hat,
-                            "eta_hat": res.eta_hat})
-    ctx.write(table)
-    ctx.write_plot(table, "xy", "highfreq_bounds", x="N", y="lambda_min")
-    summary = {"N_star": res.N_star, "delta_hat": res.delta_hat,
-               "eta_hat": res.eta_hat}
-    return summary, res.N_star is not None
+    found = _pick(res, "N_star", "delta_hat", "eta_hat")
+    ctx.emit("highfreq_bounds", ("N", "lambda_min", "lambda_max"),
+             zip(res.N_grid, res.lambda_min, res.lambda_max),
+             meta={"s": s, "window": res.window, **found,
+                   "N_star": -1 if res.N_star is None else res.N_star},
+             plot="xy", x="N", y="lambda_min")
+    return found, res.N_star is not None
 
 
 def run_sharpness(p, ctx):
     from . import riesz
     delta, s = p["delta"], p["s"]
     res = riesz.sharpness_sum(delta, s, p["Ngrid"])
-    rows = [(int(N), float(v)) for N, v in zip(res.N_grid, res.values)]
-    table = ctx.table("sharpness_sum", ("N", "S_N"), rows,
-                      meta={"delta": delta, "s": s, "slope": res.slope,
-                            "expected_slope": res.expected_slope,
-                            "passes": res.passes,
-                            "exceeds_diagonal": res.exceeds_diagonal})
-    ctx.write(table)
-    ctx.write_plot(table, "loglog-fit", "sharpness_sum")
-    summary = {"slope": res.slope, "expected_slope": res.expected_slope,
-               "passes": res.passes,
-               "exceeds_diagonal": res.exceeds_diagonal}
-    return summary, bool(res.passes)
+    found = _pick(res, "slope", "expected_slope", "passes",
+                  "exceeds_diagonal")
+    ctx.emit("sharpness_sum", ("N", "S_N"), zip(res.N_grid, res.values),
+             meta={"delta": delta, "s": s, **found}, plot="loglog-fit")
+    return found, bool(res.passes)
 
 
 def run_merged(p, ctx):
@@ -724,18 +633,13 @@ def run_merged(p, ctx):
     T, N = p["T"], p["N"]
     res = riesz.merged_bound_experiment(p["curve"], T, p["sgrid"], N=N,
                                         tol=p["tol"])
-    rows = [(float(s), float(lo), float(c), float(pb))
-            for s, lo, c, pb in zip(res.s_grid, res.lambda_min, res.coupling,
-                                    res.product_bound_max)]
-    ctx.write(ctx.table("merged_bound",
-                        ("s", "lambda_min", "coupling", "product_bound_max"),
-                        rows,
-                        meta={"T": T, "N": N,
-                              "coupling_decreasing":
-                              res.coupling_decreasing}))
-    summary = {"coupling_decreasing": res.coupling_decreasing,
-               "coupling": [float(c) for c in res.coupling]}
-    return summary, bool(res.coupling_decreasing)
+    ctx.emit("merged_bound",
+             ("s", "lambda_min", "coupling", "product_bound_max"),
+             zip(res.s_grid, res.lambda_min, res.coupling,
+                 res.product_bound_max),
+             meta={"T": T, "N": N, **_pick(res, "coupling_decreasing")})
+    return _pick(res, "coupling_decreasing", "coupling"), \
+        bool(res.coupling_decreasing)
 
 
 def run_wronskian(p, ctx):
@@ -745,15 +649,10 @@ def run_wronskian(p, ctx):
     xs = np.linspace(p["xmin"], p["xmax"], p["samples"])
     w = rigidity.wronskian_n1(gamma, xs)
     rep = rigidity.n1_vanishing_classifier(gamma, xs)
-    rows = [(float(x), float(z.real), float(z.imag), float(abs(z)))
-            for x, z in zip(xs, w)]
-    ctx.write(ctx.table("wronskian", ("x", "re", "im", "abs"), rows,
-                        meta={"case": rep.case}))
-    witness = [{"re": z.real, "im": z.imag} for z in rep.witness] \
-        if rep.witness is not None else None
-    summary = {"case": rep.case, "relation": rep.relation,
-               "witness": witness, "detail": rep.detail}
-    return summary, True
+    ctx.emit("wronskian", ("x", "re", "im", "abs"),
+             [(x, z.real, z.imag, abs(z)) for x, z in zip(xs, w)],
+             meta=_pick(rep, "case"))
+    return _pick(rep, "case", "relation", "witness", "detail"), True
 
 
 def run_threepoint(p, ctx):
@@ -762,32 +661,27 @@ def run_threepoint(p, ctx):
     try:
         rep = rigidity.three_point_test(p["points"], p["coeffs"])
     except InadmissiblePoints as exc:
-        ctx.write(ctx.table("threepoint", ("field", "value"),
-                            [("admissible", False), ("detail", str(exc))]))
-        return {"admissible": False, "detail": str(exc)}, False
-    rows = [("admissible", rep.admissible), ("rank", rep.rank)]
-    for i, sv in enumerate(rep.singular_values):
-        rows.append((f"sigma_{i + 1}", float(sv)))
+        fields = {"admissible": False, "detail": str(exc)}
+        ctx.emit("threepoint", ("field", "value"), fields.items())
+        return fields, False
+    rows = [*_pick(rep, "admissible", "rank").items(),
+            *((f"sigma_{i}", sv)
+              for i, sv in enumerate(rep.singular_values, 1))]
     if rep.residual is not None:
         rows.append(("residual", rep.residual))
-    ctx.write(ctx.table("threepoint", ("field", "value"), rows))
-    summary = {"admissible": rep.admissible, "rank": rep.rank,
-               "singular_values": [float(v) for v in rep.singular_values],
-               "residual": rep.residual}
-    return summary, bool(rep.admissible and rep.rank == 3)
+    ctx.emit("threepoint", ("field", "value"), rows)
+    return _pick(rep, "admissible", "rank", "singular_values", "residual"), \
+        bool(rep.admissible and rep.rank == 3)
 
 
 def run_zeroprobe(p, ctx):
     from . import rigidity
     rep = rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"],
                                   grid=p["grid"])
-    rows = [(float(t),) for t in rep.zeros]
-    ctx.write(ctx.table("zero_probe", ("t",), rows,
-                        meta={"verdict": rep.verdict, "max_abs": rep.max_abs,
-                              "coeff_norm": rep.coeff_norm}))
-    summary = {"verdict": rep.verdict, "zeros": len(rows),
-               "max_abs": rep.max_abs}
-    return summary, rep.verdict != "SuspectedIdenticallyZero"
+    ctx.emit("zero_probe", ("t",), [(t,) for t in rep.zeros],
+             meta=_pick(rep, "verdict", "max_abs", "coeff_norm"))
+    return {**_pick(rep, "verdict", "max_abs"), "zeros": len(rep.zeros)}, \
+        rep.verdict != "SuspectedIdenticallyZero"
 
 
 def run_schrodinger(p, ctx):
@@ -795,25 +689,16 @@ def run_schrodinger(p, ctx):
     V, T, u0 = p["potential"], p["T"], p["u0"]
     if u0 is not None:
         uT, diag = schrodinger.evolve(u0, V, T, dt=p["dt"])
-        rows = [(int(n), float(c.real), float(c.imag), float(abs(c) ** 2))
-                for n, c in zip(uT.modes, uT.coeffs)]
-        table = ctx.table("evolution", ("n", "re", "im", "mass"), rows,
-                          meta={"steps": diag.steps, "dt": diag.dt,
-                                "norm_drift": diag.norm_drift,
-                                "top_band_fraction":
-                                diag.top_band_fraction})
-        ctx.write(table, p["out_csv"])
-        os.makedirs(ctx.out_dir, exist_ok=True)
-        path = os.path.join(ctx.out_dir, "state.json")
-        with open(path, "w", newline="\n") as fh:
-            json.dump({"K": uT.K, "s": uT.s, "time": uT.time,
-                       "coeffs_re": uT.coeffs.real.tolist(),
-                       "coeffs_im": uT.coeffs.imag.tolist()},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        ctx.written.append(path)
-        summary = {"steps": diag.steps, "norm_drift": diag.norm_drift,
-                   "state_json": path}
+        ctx.emit("evolution", ("n", "re", "im", "mass"),
+                 [(n, c.real, c.imag, abs(c) ** 2)
+                  for n, c in zip(uT.modes, uT.coeffs)],
+                 meta=_pick(diag, "steps", "dt", "norm_drift",
+                            "top_band_fraction"),
+                 path=p["out_csv"])
+        path = ctx.emit_document("state", {
+            **_pick(uT, "K", "s", "time"), "coeffs_re": uT.coeffs.real,
+            "coeffs_im": uT.coeffs.imag})
+        summary = {**_pick(diag, "steps", "norm_drift"), "state_json": path}
         if p["curve"] is not None:
             summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
                                                         dt=p["dt"])
@@ -822,37 +707,18 @@ def run_schrodinger(p, ctx):
     res = schrodinger.trace_bound_experiment(p["curve"], s, V, T,
                                              K=p["K"], n_random=p["trials"],
                                              seed=ctx.seed)
-    rows = [(name, float(r))
-            for name, r in zip(res.trial_names, res.ratios)]
-    table = ctx.table("trace_ratios", ("trial", "ratio"), rows,
-                      meta={"T": T, "s": s, "V_sup": res.V_sup,
-                            "max_ratio": res.max_ratio,
-                            "min_ratio": res.min_ratio})
-    ctx.write(table, p["out_csv"])
-    summary = {"max_ratio": res.max_ratio, "min_ratio": res.min_ratio,
-               "trials": len(rows)}
-    return summary, True
+    ctx.emit("trace_ratios", ("trial", "ratio"),
+             zip(res.trial_names, res.ratios),
+             meta={"T": T, "s": s,
+                   **_pick(res, "V_sup", "max_ratio", "min_ratio")},
+             path=p["out_csv"])
+    return {**_pick(res, "max_ratio", "min_ratio"),
+            "trials": len(res.ratios)}, True
 
 
-_RUNNERS = {
-    "validate-curve": run_validate_curve,
-    "integral": run_integral,
-    "classify": run_classify,
-    "boundary": run_boundary,
-    "lemma21": run_lemma21,
-    "tails": run_tails,
-    "gram": run_gram,
-    "riesz": run_riesz,
-    "ingham-sweep": run_ingham_sweep,
-    "minimal-time": run_minimal_time,
-    "highfreq": run_highfreq,
-    "sharpness": run_sharpness,
-    "merged": run_merged,
-    "wronskian": run_wronskian,
-    "threepoint": run_threepoint,
-    "zeroprobe": run_zeroprobe,
-    "schrodinger": run_schrodinger,
-}
+# run_<subcommand with '-' written '_'> runs each subcommand of _PARAMS.
+_RUNNERS = {name: globals()[f"run_{name.replace('-', '_')}"]
+            for name in _PARAMS}
 
 
 def execute(config: ExperimentConfig, dry=False):
@@ -871,6 +737,7 @@ def execute(config: ExperimentConfig, dry=False):
 
 def run_batch(doc: dict, out_dir: str, fmt: str, dry=False):
     """Execute a {"experiments": [...]} batch document."""
+    from . import tables
     if "experiments" not in doc:
         raise ValueError("batch config needs an 'experiments' list")
     results, all_ok = [], True
@@ -884,7 +751,7 @@ def run_batch(doc: dict, out_dir: str, fmt: str, dry=False):
         summary, ok, ctx = execute(cfg, dry=dry)
         all_ok = all_ok and ok
         results.append({"subcommand": cfg.subcommand, "ok": ok,
-                        "summary": _py(summary),
+                        "summary": tables.plain(summary),
                         "tables": list(ctx.written)})
     return results, all_ok
 
@@ -939,12 +806,10 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
+    from . import tables
     from .errors import ArtifactError
     try:
-        config_doc = None
-        if args.config is not None:
-            config_doc = _load_json(args.config)
-
+        config_doc = None if args.config is None else _load_json(args.config)
         base = ExperimentConfig(args.subcommand)    # the field defaults
         if args.subcommand == "run":
             if config_doc is None:
@@ -980,14 +845,11 @@ def main(argv=None) -> int:
                               "subcommand": args.subcommand},
                              sort_keys=True))
             return 0
-        print(json.dumps({"ok": ok, "summary": _py(summary),
+        print(json.dumps({"ok": ok, "summary": tables.plain(summary),
                           "tables": list(ctx.written)},
                          indent=1, sort_keys=True))
         return 0 if ok else 2
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ArtifactError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,7 +147,7 @@ def _horizontal_report(x0: float) -> VanishingReport:
     return VanishingReport(
         "HorizontalCase",
         "c_0 = 0 and c_-1 exp(-2 pi i x0) + c_1 exp(2 pi i x0) = 0",
-        (complex(w), 0.0, complex(-np.conj(w))),
+        (complex(w), 0j, complex(-np.conj(w))),
         {"x0": x0})
 
 
@@ -157,12 +157,12 @@ def _slope_report(slope: float, beta: float) -> VanishingReport:
         return VanishingReport(
             "SlopePlusOneCase",
             "c_1 = 0 and c_0 + c_-1 exp(-2 pi i beta) = 0",
-            (1.0 + 0.0j, complex(-phase), 0.0),
+            (1.0 + 0.0j, complex(-phase), 0j),
             {"beta": beta})
     return VanishingReport(
         "SlopeMinusOneCase",
         "c_-1 = 0 and c_0 + c_1 exp(2 pi i beta) = 0",
-        (0.0, 1.0 + 0.0j, complex(-phase)),
+        (0j, 1.0 + 0.0j, complex(-phase)),
         {"beta": beta})
 
 

@@ -126,17 +126,31 @@ def _truncate_spectrum(f: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _strang_step(c: np.ndarray, half: np.ndarray, free: np.ndarray,
-                 K: int, M: int) -> np.ndarray:
-    """One Strang step: half potential phase on the padded grid, exact
-    free flow, half potential phase."""
-    vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-    vals *= half
-    c = _truncate_spectrum(np.fft.fft(vals) / M, K)
-    c *= free
-    vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-    vals *= half
-    return _truncate_spectrum(np.fft.fft(vals) / M, K)
+def _check_data(u0: TorusState, dt: float | None) -> None:
+    if u0.K < 2 * u0.max_active_mode():
+        raise ValueError("need K >= 2 * max active mode of the data")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
+def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
+    """Yield the coefficients after each of `steps` Strang steps of
+    length h from u0: half potential phase on the zero-padded grid of
+    M = 4K + 4 points, exact free flow, half potential phase."""
+    K = u0.K
+    M = 4 * K + 4
+    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
+    free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
+    c = u0.coeffs
+    for _ in range(steps):
+        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
+        vals *= half
+        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+        c *= free
+        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
+        vals *= half
+        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+        yield c
 
 
 @dataclass
@@ -164,13 +178,10 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    if u0.K < 2 * u0.max_active_mode():
-        raise ValueError("need K >= 2 * max active mode of the data")
+    _check_data(u0, dt)
     cap = _MAX_DT_BASE / (1.0 + V.sup_norm)
     if dt is None:
         dt = cap
-    elif not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt must be at most 0.01/(1+|V|) = {cap:.3e}")
     if t_final == 0:
@@ -178,18 +189,11 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
     steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / steps
-    K = u0.K
-    M = 4 * K + 4
-    vgrid = V.values(M)
-    half = np.exp(-2j * np.pi * vgrid * (dt / 2.0))
-    free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * dt)
-    top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * K)))
-    c = u0.coeffs.copy()
-    norm0 = float(np.vdot(c, c).real)
+    top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * u0.K)))
+    norm0 = float(np.vdot(u0.coeffs, u0.coeffs).real)
     drift = 0.0
     top_frac = 0.0
-    for _ in range(steps):
-        c = _strang_step(c, half, free, K, M)
+    for c in _strang_steps(u0, V, dt, steps):
         total = float(np.vdot(c, c).real)
         drift = max(drift, abs(total - norm0))
         frac = float((np.abs(c[top]) ** 2).sum()) / total
@@ -284,10 +288,7 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     steps the solver with a dt fine enough for both stability and
     quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
     integrating with composite Simpson."""
-    if u0.K < 2 * u0.max_active_mode():
-        raise ValueError("need K >= 2 * max active mode of the data")
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_data(u0, dt)
     path = _path_function(curve)
     tt = np.linspace(0.0, T, 512)
     dpmax = float(np.abs(np.gradient(path(tt), tt)).max())
@@ -299,18 +300,12 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
         dt = cap
     steps = max(2, int(np.ceil(T / dt)))
     times = np.linspace(0.0, T, steps + 1)
-    h = times[1] - times[0]
-    K = u0.K
-    M = 4 * K + 4
-    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
-    free = np.exp(2j * np.pi * abs_pow(modes, u0.s) * h)
     xs = np.mod(np.asarray(path(times), dtype=float), 1.0)
     phases = np.exp(2j * np.pi * np.outer(xs, modes))
     samples = np.empty(steps + 1)
-    c = u0.coeffs.copy()
-    samples[0] = abs(phases[0] @ c) ** 2
-    for k in range(1, steps + 1):
-        c = _strang_step(c, half, free, K, M)
+    samples[0] = abs(phases[0] @ u0.coeffs) ** 2
+    for k, c in enumerate(_strang_steps(u0, V, times[1] - times[0], steps),
+                          1):
         samples[k] = abs(phases[k] @ c) ** 2
     return float(simpson(samples, x=times))
 

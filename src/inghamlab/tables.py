@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 
 __all__ = [
-    "Provenance", "ResultTable", "write_csv", "write_json",
-    "emit_plot_data", "REGION_COLORS",
+    "Provenance", "ResultTable", "plain", "write_csv", "write_json",
+    "dump_json", "emit_plot_data", "REGION_COLORS",
 ]
 
 REGION_COLORS = {
@@ -32,6 +32,28 @@ class Provenance:
     version: str
     config_hash: str
     timestamp: str
+
+
+_PLAIN = (str, int, float, type(None))
+
+
+def plain(value):
+    """value as plain Python: numpy scalars and arrays become numbers
+    and lists, tuples become lists, and a complex becomes {"re", "im"};
+    dicts and lists are converted item by item.  None, str, int and
+    float (np.float64 included) come back unchanged."""
+    if isinstance(value, _PLAIN):
+        return value
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    import numpy as np
+    if isinstance(value, (np.ndarray, np.generic)):
+        return plain(value.tolist())
+    return value
 
 
 def _fmt(value) -> str:
@@ -67,6 +89,10 @@ class ResultTable:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
+        # Cell by cell: a call of plain() per row doubles the cost.
+        self.rows = [[v if isinstance(v, _PLAIN) else plain(v) for v in row]
+                     for row in self.rows]
+        self.meta = plain(dict(self.meta))
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
@@ -117,6 +143,11 @@ def write_json(table: ResultTable, path: str) -> str:
         "columns": list(table.columns),
         "rows": [[_json_cell(v) for v in r] for r in table.sorted_rows()],
     }
+    return dump_json(doc, path)
+
+
+def dump_json(doc, path: str) -> str:
+    """Write a JSON document with sorted keys and indent 1."""
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -178,8 +178,10 @@ def test_schrodinger_evolve_mode(mono2_file, tmp_path, capsys):
     assert code == 0
     doc = _out(capsys)
     assert doc["summary"]["norm_drift"] <= 1e-10
-    assert os.path.exists(os.path.join(out, "state.json"))
     assert os.path.exists(os.path.join(out, "evolution.csv"))
+    # written like a JSON table: sorted keys, indent 1, final newline
+    text = open(os.path.join(out, "state.json")).read()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
 def test_dry_run_validates_without_writing(tmp_path, capsys):
@@ -247,6 +249,26 @@ def test_batch_document_guard(tmp_path):
         run_batch(typo, str(tmp_path), "csv")
 
 
+# config_hash() of each experiments/acceptance.json entry, in order.  The
+# hash labels every table a run writes, so a change to the config schema
+# or to the hashing must not move it.
+_ACCEPTANCE_HASHES = [
+    "20cf2fc90c8d3226", "671ad6e45517350c", "c7e2178cda00c340",
+    "b1611bd73ce13942", "5b45fceb10aa79f7", "ab010db79bccf3fa",
+    "ae3d1118439daadf", "fb1827a8907a388f", "26599fdb3145e59f",
+    "ebbc16accf149e15", "80d41eb92495d7ef", "82e3a55492dfda09",
+    "665630bad9e1cbd8", "bf1a6664296ac308", "6a1ffd8c1acc5db9",
+    "b5c9142808b6ce83", "a767e88f0ef7c2a8",
+]
+
+
+def test_acceptance_config_hashes_are_pinned():
+    with open(os.path.join(ROOT, "experiments", "acceptance.json")) as fh:
+        doc = json.load(fh)
+    assert [ExperimentConfig.from_dict(entry).config_hash()
+            for entry in doc["experiments"]] == _ACCEPTANCE_HASHES
+
+
 def test_acceptance_batch_dry_run_accepts_every_key(tmp_path, capsys):
     out = str(tmp_path / "res")
     code = main(["run", "--config",
@@ -284,6 +306,10 @@ def docs(tmp_path, mono2_file):
         "halfN": {"subcommand": "gram",
                   "parameters": {"curve_file": mono2_file, "s": 2.0,
                                  "N": 2.5, "T": 1.0}},
+        "highfreqN": {"subcommand": "highfreq",
+                      "parameters": {"measure_file": str(tmp_path /
+                                                         "quarter.json"),
+                                     "s": 2.5, "N": 5}},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -365,30 +391,72 @@ def test_explicit_values_are_honoured_and_bad_keys_exit_1(
         assert check in captured.err
 
 
-# Requirements that depend on the mode: (argv, the key the message names).
+def _missing(key):
+    return f"missing required parameter '{key}'"
+
+
+def _unread(key, word, mode):
+    return f"parameter '{key}' is not read {word} '{mode}'"
+
+
+# Keys that depend on the mode, needed or never read: (argv, the error).
 _MODE_CASES = {
-    "gram-no-curve": (["gram", "--s", "2"], "curve"),
-    "gram-curve-no-T": (["gram", "--curve-file", "{mono2}", "--s", "2"], "T"),
-    "riesz-no-curve": (["riesz", "--s", "2", "--N", "1"], "curve"),
-    "classify-no-tau-no-curve": (["classify", "--s", "2"], "curve"),
-    "highfreq-no-s": (["highfreq", "--measure-file", "{quarter}"], "s"),
+    "gram-no-curve": (["gram", "--s", "2"], _missing("curve")),
+    "gram-curve-no-T": (["gram", "--curve-file", "{mono2}", "--s", "2"],
+                        _missing("T")),
+    "riesz-no-curve": (["riesz", "--s", "2", "--N", "1"], _missing("curve")),
+    "classify-no-tau-no-curve": (["classify", "--s", "2"], _missing("curve")),
+    "highfreq-no-s": (["highfreq", "--measure-file", "{quarter}"],
+                      _missing("s")),
     "schrodinger-trials-no-s": (["schrodinger", "--T", "0.2",
-                                 "--curve-file", "{mono2}"], "s"),
+                                 "--curve-file", "{mono2}"], _missing("s")),
     "schrodinger-trials-no-curve": (["schrodinger", "--T", "0.2", "--s", "2"],
-                                    "curve"),
+                                    _missing("curve")),
+    "highfreq-N-no-sgrid": (["highfreq", "--measure-file", "{quarter}",
+                             "--s", "2.5", "--N", "5"],
+                            _unread("N", "without", "sgrid")),
+    "highfreq-config-N-no-sgrid": (["highfreq", "--config", "{highfreqN}"],
+                                   _unread("N", "without", "sgrid")),
+    "highfreq-sgrid-s": (["highfreq", "--measure-file", "{quarter}",
+                          "--sgrid", "2.5", "--s", "2"],
+                         _unread("s", "with", "sgrid")),
+    "highfreq-sgrid-Ngrid": (["highfreq", "--measure-file", "{quarter}",
+                              "--sgrid", "2.5", "--Ngrid", "6,10"],
+                             _unread("Ngrid", "with", "sgrid")),
+    "gram-measure-T": (["gram", "--measure-file", "{quarter}", "--s", "2",
+                        "--T", "1"], _unread("T", "with", "measure")),
+    "riesz-measure-weight": (["riesz", "--measure-file", "{quarter}",
+                              "--s", "2", "--weight", "arclength"],
+                             _unread("weight", "with", "measure")),
+    "gram-measure-curve": (["gram", "--measure-file", "{quarter}", "--s", "2",
+                            "--curve-file", "{mono2}"],
+                           _unread("curve", "with", "measure")),
+    "classify-tau-curve": (["classify", "--s", "2", "--tau", "8",
+                            "--curve-file", "{mono2}"],
+                           _unread("curve", "with", "tau")),
+    "classify-tau-T": (["classify", "--s", "2", "--tau", "8", "--T", "1"],
+                       _unread("T", "with", "tau")),
+    "schrodinger-trials-dt": (["schrodinger", "--T", "0.2", "--s", "2",
+                               "--curve-file", "{mono2}", "--dt", "1e-3"],
+                              _unread("dt", "without", "u0")),
+    "schrodinger-evolve-K": (["schrodinger", "--u0-file", "{u0}", "--T", "0.2",
+                              "--K", "4"], _unread("K", "with", "u0")),
+    "schrodinger-evolve-trials": (["schrodinger", "--u0-file", "{u0}",
+                                   "--T", "0.2", "--trials", "2"],
+                                  _unread("trials", "with", "u0")),
 }
 
 
-@pytest.mark.parametrize("argv, key", _MODE_CASES.values(),
+@pytest.mark.parametrize("argv, message", _MODE_CASES.values(),
                          ids=_MODE_CASES.keys())
 def test_dry_run_checks_mode_requirements_like_the_real_run(
-        argv, key, docs, tmp_path, capsys):
+        argv, message, docs, tmp_path, capsys):
     argv = [a.format(**docs) for a in argv] + ["--out-dir", str(tmp_path / "res")]
     errors = []
     for extra in (["--dry-run"], []):
         assert main(argv + extra) == 1
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == f"error: missing required parameter '{key}'\n"
+    assert errors[0] == errors[1] == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "res")
 
 

@@ -145,6 +145,8 @@ def test_degenerate_curves_emit_annihilating_witnesses(kind, params, case):
     report = n1_vanishing_classifier(gamma, np.linspace(0.0, 2.0, 9))
     assert report.case == case
     assert report.witness is not None
+    # complex throughout, so each entry is emitted as {"re", "im"}
+    assert [type(c) for c in report.witness] == [complex] * 3
     ts = np.linspace(-3.0, 3.0, 257)
     vals = _triple_basis_values(gamma, report.witness, ts)
     assert float(np.abs(vals).max()) < 1e-12

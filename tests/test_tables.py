@@ -11,6 +11,7 @@ from inghamlab.tables import (
     Provenance,
     ResultTable,
     emit_plot_data,
+    plain,
     write_csv,
     write_json,
 )
@@ -72,6 +73,29 @@ def test_csv_identical_modulo_generated_line(tmp_path):
     full1 = open(p1).read().splitlines()
     full2 = open(p2).read().splitlines()
     assert full1 != full2  # only the timestamp line differs
+
+
+@pytest.mark.parametrize("write", [write_csv, write_json])
+def test_numpy_cells_and_meta_write_like_python_values(write, tmp_path):
+    # ints sort numerically, bools print true/false, and JSON accepts both
+    python = _table([(10, True), (9, False)], meta={"n": 3, "ok": True})
+    numpy = _table([(np.int64(10), np.bool_(True)),
+                    (np.int64(9), np.bool_(False))],
+                   meta={"n": np.int64(3), "ok": np.bool_(True)})
+    paths = [write(t, str(tmp_path / name))
+             for t, name in ((python, "python"), (numpy, "numpy"))]
+    first, second = (open(p, "rb").read() for p in paths)
+    assert first == second
+
+
+def test_plain_converts_numpy_tuples_and_complex():
+    assert plain({"a": (np.int64(1), np.float32(0.5)),
+                  "b": np.arange(3), "c": 1 - 2j, "d": np.bool_(False)}) \
+        == {"a": [1, 0.5], "b": [0, 1, 2], "c": {"re": 1.0, "im": -2.0},
+            "d": False}
+    x = np.float64(0.1)
+    assert plain(x) is x        # a float already: returned unchanged
+    assert type(plain(np.int64(7))) is int
 
 
 def test_json_replaces_nan_and_sorts(tmp_path):
