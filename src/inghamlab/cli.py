@@ -689,6 +689,10 @@ def run_schrodinger(p, ctx):
     V, T, u0 = p["potential"], p["T"], p["u0"]
     if u0 is not None:
         uT, diag = schrodinger.evolve(u0, V, T, dt=p["dt"])
+        summary = {**_pick(diag, "steps", "norm_drift")}
+        if p["curve"] is not None:
+            summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
+                                                        dt=p["dt"])
         ctx.emit("evolution", ("n", "re", "im", "mass"),
                  [(n, c.real, c.imag, abs(c) ** 2)
                   for n, c in zip(uT.modes, uT.coeffs)],
@@ -698,11 +702,7 @@ def run_schrodinger(p, ctx):
         path = ctx.emit_document("state", {
             **_pick(uT, "K", "s", "time"), "coeffs_re": uT.coeffs.real,
             "coeffs_im": uT.coeffs.imag})
-        summary = {**_pick(diag, "steps", "norm_drift"), "state_json": path}
-        if p["curve"] is not None:
-            summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
-                                                        dt=p["dt"])
-        return summary, True
+        return {**summary, "state_json": path}, True
     s = p["s"]
     res = schrodinger.trace_bound_experiment(p["curve"], s, V, T,
                                              K=p["K"], n_random=p["trials"],

@@ -434,8 +434,8 @@ def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray) -> np.ndarray:
     out = np.empty(xis.shape[0], dtype=complex)
     for lo in range(0, xis.shape[0], _MU_HAT_CHUNK):
         hi = min(lo + _MU_HAT_CHUNK, xis.shape[0])
-        phase = xis[lo:hi] @ measure.nodes.T
-        out[lo:hi] = np.exp(-2j * np.pi * phase) @ measure.weights
+        z = -2j * np.pi * (xis[lo:hi] @ measure.nodes.T)
+        out[lo:hi] = np.exp(z, out=z) @ measure.weights
     return out
 
 
@@ -458,11 +458,15 @@ def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:
     angular grid carries a half-step offset so the coordinate axes are never
     sampled exactly: a product measure with a point-mass factor is flat along
     one axis, and sampling that axis would report no decay at any radius.
+    Only the first half of the directions is evaluated: direction
+    k + _DECAY_DIRECTIONS/2 is direction k turned by pi, and since the
+    weights are real, mu_hat(-xi) = conj(mu_hat(xi)), so |mu_hat| agrees on
+    the two and the sup over the half is the sup over all of them.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.min() <= 0 or radii.max() / radii.min() < 99.0:
         raise ValueError("radial grid must be positive and span at least two decades")
-    ang = (np.arange(_DECAY_DIRECTIONS) + 0.5) * (2.0 * np.pi / _DECAY_DIRECTIONS)
+    ang = (np.arange(_DECAY_DIRECTIONS // 2) + 0.5) * (2.0 * np.pi / _DECAY_DIRECTIONS)
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     sups = np.empty(radii.size)
     for i, r in enumerate(radii):

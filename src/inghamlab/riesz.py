@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from . import DEFAULT_SEED
 from .classify import abs_pow
@@ -109,13 +110,60 @@ def _phase_vectors(system: ExpSystem) -> np.ndarray:
 
 
 def _gram_product(nodes: np.ndarray, wts: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """G = E^H W E with E[k, n] = exp(-2 pi i <z_k, phi(n)>), summed over
-    fixed blocks of nodes z_k and Hermitian-symmetrized."""
-    G = np.zeros((phi.shape[0],) * 2, dtype=complex)
+    """G = E^H W E with E[k, n] = exp(-2 pi i <z_k, phi(n)>) over nodes
+    z_k = (t_k, x_k) with weights w_k >= 0, summed over fixed blocks of
+    nodes.
+
+    Each entry factors as E[k, n] = a_k(tau_n) b_k(lambda_n), with
+    a_k(tau) = exp(-2 pi i t_k tau) and b_k(lambda) = exp(-2 pi i x_k lambda).
+    a takes one exp per distinct tau, since the indices +-n share |n|^s.
+    b is multiplied up along the sorted lambdas from one direct exp of
+    the smallest, by z_k^gap with one exp per distinct gap, for any real
+    lambdas: the rounding of the gaps telescopes to about
+    eps (lambda_max - lambda_min), and equally spaced lambdas take two
+    exps per node.  The block of sqrt(W) E is built as a (J, block)
+    array, whose transpose BLAS zherk reads without a copy and adds to
+    the upper triangle of G, leaving the lower one zero.  G + G^H with the diagonal taken once then fills the lower
+    triangle from the upper one, so the result is exactly Hermitian."""
+    if wts.min() < 0.0:
+        k = int(np.argmin(wts))
+        raise ValueError(f"weights must be nonnegative; weight {k} is {wts[k]:.3e}")
+    # The bookkeeping runs on Python lists: J is at most a few hundred,
+    # and numpy's per-call cost would dominate the small curve Grams.
+    lams = phi[:, 1].tolist()
+    taus, tau_of = _distinct(phi[:, 0].tolist())
+    order = sorted(range(len(lams)), key=lams.__getitem__)
+    gaps, gap_of = _distinct([lams[j] - lams[i] for i, j in zip(order, order[1:])])
+    # z[0] is the direct exp of the smallest lambda, z[1 + g] the power
+    # for the g-th distinct gap.
+    freqs = np.append(lams[order[0]], gaps)
+    steps = tuple(zip(order, order[1:], (1 + g for g in gap_of)))
+    G = np.zeros((len(lams),) * 2, dtype=complex, order="F")
     for lo in range(0, nodes.shape[0], _BLOCK):
-        E = np.exp(-2j * np.pi * (nodes[lo:lo + _BLOCK] @ phi.T))
-        G += E.conj().T @ (wts[lo:lo + _BLOCK, None] * E)
-    return 0.5 * (G + G.conj().T)
+        t, x = nodes[lo:lo + _BLOCK].T
+        root_w = np.sqrt(wts[lo:lo + _BLOCK])
+        z = np.outer(-2j * np.pi * freqs, x)
+        np.exp(z, out=z)
+        E = np.empty((len(lams), t.size), dtype=complex)
+        np.multiply(root_w, z[0], out=E[order[0]])
+        for prev, nxt, g in steps:
+            np.multiply(E[prev], z[g], out=E[nxt])
+        a = np.outer(-2j * np.pi * taus, t)
+        np.exp(a, out=a)
+        for row, u in zip(E, tau_of):
+            row *= a[u]
+        G = zherk(1.0, E.T, beta=1.0, c=G, trans=2, overwrite_c=1)
+    H = G + G.conj().T
+    np.fill_diagonal(H, G.diagonal())
+    return H
+
+
+def _distinct(values: list) -> tuple:
+    """The sorted distinct values of a list, as an array, and the position
+    of each value among them."""
+    distinct = sorted(set(values))
+    where = {v: i for i, v in enumerate(distinct)}
+    return np.array(distinct), [where[v] for v in values]
 
 
 def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:

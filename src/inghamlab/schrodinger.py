@@ -133,6 +133,15 @@ def _check_data(u0: TorusState, dt: float | None) -> None:
         raise ValueError(f"dt must be positive, got {dt}")
 
 
+def _step_dt(dt: float | None, cap: float, cap_text: str) -> float:
+    """The cap when dt is None, else dt, which must not exceed the cap."""
+    if dt is None:
+        return cap
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt must be at most {cap_text} = {cap:.3e}")
+    return dt
+
+
 def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
     """Yield the coefficients after each of `steps` Strang steps of
     length h from u0: half potential phase on the zero-padded grid of
@@ -179,11 +188,7 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     _check_data(u0, dt)
-    cap = _MAX_DT_BASE / (1.0 + V.sup_norm)
-    if dt is None:
-        dt = cap
-    elif dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt must be at most 0.01/(1+|V|) = {cap:.3e}")
+    dt = _step_dt(dt, _MAX_DT_BASE / (1.0 + V.sup_norm), "0.01/(1+|V|)")
     if t_final == 0:
         return TorusState(u0.coeffs.copy(), u0.time, u0.s, u0.K), \
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
@@ -287,7 +292,9 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     """Trace of the potential-perturbed solution along the curve:
     steps the solver with a dt fine enough for both stability and
     quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
-    integrating with composite Simpson."""
+    integrating with composite Simpson.  The step is capped at
+    min(0.01/(1+|V|), 1/(48 omega)), omega = max |n|^s + |n| max|p'| + 1;
+    a given dt above the cap raises ValueError, as in evolve."""
     _check_data(u0, dt)
     path = _path_function(curve)
     tt = np.linspace(0.0, T, 512)
@@ -296,8 +303,8 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
     omega = float((abs_pow(modes, u0.s) + np.abs(modes) * dpmax).max()) + 1.0
     cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm),
               1.0 / (_TRACE_POINTS_PER_CYCLE * omega))
-    if dt is None or dt > cap:
-        dt = cap
+    dt = _step_dt(dt, cap, f"min(0.01/(1+|V|), "
+                           f"1/({_TRACE_POINTS_PER_CYCLE:g}*omega))")
     steps = max(2, int(np.ceil(T / dt)))
     times = np.linspace(0.0, T, steps + 1)
     xs = np.mod(np.asarray(path(times), dtype=float), 1.0)

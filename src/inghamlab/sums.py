@@ -231,13 +231,10 @@ def _branch_remainder(gamma, delta, s, c, b, start):
     return value, trunc + abs(dga) / 6.0
 
 
-def tail_sum(gamma: float, delta: float, s: float, m: int, N: int,
-             horizon: int | None = None) -> TailSum:
-    """S_m(N) = sum over |n| >= N, |n| != |m| of
-    |n-m|^(-gamma) ||n|^s - |m|^s|^(-delta), summed directly up to the
-    horizon and completed with an Euler-Maclaurin remainder whose error
-    bound must stay below 1e-10 of the value.
-    """
+def _tail_horizon(gamma: float, delta: float, s: float, m: int, N: int,
+                  horizon: int | None) -> int:
+    """Check the arguments of S_m(N) and return its horizon: by default
+    max(10^6, 10*max(N, |m|)), and a given horizon must reach that floor."""
     if delta <= 0 or s <= 1:
         raise ValueError("need delta > 0 and s > 1")
     if N < 1:
@@ -245,32 +242,56 @@ def tail_sum(gamma: float, delta: float, s: float, m: int, N: int,
     _check_convergence(gamma, delta, s)
     floor = 10 * max(N, abs(m))
     if horizon is None:
-        horizon = max(_DEFAULT_HORIZON, floor)
-    elif horizon < floor:
+        return max(_DEFAULT_HORIZON, floor)
+    if horizon < floor:
         raise ValueError(f"horizon must be at least 10*max(N,|m|) = {floor}")
+    return horizon
 
+
+def _tail_sums(gamma: float, delta: float, s: float, m: int, Ns,
+               horizon: int) -> list:
+    """S_m(N) for each N of the ascending Ns, all summed directly up to
+    one horizon.  Every term is evaluated once: the segment [N_j, N_(j+1))
+    is summed pairwise (np.sum), and the segments are accumulated from the
+    top, S(N_j) = segment_j + S(N_(j+1)), so the rounding error does not
+    grow with the horizon as a running sum's would.  One Euler-Maclaurin
+    remainder, with its error bound, completes every N."""
     am, bs = abs(m), float(abs(m)) ** s
-    n = np.arange(N, horizon + 1, dtype=float)
-    keep = n != am
-    nk = n[keep]
-    denom = np.abs(nk ** s - bs) ** (-delta)
-    if gamma == 0.0:
-        partial = 2.0 * float(denom.sum())
-    else:
-        partial = float((np.abs(nk - m) ** (-gamma) * denom).sum()
-                        + (np.abs(nk + m) ** (-gamma) * denom).sum())
+    n = np.arange(Ns[0], horizon + 1, dtype=float)
+    n = n[n != am]
+    pair = 2.0 if gamma == 0.0 else \
+        np.abs(n - m) ** (-gamma) + np.abs(n + m) ** (-gamma)
+    terms = pair * np.abs(n ** s - bs) ** (-delta)
+    cuts = np.append(np.searchsorted(n, Ns), n.size)
+    segments = [float(terms[lo:hi].sum()) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    partials = np.cumsum(segments[::-1])[::-1]
 
-    value, bound = partial, 0.0
+    remainder, bound = 0.0, 0.0
     for c in ((m, -m) if gamma != 0.0 else (0, 0)):
         v, e = _branch_remainder(gamma, delta, s, float(c), bs, horizon + 1.0)
-        value += v
+        remainder += v
         bound += e
-    if not bound <= 1e-10 * value:
-        raise ToleranceNotMet(
-            f"remainder bound {bound:.3e} exceeds 1e-10 of value {value:.6e}; "
-            "raise the horizon")
-    return TailSum(gamma, delta, s, m, N, value,
-                   expected_sigma(gamma, delta, s), int(horizon), bound)
+    out = []
+    for N, partial in zip(Ns, partials):
+        value = float(partial) + remainder
+        if not bound <= 1e-10 * value:
+            raise ToleranceNotMet(
+                f"remainder bound {bound:.3e} exceeds 1e-10 of value {value:.6e}; "
+                "raise the horizon")
+        out.append(TailSum(gamma, delta, s, m, N, value,
+                           expected_sigma(gamma, delta, s), int(horizon), bound))
+    return out
+
+
+def tail_sum(gamma: float, delta: float, s: float, m: int, N: int,
+             horizon: int | None = None) -> TailSum:
+    """S_m(N) = sum over |n| >= N, |n| != |m| of
+    |n-m|^(-gamma) ||n|^s - |m|^s|^(-delta), summed directly up to the
+    horizon and completed with an Euler-Maclaurin remainder whose error
+    bound must stay below 1e-10 of the value.
+    """
+    horizon = _tail_horizon(gamma, delta, s, m, N, horizon)
+    return _tail_sums(gamma, delta, s, m, [N], horizon)[0]
 
 
 @dataclass
@@ -303,8 +324,11 @@ def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
         raise ValueError("N grid must span at least 1.5 decades")
     vals = np.empty((len(m_set), len(N_grid)))
     for i, m in enumerate(m_set):
-        for j, N in enumerate(N_grid):
-            vals[i, j] = tail_sum(gamma, delta, s, m, N, horizon).value
+        horizons = [_tail_horizon(gamma, delta, s, m, N, horizon) for N in N_grid]
+        for h in sorted(set(horizons)):
+            cols = [j for j, hj in enumerate(horizons) if hj == h]
+            tails = _tail_sums(gamma, delta, s, m, [N_grid[j] for j in cols], h)
+            vals[i, cols] = [t.value for t in tails]
     max_per_N = vals.max(axis=0)
     slope = float(np.polyfit(np.log(N_grid), np.log(max_per_N), 1)[0])
     sigma = expected_sigma(gamma, delta, s)

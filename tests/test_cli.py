@@ -341,6 +341,11 @@ _EXPLICIT_CASES = {
                            "--T", "0"], 1, "T must"),
     "schrodinger-dt0": (["schrodinger", "--u0-file", "{u0}", "--T", "0.2",
                          "--dt", "0"], 1, "dt"),
+    "schrodinger-trace-dt-above-cap": (["schrodinger", "--u0-file", "{u0}",
+                                        "--curve-file", "{mono2}", "--T", "0.2",
+                                        "--dt", "0.009"], 1,
+                                       "dt must be at most min(0.01/(1+|V|), "
+                                       "1/(48*omega)) = 1.120e-03"),
     "empty-grid": (["sharpness", "--Ngrid", ""], 1, "'Ngrid'"),
     "config-typo": (["ingham-sweep", "--config", "{tgird}"], 1, "Tgird"),
     "config-list-for-int": (["gram", "--config", "{listN}"], 1, "'N'"),

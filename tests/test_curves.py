@@ -292,6 +292,22 @@ def test_decay_fit_product_measure():
     assert fit.eta_hat <= 1.0
 
 
+def test_decay_fit_sups_cover_all_64_directions(mono2, quarter_circle):
+    bump = curves.build_measure(
+        "SmoothBump", {"box": [0.1, 0.7, -0.2, 0.5], "order": 2}, resolution=4096)
+    graph = curves.build_measure(
+        "ArcLengthOnGraph", {"curve": mono2, "T": 0.8}, resolution=2048)
+    ang = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    radii = np.geomspace(1.0, 120.0, 7)
+    for measure in (quarter_circle, bump, graph):
+        fit = curves.fit_fourier_decay(measure, radii)
+        for r, sup in zip(radii, fit.sup_values):
+            vals = np.exp(-2j * np.pi * (measure.nodes @ (r * dirs).T)).T \
+                @ measure.weights
+            assert abs(sup - np.abs(vals).max()) <= 1e-14
+
+
 def test_product_measure_matches_closed_form_transform():
     nu = curves.build_measure("ProductNuDelta", {"delta": 0.5}, resolution=4096)
     xi_t = np.linspace(0.0, 100.0, 401)

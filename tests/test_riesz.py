@@ -111,6 +111,57 @@ def test_measure_gram_matches_transform(full_circle):
             assert abs(G[i, j] - bessel) < 1e-8
 
 
+def _direct_gram(nodes, wts, taus, lams):
+    """E^H W E with one np.exp per entry of E."""
+    E = np.exp(-2j * np.pi * (np.outer(nodes[:, 0], taus)
+                              + np.outer(nodes[:, 1], lams)))
+    return E.conj().T @ (wts[:, None] * E)
+
+
+def _window(N, w):
+    return np.r_[np.arange(-(N + w), -N + 1), np.arange(N, N + w + 1)]
+
+
+# name: (node count, t range, temporal frequencies, spatial frequencies)
+_KERNEL_CASES = {
+    "symmetric-window": (3000, 1.0, np.abs(_window(7, 5)) ** 2.5,
+                         _window(7, 5)),
+    "unsorted-gapped-integers": (2500, 1.0, np.array([1.0, 8.5, 0.25, 4.0, 30.0, 2.0]),
+                                 np.array([5, -3, 12, 0, -11, 4])),
+    "non-integer": (2500, 1.0, np.array([0.0, 1.5, 2.75, 9.0]),
+                    np.array([0.5, -1.25, 3.3, 7.0])),
+    "half-steps": (2500, 1.0, np.abs(_window(7, 5)) ** 2.5,
+                   0.5 * _window(7, 5)),
+    "irregular-wide": (2500, 0.25, np.linspace(0.0, 4e4, 41),
+                       np.random.default_rng(9).uniform(-200.0, 200.0, 41)),
+    "J1": (1000, 1.0, np.array([2.0]), np.array([3])),
+    "J121": (5000, 0.25, np.abs(np.arange(-60, 61)) ** 2.0, np.arange(-60, 61)),
+    "several-blocks": (3 * 4096 + 17, 1.0, np.abs(_window(3, 4)) ** 3.0,
+                       _window(3, 4)),
+}
+
+
+@pytest.mark.parametrize("count, t_max, taus, lams", _KERNEL_CASES.values(),
+                         ids=_KERNEL_CASES.keys())
+def test_gram_product_matches_direct_exponentials(count, t_max, taus, lams):
+    rng = np.random.default_rng(count)
+    nodes = np.column_stack([rng.uniform(0.0, t_max, count),
+                             rng.uniform(-1.0, 1.0, count)])
+    wts = rng.uniform(0.0, 1.0, count)
+    phi = np.column_stack([taus, lams]).astype(float)
+    G = riesz._gram_product(nodes, wts, phi)
+    want = _direct_gram(nodes, wts, phi[:, 0], phi[:, 1])
+    assert np.abs(G - want).max() <= 1e-12 * wts.sum()
+    assert np.array_equal(G, G.conj().T)
+
+
+def test_gram_product_rejects_a_negative_weight():
+    nodes = np.zeros((5, 2))
+    wts = np.array([0.2, 0.2, -0.1, 0.2, 0.2])
+    with pytest.raises(ValueError, match="weight 2 is -1.000e-01"):
+        riesz._gram_product(nodes, wts, np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
 def test_gram_round_trips_through_json(mono2):
     G = riesz.gram_matrix(riesz.curve_system(range(-2, 3), 2.0, mono2, 1.0))
     doc = json.loads(json.dumps(riesz.gram_to_dict(G)))

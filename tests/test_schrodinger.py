@@ -227,9 +227,12 @@ def test_trace_argument_guards(mono2):
                       dt=0.0), "dt"),
     (lambda c: evolve_trace(_random_state(8, 4), PotentialSpec("Zero", {}),
                             c, 0.1, dt=0.0), "dt"),
+    (lambda c: evolve_trace(_random_state(8, 4), PotentialSpec("Zero", {}),
+                            c, 0.1, dt=0.009), "dt"),
     (lambda c: trace_bound_experiment(c, 2.0, PotentialSpec("Zero", {}), 0.5,
                                       K=1, n_random=1), "K"),
-], ids=["evolve-dt0", "evolve_trace-dt0", "trace_bound-K1"])
+], ids=["evolve-dt0", "evolve_trace-dt0", "evolve_trace-dt-above-cap",
+        "trace_bound-K1"])
 def test_degenerate_arguments_name_the_parameter(mono2, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
         call(mono2)

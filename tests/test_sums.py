@@ -146,9 +146,22 @@ def test_tail_decay_fit_meets_expected_exponent(gamma, delta, s):
     assert fit.values.shape == (len(fit.m_set), len(fit.N_grid))
 
 
+def test_tail_decay_fit_matches_each_tail_sum():
+    # N = 7 = |m| sits on a segment edge; N = 200,000 has its own horizon.
+    grid = [3, 7, 300, 200_000]
+    for gamma, delta, s in ((0.0, 1.0, 2.0), (0.25, 0.25, 5.0)):
+        fit = sums.tail_decay_fit(gamma, delta, s, grid, m_set=(0, 7, -40))
+        for i, m in enumerate(fit.m_set):
+            for j, N in enumerate(grid):
+                want = sums.tail_sum(gamma, delta, s, m, N).value
+                assert abs(fit.values[i, j] - want) <= 1e-13 * want
+
+
 def test_tail_decay_fit_guards_grid_span():
     with pytest.raises(ValueError):
         sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 300])
+    with pytest.raises(ValueError, match="at least 10\\*max"):
+        sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 10_000], horizon=50_000)
 
 
 def test_tail_vanishes_in_m():
