@@ -58,8 +58,8 @@ def tau_threshold(curve: CurveSpec, T: float) -> float:
 
 
 def classify_pair(n: int, m: int, s: float, tau: float) -> PairClass:
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (0 < tau < math.inf and math.isfinite(s)):
+        raise ValueError(f"need finite s and finite tau > 0, got s={s}, tau={tau}")
     if n == m:
         return PairClass("Diagonal", None, tau)
     if n == -m:
@@ -94,8 +94,8 @@ class RegionGrid:
 
 
 def region_grid(s: float, tau: float, N: int) -> RegionGrid:
-    if tau <= 0 or N < 1:
-        raise ValueError("need tau > 0 and N >= 1")
+    if not (0 < tau < math.inf and math.isfinite(s)) or N < 1:
+        raise ValueError("need finite s, finite tau > 0 and N >= 1")
     axis = np.arange(-N, N + 1)
     pw = abs_pow(axis, s)
     nn, mm = np.meshgrid(axis, axis, indexing="ij")
@@ -160,17 +160,14 @@ def boundary_parametrization(branch: str, parameter: float) -> BoundaryPoint:
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def boundary_samples(branch: str, count: int, lo: float | None = None,
-                     hi: float | None = None) -> list[BoundaryPoint]:
+def boundary_samples(branch: str, count: int) -> list[BoundaryPoint]:
     """Evenly sampled points on a branch, inside a numerically safe subrange.
 
     The mixed branches blow up as t -> 1, which amplifies float cancellation
-    in the residual; the default subranges keep |x|, |y| moderate.
+    in the residual; the subranges keep |x|, |y| moderate.
     """
     if branch in ("EllipseUV", "EllipseVU"):
-        lo = math.pi / 6.0 + 1e-6 if lo is None else lo
-        hi = math.pi / 2.0 if hi is None else hi
+        lo, hi = math.pi / 6.0 + 1e-6, math.pi / 2.0
     else:
-        lo = 0.01 if lo is None else lo
-        hi = 0.90 if hi is None else hi
+        lo, hi = 0.01, 0.90
     return [boundary_parametrization(branch, t) for t in np.linspace(lo, hi, count)]

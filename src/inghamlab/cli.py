@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -24,6 +25,7 @@ _THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
 )
+_FORMATS = ("csv", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -36,19 +38,32 @@ def _text(value) -> str:
     return value
 
 
+def _real(value) -> float:
+    """A finite number; booleans are not numbers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
+
+
 def _floats(value) -> list:
     if isinstance(value, str):
         value = [x for x in value.split(",") if x.strip()]
-    out = [float(x) for x in value]
+    out = [_real(x) for x in value]
     if not out:
         raise ValueError("expected a non-empty list")
     return out
 
 
 def _int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    out = _real(value)
+    if not out.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return int(out)
 
 
 def _ints(value) -> list:
@@ -61,7 +76,7 @@ def _pairs(value) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        t, x = (float(v) for v in chunk.split(","))
+        t, x = (_real(v) for v in chunk.split(","))
         pts.append((t, x))
     return pts
 
@@ -75,14 +90,6 @@ def _points(value) -> list:
 
 def _coeffs(value) -> list:
     return [complex(re, im) for re, im in _pairs(value)]
-
-
-def _branch(value) -> str:
-    from . import classify
-    if value != "all" and value not in classify.BRANCHES:
-        raise ValueError(f"unknown branch {value!r}; "
-                         f"choose from {classify.BRANCHES}")
-    return value
 
 
 def _load_json(path: str) -> dict:
@@ -161,99 +168,91 @@ REQUIRED = object()
 _GRAM = [
     ("curve", CURVE, None, "curve JSON document"),
     ("measure", MEASURE, None, "measure JSON document"),
-    ("s", float, REQUIRED, "temporal exponent"),
+    ("s", _real, REQUIRED, "temporal exponent"),
     ("N", _int, 10, "indices -N..N"),
-    ("T", float, None, "curve horizon (required with a curve)"),
-    ("tol", float, 1e-9, "entry tolerance"),
+    ("T", _real, None, "curve horizon (required with a curve)"),
+    ("tol", _real, 1e-9, "entry tolerance"),
     ("weight", _text, "lebesgue", "lebesgue or arclength (curve systems)"),
 ]
 
 _PARAMS = {
     "validate-curve": [
         ("curve", CURVE, REQUIRED, "curve JSON document"),
-        ("T", float, 1.0, "time horizon"),
+        ("T", _real, 1.0, "time horizon"),
         ("grid", _int, 256, "validation grid size"),
     ],
     "integral": [
         ("n", _int, REQUIRED, "first index"),
         ("m", _int, REQUIRED, "second index"),
-        ("s", float, REQUIRED, "temporal exponent"),
+        ("s", _real, REQUIRED, "temporal exponent"),
         ("curve", CURVE, REQUIRED, "curve JSON document"),
-        ("T", float, REQUIRED, "upper integration limit"),
-        ("tol", float, 1e-9, "absolute tolerance"),
+        ("T", _real, REQUIRED, "upper integration limit"),
+        ("tol", _real, 1e-9, "absolute tolerance"),
     ],
     "classify": [
-        ("s", float, REQUIRED, "temporal exponent"),
-        ("tau", float, None, "threshold (computed from curve when omitted)"),
+        ("s", _real, REQUIRED, "temporal exponent"),
+        ("tau", _real, None, "threshold (computed from curve when omitted)"),
         ("N", _int, 50, "grid half-width"),
         ("curve", CURVE, None, "curve used to derive tau when not given"),
-        ("T", float, 1.0, "horizon used to derive tau"),
-        ("out_csv", _text, None, "grid CSV path override"),
-        ("out_svg", _text, None, "region SVG path override"),
+        ("T", _real, 1.0, "horizon used to derive tau"),
     ],
     "boundary": [
-        ("branch", _branch, "all", "branch name or 'all'"),
         ("samples", _int, 250, "points per branch"),
-        ("lo", float, None, "parameter range start override"),
-        ("hi", float, None, "parameter range end override"),
-        ("out_csv", _text, None, "CSV path override"),
     ],
     "lemma21": [
-        ("gamma", float, REQUIRED, "denominator exponent"),
-        ("s", float, REQUIRED, "temporal exponent"),
+        ("gamma", _real, REQUIRED, "denominator exponent"),
+        ("s", _real, REQUIRED, "temporal exponent"),
         ("N", _int, 10000, "truncation"),
     ],
     "tails": [
-        ("gamma", float, REQUIRED, "pair-distance exponent"),
-        ("delta", float, REQUIRED, "frequency-gap exponent"),
-        ("s", float, REQUIRED, "temporal exponent"),
+        ("gamma", _real, REQUIRED, "pair-distance exponent"),
+        ("delta", _real, REQUIRED, "frequency-gap exponent"),
+        ("s", _real, REQUIRED, "temporal exponent"),
         ("Ngrid", _ints, "100,316,1000,3162,10000", "comma list of N values"),
         ("mset", _ints, "0,1,7,100,1000", "comma list of m values"),
-        ("horizon", _int, None, "summation horizon override"),
     ],
     "gram": _GRAM,
     "riesz": _GRAM,
     "ingham-sweep": [
         ("curve", CURVE, REQUIRED, "curve JSON document"),
-        ("s", float, REQUIRED, "temporal exponent"),
+        ("s", _real, REQUIRED, "temporal exponent"),
         ("N", _int, 20, "indices -N..N"),
         ("Tgrid", _floats, "0.25,0.5,1,2,4,8", "comma list of horizons"),
-        ("tol", float, 1e-8, "Gram entry tolerance"),
+        ("tol", _real, 1e-8, "Gram entry tolerance"),
     ],
     "minimal-time": [
         ("curve", CURVE, REQUIRED, "curve JSON document"),
-        ("s", float, REQUIRED, "temporal exponent"),
+        ("s", _real, REQUIRED, "temporal exponent"),
         ("jgrid", _ints, "2,5,10,50,200", "comma list of mode indices"),
     ],
     "highfreq": [
         ("measure", MEASURE, REQUIRED, "measure JSON document"),
-        ("s", float, None, "temporal exponent (required without --sgrid)"),
+        ("s", _real, None, "temporal exponent (required without --sgrid)"),
         ("Ngrid", _ints, "25,50,100,200",
          "comma list of window base frequencies"),
         ("window", _int, None, "window width (default 30; 10 with --sgrid)"),
-        ("nodes_per_cycle", float, 16.0, "quadrature density"),
         ("sgrid", _floats, None,
          "run the dispersion sweep over these s instead"),
         ("N", _int, None, "window base frequency with --sgrid (default 2)"),
     ],
     "sharpness": [
-        ("delta", float, 0.5, "decay exponent"),
-        ("s", float, 1.5, "temporal exponent"),
+        ("delta", _real, 0.5, "decay exponent"),
+        ("s", _real, 1.5, "temporal exponent"),
         ("Ngrid", _ints, "32,64,128,256,512,1024", "comma list of N values"),
     ],
     "merged": [
         ("curve", CURVE, REQUIRED, "curve JSON document"),
-        ("T", float, 1.0, "horizon"),
+        ("T", _real, 1.0, "horizon"),
         ("sgrid", _floats, "1.6,2,2.5,3", "comma list of s values"),
         ("N", _int, 20, "indices -N..N"),
-        ("tol", float, 1e-8, "Gram entry tolerance"),
+        ("tol", _real, 1e-8, "Gram entry tolerance"),
     ],
     "wronskian": [
         ("gamma_curve", GAMMA, REQUIRED,
          "observation curve JSON {kind, params}"),
         ("samples", _int, 100, "sample count"),
-        ("xmin", float, 0.05, "sample range start"),
-        ("xmax", float, 2.0, "sample range end"),
+        ("xmin", _real, 0.05, "sample range start"),
+        ("xmax", _real, 2.0, "sample range end"),
     ],
     "threepoint": [
         ("points", _points, REQUIRED, "three t,x pairs: 't1,x1;t2,x2;t3,x3'"),
@@ -265,21 +264,19 @@ _PARAMS = {
          "low-frequency system JSON"),
         ("gamma_curve", GAMMA, REQUIRED,
          "observation curve JSON {kind, params}"),
-        ("T", float, 1.0, "probe interval length"),
-        ("grid", _int, 2048, "probe grid size"),
+        ("T", _real, 1.0, "probe interval length"),
     ],
     "schrodinger": [
         ("u0", _Document("u0_file", _state), None,
          "initial state JSON (evolve mode)"),
         ("potential", _Document("V_file", _potential),
          {"kind": "Zero", "params": {}}, "potential JSON {kind, params}"),
-        ("s", float, None, "dispersion exponent"),
+        ("s", _real, None, "dispersion exponent"),
         ("curve", CURVE, None, "curve JSON document"),
-        ("T", float, REQUIRED, "final time"),
-        ("dt", float, None, "time step override"),
+        ("T", _real, REQUIRED, "final time"),
+        ("dt", _real, None, "time step override"),
         ("trials", _int, 8, "trace-ratio trial count (trial mode)"),
         ("K", _int, 8, "mode cutoff for trial mode"),
-        ("out_csv", _text, None, "CSV path override"),
     ],
 }
 
@@ -347,7 +344,7 @@ def _resolve(subcommand: str, given: dict) -> dict:
 @dataclass
 class ExperimentConfig:
     """One experiment: subcommand plus its parameter map.  Round-trips
-    losslessly through JSON."""
+    losslessly through JSON by to_dict and from_dict."""
 
     subcommand: str
     parameters: dict = field(default_factory=dict)
@@ -358,12 +355,11 @@ class ExperimentConfig:
     def __post_init__(self):
         self.parameters = dict(self.parameters)
         self.seed = int(self.seed)
+        if self.format not in _FORMATS:
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -375,10 +371,6 @@ class ExperimentConfig:
         if not isinstance(doc.get("parameters", {}), dict):
             raise ValueError("config 'parameters' must be a JSON object")
         return cls(**doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
     def config_hash(self) -> str:
         # Identifies the computation, not its destination: output
@@ -397,11 +389,9 @@ class RunContext:
     config_hash: str
     written: list = field(default_factory=list)
 
-    def emit(self, name, columns, rows, meta=None, path=None, plot=None,
-             plot_base=None, **axes):
-        """Write one table to path (default <out_dir>/<name>.<fmt>; a
-        .json path writes JSON, any other CSV) and, given a plot kind,
-        its plot files at plot_base (default <out_dir>/<name>)."""
+    def emit(self, name, columns, rows, meta=None, plot=None, **axes):
+        """Write one table to <out_dir>/<name>.<fmt> and, given a plot
+        kind, its plot files beside it, named <name> and a suffix."""
         from . import tables
         stamp = datetime.now(timezone.utc).isoformat()
         table = tables.ResultTable(
@@ -409,16 +399,11 @@ class RunContext:
             tables.Provenance(__version__, self.config_hash, stamp),
             meta or {})
         os.makedirs(self.out_dir, exist_ok=True)
-        if path is None:
-            path = os.path.join(self.out_dir, f"{name}.{self.fmt}")
-        write = tables.write_json if path.endswith(".json") \
-            else tables.write_csv
-        self.written.append(write(table, path))
+        base = os.path.join(self.out_dir, name)
+        write = tables.write_json if self.fmt == "json" else tables.write_csv
+        self.written.append(write(table, f"{base}.{self.fmt}"))
         if plot is not None:
-            if plot_base is None:
-                plot_base = os.path.join(self.out_dir, name)
-            self.written.extend(
-                tables.emit_plot_data(table, plot, plot_base, **axes))
+            self.written.extend(tables.emit_plot_data(table, plot, base, **axes))
 
     def emit_document(self, name, doc) -> str:
         """Write a JSON document to <out_dir>/<name>.json."""
@@ -471,28 +456,25 @@ def run_integral(p, ctx):
 
 def run_classify(p, ctx):
     from . import classify
-    s, tau, svg = p["s"], p["tau"], p["out_svg"]
+    s, tau = p["s"], p["tau"]
     if tau is None:
         tau = classify.tau_threshold(p["curve"], p["T"])
     grid = classify.region_grid(s, tau, p["N"])
     ctx.emit("region_grid", ("n", "m", "tag", "ratio"), grid.rows(),
              meta={"s": s, "tau": tau,
                    **{f"count_{k}": v for k, v in grid.counts.items()}},
-             path=p["out_csv"], plot="region-svg",
-             plot_base=None if svg is None else svg.removesuffix(".svg"))
+             plot="region-svg")
     return {"tau": tau, "counts": grid.counts}, True
 
 
 def run_boundary(p, ctx):
     from . import classify
-    branch = p["branch"]
     rows = [(pt.branch, pt.parameter, *pt.point, abs(pt.residual()))
-            for b in (classify.BRANCHES if branch == "all" else (branch,))
-            for pt in classify.boundary_samples(b, p["samples"], p["lo"],
-                                                p["hi"])]
+            for b in classify.BRANCHES
+            for pt in classify.boundary_samples(b, p["samples"])]
     max_res = max([0.0, *(row[-1] for row in rows)])
     ctx.emit("boundary", ("branch", "parameter", "x", "y", "residual"), rows,
-             meta={"max_residual": max_res}, path=p["out_csv"])
+             meta={"max_residual": max_res})
     return {"max_residual": max_res, "points": len(rows)}, True
 
 
@@ -520,7 +502,7 @@ def run_lemma21(p, ctx):
 def run_tails(p, ctx):
     from . import sums
     fit = sums.tail_decay_fit(p["gamma"], p["delta"], p["s"], p["Ngrid"],
-                              m_set=p["mset"], horizon=p["horizon"])
+                              m_set=p["mset"])
     ctx.emit("tail_sums", ("N", "m", "S_m_N"),
              [(N, m, fit.values[i, j]) for i, m in enumerate(fit.m_set)
               for j, N in enumerate(fit.N_grid)])
@@ -597,17 +579,14 @@ def run_highfreq(p, ctx):
     # _MODE_NEEDS rejects N without sgrid.
     sizes = {key: p[key] for key in ("N", "window") if p[key] is not None}
     if p["sgrid"] is not None:
-        res = riesz.highfreq_dispersion_sweep(
-            measure, p["sgrid"], nodes_per_cycle=p["nodes_per_cycle"],
-            **sizes)
+        res = riesz.highfreq_dispersion_sweep(measure, p["sgrid"], **sizes)
         found = _pick(res, "eta_hat", "lo_target", "hi_target")
         ctx.emit("dispersion_sweep", ("s", "lambda_min", "lambda_max"),
                  zip(res.s_grid, res.lambda_min, res.lambda_max),
                  meta={**_pick(res, "N", "window"), **found})
         return found, True
     s = p["s"]
-    res = riesz.highfreq_bounds(measure, s, p["Ngrid"],
-                                nodes_per_cycle=p["nodes_per_cycle"], **sizes)
+    res = riesz.highfreq_bounds(measure, s, p["Ngrid"], **sizes)
     found = _pick(res, "N_star", "delta_hat", "eta_hat")
     ctx.emit("highfreq_bounds", ("N", "lambda_min", "lambda_max"),
              zip(res.N_grid, res.lambda_min, res.lambda_max),
@@ -676,8 +655,7 @@ def run_threepoint(p, ctx):
 
 def run_zeroprobe(p, ctx):
     from . import rigidity
-    rep = rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"],
-                                  grid=p["grid"])
+    rep = rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"])
     ctx.emit("zero_probe", ("t",), [(t,) for t in rep.zeros],
              meta=_pick(rep, "verdict", "max_abs", "coeff_norm"))
     return {**_pick(rep, "verdict", "max_abs"), "zeros": len(rep.zeros)}, \
@@ -697,8 +675,7 @@ def run_schrodinger(p, ctx):
                  [(n, c.real, c.imag, abs(c) ** 2)
                   for n, c in zip(uT.modes, uT.coeffs)],
                  meta=_pick(diag, "steps", "dt", "norm_drift",
-                            "top_band_fraction"),
-                 path=p["out_csv"])
+                            "top_band_fraction"))
         path = ctx.emit_document("state", {
             **_pick(uT, "K", "s", "time"), "coeffs_re": uT.coeffs.real,
             "coeffs_im": uT.coeffs.imag})
@@ -710,8 +687,7 @@ def run_schrodinger(p, ctx):
     ctx.emit("trace_ratios", ("trial", "ratio"),
              zip(res.trial_names, res.ratios),
              meta={"T": T, "s": s,
-                   **_pick(res, "V_sup", "max_ratio", "min_ratio")},
-             path=p["out_csv"])
+                   **_pick(res, "V_sup", "max_ratio", "min_ratio")})
     return {**_pick(res, "max_ratio", "min_ratio"),
             "trials": len(res.ratios)}, True
 
@@ -781,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap BLAS/OpenMP thread pools")
     common.add_argument("--out-dir", help="output directory "
                         f"(default {ExperimentConfig.out_dir})")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=_FORMATS,
                         help=f"table format (default {ExperimentConfig.format})")
     common.add_argument("--dry-run", action="store_true",
                         help="validate inputs without computing")
@@ -793,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
             # typed string, which is what the config hash is taken over.
             flag = kind.file if isinstance(kind, _Document) else key
             p.add_argument(f"--{flag.replace('_', '-')}",
-                           type={_int: int, float: float}.get(kind, str),
+                           type={_int: int, _real: float}.get(kind, str),
                            help=help_text + _shown(default))
     sub.add_parser("run", parents=[common])
     return parser

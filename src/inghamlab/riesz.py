@@ -27,6 +27,7 @@ _POINTS_PER_CYCLE = 12.0   # quadrature density of quadratic_form_quadrature
 _EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the empirical T
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
+_NODES_PER_CYCLE = 16.0    # measure quadrature density of the high-frequency runs
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +37,8 @@ _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
 @dataclass(frozen=True)
 class ExpSystem:
     """A finite family of exponentials e_n with temporal frequency |n|^s
-    and spatial frequency lambda_n (default n), restricted either to a
-    curve (t, p(t)) over [0, T] or to a planar measure."""
+    and spatial frequency n, restricted either to a curve (t, p(t)) over
+    [0, T] or to a planar measure."""
 
     indices: tuple
     s: float
@@ -45,20 +46,12 @@ class ExpSystem:
     T: float | None = None
     weight: str = "lebesgue"            # or "arclength"
     measure: MeasureSpec | None = None
-    lambdas: tuple | None = None
 
     def __post_init__(self):
         idx = tuple(int(n) for n in self.indices)
         if list(idx) != sorted(set(idx)):
             raise ValueError("indices must be distinct and sorted")
         object.__setattr__(self, "indices", idx)
-        lams = idx if self.lambdas is None else tuple(float(x) for x in self.lambdas)
-        if len(lams) != len(idx):
-            raise ValueError("one spatial frequency per index")
-        gaps = np.diff(np.sort(np.asarray(lams, dtype=float)))
-        if gaps.size and float(gaps.min()) < 1e-9:
-            raise ValueError("spatial frequencies must be pairwise distinct")
-        object.__setattr__(self, "lambdas", lams)
         has_curve = self.curve is not None
         if has_curve == (self.measure is not None):
             raise ValueError("provide exactly one of curve or measure")
@@ -68,26 +61,18 @@ class ExpSystem:
             if self.weight not in ("lebesgue", "arclength"):
                 raise ValueError("weight must be lebesgue or arclength")
 
-    def temporal_freq(self, n: int) -> float:
-        return float(abs_pow(np.asarray(n), self.s))
-
-    def spatial_freq(self, n: int) -> float:
-        return self.lambdas[self.indices.index(n)]
-
     @property
     def dim(self) -> int:
         return len(self.indices)
 
 
 def curve_system(indices, s: float, curve: CurveSpec, T: float,
-                 weight: str = "lebesgue", lambdas=None) -> ExpSystem:
-    return ExpSystem(tuple(indices), s, curve=curve, T=T, weight=weight,
-                     lambdas=lambdas)
+                 weight: str = "lebesgue") -> ExpSystem:
+    return ExpSystem(tuple(indices), s, curve=curve, T=T, weight=weight)
 
 
-def measure_system(indices, s: float, measure: MeasureSpec,
-                   lambdas=None) -> ExpSystem:
-    return ExpSystem(tuple(indices), s, measure=measure, lambdas=lambdas)
+def measure_system(indices, s: float, measure: MeasureSpec) -> ExpSystem:
+    return ExpSystem(tuple(indices), s, measure=measure)
 
 
 @dataclass
@@ -103,10 +88,10 @@ class GramMatrix:
 
 
 def _phase_vectors(system: ExpSystem) -> np.ndarray:
-    """Rows phi(n) = (|n|^s, lambda_n), one per index."""
-    temp = abs_pow(np.asarray(system.indices), system.s)
-    return np.stack([np.atleast_1d(temp),
-                     np.asarray(system.lambdas, dtype=float)], axis=1)
+    """Rows phi(n) = (|n|^s, n), one per index."""
+    idx = np.asarray(system.indices)
+    return np.stack([np.atleast_1d(abs_pow(idx, system.s)),
+                     idx.astype(float)], axis=1)
 
 
 def _gram_product(nodes: np.ndarray, wts: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -401,30 +386,27 @@ def _window_indices(N: int, window: int):
     return tuple(range(-(N + window), -N + 1)) + tuple(range(N, N + window + 1))
 
 
-def _resolved(measure: MeasureSpec, xi_max: float,
-              nodes_per_cycle: float) -> MeasureSpec:
-    """The measure rebuilt with nodes_per_cycle nodes per cycle of the
+def _resolved(measure: MeasureSpec, xi_max: float) -> MeasureSpec:
+    """The measure rebuilt with _NODES_PER_CYCLE nodes per cycle of the
     frequency xi_max across its diameter (at least 4,096 nodes)."""
     return measure.with_resolution(
-        max(4096, int(np.ceil(nodes_per_cycle * xi_max * measure.diameter()))))
+        max(4096, int(np.ceil(_NODES_PER_CYCLE * xi_max * measure.diameter()))))
 
 
-def _decay_fit(measure: MeasureSpec, nodes_per_cycle: float, radii=None):
+def _decay_fit(measure: MeasureSpec, radii=None):
     """Fourier decay fit of the measure on radii (default 36 radii over
     [1, 200]), with a quadrature that resolves the largest radius."""
     if radii is None:
         radii = np.geomspace(1.0, 200.0, 36)
-    return fit_fourier_decay(
-        _resolved(measure, float(np.max(radii)), nodes_per_cycle), radii)
+    return fit_fourier_decay(_resolved(measure, float(np.max(radii))), radii)
 
 
-def _window_bounds(measure: MeasureSpec, s: float, indices,
-                   nodes_per_cycle: float) -> RieszReport:
+def _window_bounds(measure: MeasureSpec, s: float, indices) -> RieszReport:
     """Riesz bounds of the measure system on indices, with the measure's
     quadrature rebuilt to resolve the largest frequency difference."""
     phi = _phase_vectors(measure_system(indices, s, measure))
     span = phi.max(axis=0) - phi.min(axis=0)
-    meas = _resolved(measure, float(np.hypot(span[0], span[1])), nodes_per_cycle)
+    meas = _resolved(measure, float(np.hypot(span[0], span[1])))
     return riesz_bounds(gram_matrix(measure_system(indices, s, meas)))
 
 
@@ -441,7 +423,7 @@ class HighFreqResult:
 
 
 def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
-                    nodes_per_cycle: float = 16.0, fit_radii=None) -> HighFreqResult:
+                    fit_radii=None) -> HighFreqResult:
     """Two-sided Riesz bounds of the tail system {N <= |n| <= N+window}
     over a planar measure, expected to land in [1/2, 3/2] once N clears
     a measure-dependent threshold; N_star is the first grid N that does
@@ -452,7 +434,7 @@ def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
     fitted once and a DecayTooWeak warning (not an error) is emitted
     when s * delta_hat <= 1, where the theorem gives no guarantee.
     """
-    fit = _decay_fit(measure, nodes_per_cycle, fit_radii)
+    fit = _decay_fit(measure, fit_radii)
     if s * fit.delta_hat <= 1.0:
         warnings.warn(
             f"fitted decay delta_hat={fit.delta_hat:.3f} gives "
@@ -461,8 +443,7 @@ def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
     N_grid = sorted(int(N) for N in N_grid)
     lmins, lmaxs, N_star = [], [], None
     for N in N_grid:
-        rep = _window_bounds(measure, s, _window_indices(N, window),
-                             nodes_per_cycle)
+        rep = _window_bounds(measure, s, _window_indices(N, window))
         lmins.append(rep.lambda_min)
         lmaxs.append(rep.lambda_max)
         if N_star is None and rep.lambda_min >= 0.45 and rep.lambda_max <= 1.55:
@@ -484,16 +465,15 @@ class DispersionSweep:
 
 
 def highfreq_dispersion_sweep(measure: MeasureSpec, s_grid, N: int = 2,
-                              window: int = 10,
-                              nodes_per_cycle: float = 16.0) -> DispersionSweep:
+                              window: int = 10) -> DispersionSweep:
     """Fixed small N, dispersion s swept upward: the two-sided bounds
     should approach the window [(1 - eta)/2, (3 + eta)/2] where eta is
     the measure's fitted near-frequency sup.  Reported, not asserted."""
-    fit = _decay_fit(measure, nodes_per_cycle)
+    fit = _decay_fit(measure)
     idx = _window_indices(N, window)
     lmins, lmaxs = [], []
     for s in sorted(float(x) for x in s_grid):
-        rep = _window_bounds(measure, s, idx, nodes_per_cycle)
+        rep = _window_bounds(measure, s, idx)
         lmins.append(rep.lambda_min)
         lmaxs.append(rep.lambda_max)
     eta = fit.eta_hat

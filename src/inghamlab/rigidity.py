@@ -35,6 +35,7 @@ from .errors import AmbiguousCurve, InadmissiblePoints
 _TWO_PI = 2.0 * np.pi
 _AFFINE_TOL = 1e-10
 _PROGRESSION_TOL = 1e-9
+_PROBE_GRID = 2048         # samples of |F| along the curve in zero_set_probe
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ class ZeroProbeReport:
 
 
 def zero_set_probe(system: LowFreqSystem, gamma: ObservationCurveGamma,
-                   T: float, grid: int = 2048) -> ZeroProbeReport:
+                   T: float) -> ZeroProbeReport:
     """Scan |F(t, gamma(t))| on [0, T]: report refined local minima that
     reach (numerical) zero, and the identically-zero verdict when the
     whole grid stays below 1e-10 of the coefficient norm.  Accumulation
@@ -344,7 +345,7 @@ def zero_set_probe(system: LowFreqSystem, gamma: ObservationCurveGamma,
     c_norm = float(np.linalg.norm(system.coefficients))
     if c_norm == 0.0:
         return ZeroProbeReport("SuspectedIdenticallyZero", [], 0.0, 0.0)
-    ts = np.linspace(0.0, T, int(grid))
+    ts = np.linspace(0.0, T, _PROBE_GRID)
     av = np.abs(system.evaluate_on_curve(gamma, ts))
     max_abs = float(av.max())
     if max_abs < 1e-10 * c_norm:

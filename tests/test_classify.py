@@ -61,6 +61,15 @@ def test_region_grid_rejects_bad_arguments():
         classify.region_grid(2.0, 8.0, 0)
 
 
+@pytest.mark.parametrize("s, tau", [(np.nan, 2.0), (2.0, np.nan),
+                                    (np.inf, 2.0), (2.0, np.inf)])
+def test_non_finite_s_or_tau_raise(s, tau):
+    with pytest.raises(ValueError, match="finite"):
+        classify.region_grid(s, tau, 2)
+    with pytest.raises(ValueError, match="finite"):
+        classify.classify_pair(2, 1, s, tau)
+
+
 def test_boundary_branches_satisfy_the_equation():
     for branch in classify.BRANCHES:
         pts = classify.boundary_samples(branch, 1000)

@@ -37,7 +37,7 @@ def _out(capsys):
 def test_config_round_trips_through_json():
     cfg = ExperimentConfig("classify", {"s": 2.0, "tau": 8.0, "N": 4},
                            seed=123, out_dir="elsewhere", format="json")
-    back = ExperimentConfig.from_json(cfg.to_json())
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
 
 
@@ -310,6 +310,16 @@ def docs(tmp_path, mono2_file):
                       "parameters": {"measure_file": str(tmp_path /
                                                          "quarter.json"),
                                      "s": 2.5, "N": 5}},
+        "trueN": {"subcommand": "gram",
+                  "parameters": {"curve_file": mono2_file, "s": 2.0,
+                                 "N": True, "T": 1.0}},
+        "trueS": {"subcommand": "gram",
+                  "parameters": {"curve_file": mono2_file, "s": True,
+                                 "N": 1, "T": 1.0}},
+        "xmlFormat": {"subcommand": "boundary", "format": "xml"},
+        "nanTgrid": {"subcommand": "ingham-sweep",
+                     "parameters": {"curve_file": mono2_file, "s": 2.0,
+                                    "Tgrid": [1.0, "nan"]}},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -359,18 +369,16 @@ _EXPLICIT_CASES = {
                                          "--T", "0.2", "--dry-run"],
                                         1, "'amplitude'"),
     "highfreq-sgrid-N-npc": (["highfreq", "--measure-file", "{quarter}",
-                              "--sgrid", "2.5", "--N", "3", "--window", "4",
-                              "--nodes-per-cycle", "8"], 0,
-                             lambda doc, out, sweeps:
+                              "--sgrid", "2.5", "--N", "3", "--window", "4"],
+                             0, lambda doc, out, sweeps:
                              _table(out, "dispersion_sweep")["meta"]["N"] == 3
-                             and sweeps == [{"N": 3, "window": 4,
-                                             "nodes_per_cycle": 8.0}]),
+                             and sweeps == [{"N": 3, "window": 4}]),
     "highfreq-sgrid-defaults": (["highfreq", "--measure-file", "{quarter}",
                                  "--sgrid", "2.5"], 0,
                                 lambda doc, out, sweeps:
                                 [_table(out, "dispersion_sweep")["meta"][k]
                                  for k in ("N", "window")] == [2, 10]
-                                and sweeps == [{"nodes_per_cycle": 16.0}]),
+                                and sweeps == [{}]),
 }
 
 
@@ -404,8 +412,25 @@ def _unread(key, word, mode):
     return f"parameter '{key}' is not read {word} '{mode}'"
 
 
-# Keys that depend on the mode, needed or never read: (argv, the error).
+# Input that exits 1 in dry and real runs alike, most of it keys that
+# depend on the mode, needed or never read: (argv, the error).
 _MODE_CASES = {
+    "classify-s-nan": (["classify", "--s", "nan", "--tau", "2", "--N", "3"],
+                       "parameter 's': expected a finite number, got nan"),
+    "gram-config-N-true": (["gram", "--config", "{trueN}"],
+                           "parameter 'N': expected a number, got True"),
+    "gram-config-s-true": (["gram", "--config", "{trueS}"],
+                           "parameter 's': expected a number, got True"),
+    "boundary-config-format-xml": (["boundary", "--config", "{xmlFormat}"],
+                                   "format must be csv or json, got 'xml'"),
+    "threepoint-points-nan": (["threepoint", "--points",
+                               "0,nan;1,1.1;2.2,2.9"],
+                              "parameter 'points': expected a finite number, "
+                              "got 'nan'"),
+    "ingham-sweep-config-Tgrid-nan": (["ingham-sweep", "--config",
+                                       "{nanTgrid}"],
+                                      "parameter 'Tgrid': expected a finite "
+                                      "number, got 'nan'"),
     "gram-no-curve": (["gram", "--s", "2"], _missing("curve")),
     "gram-curve-no-T": (["gram", "--curve-file", "{mono2}", "--s", "2"],
                         _missing("T")),
@@ -463,6 +488,31 @@ def test_dry_run_checks_mode_requirements_like_the_real_run(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "res")
+
+
+# Keys that no subcommand reads: a config that names one exits 1, and
+# there is no such flag.
+_REMOVED_KEYS = [
+    ("classify", "out_csv"), ("classify", "out_svg"), ("boundary", "branch"),
+    ("boundary", "lo"), ("boundary", "hi"), ("boundary", "out_csv"),
+    ("tails", "horizon"), ("highfreq", "nodes_per_cycle"),
+    ("zeroprobe", "grid"), ("schrodinger", "out_csv"),
+]
+
+
+@pytest.mark.parametrize("subcommand, key", _REMOVED_KEYS,
+                         ids=[f"{sub}-{key}" for sub, key in _REMOVED_KEYS])
+def test_removed_keys_are_unknown(subcommand, key, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": subcommand,
+                                    "parameters": {key: 1}}))
+    assert main([subcommand, "--config", str(cfg_path), "--dry-run"]) == 1
+    assert capsys.readouterr().err == (f"error: unknown parameter(s) for "
+                                       f"{subcommand}: {key}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, f"--{key.replace('_', '-')}", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_readme_examples_parse_and_tables_match_runners():

@@ -27,16 +27,11 @@ def test_system_validation(mono2, full_circle):
     with pytest.raises(ValueError):
         riesz.curve_system([0, 1], 2.0, mono2, 1.0, weight="gaussian")
     with pytest.raises(ValueError):
-        riesz.curve_system([0, 1], 2.0, mono2, 1.0, lambdas=[0.5, 0.5])
-    with pytest.raises(ValueError):
         riesz.ExpSystem((0, 1), 2.0, curve=mono2, T=1.0, measure=full_circle)
     with pytest.raises(ValueError):
         riesz.ExpSystem((0, 1), 2.0)
     sys = riesz.curve_system([-2, 0, 3], 2.5, mono2, 1.0)
-    assert sys.lambdas == (-2.0, 0.0, 3.0)
     assert sys.dim == 3
-    assert sys.temporal_freq(-2) == pytest.approx(2.0 ** 2.5)
-    assert sys.spatial_freq(3) == 3.0
 
 
 # ---------------------------------------------------------------------------
