@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -39,8 +40,8 @@ def _text(value) -> str:
 
 
 def _real(value) -> float:
-    """A finite number; booleans are not numbers here."""
-    if isinstance(value, bool):
+    """A finite number, or the text of one; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
         raise TypeError(f"expected a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
@@ -354,7 +355,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.parameters = dict(self.parameters)
-        self.seed = int(self.seed)
+        for name, parse in (("seed", _int), ("out_dir", _text)):
+            try:
+                setattr(self, name, parse(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config field '{name}': {exc}") from None
         if self.format not in _FORMATS:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 

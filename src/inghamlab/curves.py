@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCurve, InsufficientDecay, NonAdmissible
-from .quad import panel_nodes
+from .quad import gl_grid
 
 _REL_SLACK = 1e-9  # relative slack for the grid inequalities
 _MU_HAT_CHUNK = 8  # frequencies per block of mu_hat_grid
@@ -323,14 +323,6 @@ class MeasureSpec:
         return build_measure(self.kind, self.params, resolution)
 
 
-def _gl_open_grid(a: float, b: float, count: int):
-    """Composite order-10 GL nodes/weights on [a, b]; endpoints are never nodes."""
-    panels = max(1, int(math.ceil(count / 10)))
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = panel_nodes(edges[:-1], edges[1:], 10)
-    return nodes.ravel(), weights.ravel()
-
-
 def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpec:
     """Construct a MeasureSpec of the given kind.
 
@@ -351,7 +343,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         T = float(params["T"])
         if T <= 0:
             raise ValueError("T must be positive")
-        t, glw = _gl_open_grid(0.0, T, resolution)
+        t, glw = gl_grid(0.0, T, math.ceil(resolution / 10))
         dens = np.sqrt(1.0 + np.asarray(curve.dp(t), dtype=float) ** 2)
         w = glw * dens
         total = w.sum()
@@ -368,7 +360,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         if not theta1 > theta0:
             raise DegenerateCurve("empty circular arc")
         ct, cx = params.get("center", (0.0, 0.0))
-        th, glw = _gl_open_grid(theta0, theta1, resolution)
+        th, glw = gl_grid(theta0, theta1, math.ceil(resolution / 10))
         nodes = np.column_stack([ct + r * np.cos(th), cx + r * np.sin(th)])
         w = glw / glw.sum()   # ds = r dtheta, uniform density in theta
         return MeasureSpec(kind, params, nodes, w, 0.5, resolution)
@@ -378,7 +370,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         if not (t1 > t0 and x1 > x0) or order < 1:
             raise ValueError("SmoothBump needs a nonempty box and order >= 1")
         per_axis = max(8, int(round(math.sqrt(resolution))))
-        u, wu = _gl_open_grid(-1.0, 1.0, per_axis)
+        u, wu = gl_grid(-1.0, 1.0, math.ceil(per_axis / 10))
         bump = (1.0 - u * u) ** order
         tt = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * u
         xx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * u
@@ -397,7 +389,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         x_max = float(params.get("x_max", 8.0))
         U = x_max ** delta
         half = max(32, resolution // 2)
-        u, wu = _gl_open_grid(0.0, U, half)
+        u, wu = gl_grid(0.0, U, math.ceil(half / 10))
         x = u ** (1.0 / delta)
         dens_u = (lam ** delta / (2.0 * math.gamma(delta))) * np.exp(-lam * x) / delta
         w_half = wu * dens_u
@@ -419,15 +411,8 @@ def product_nu_hat(delta: float, xi) -> np.ndarray:
     return (1.0 + xi * xi) ** (-delta / 2.0) * np.cos(delta * np.arctan(xi))
 
 
-def mu_hat(measure: MeasureSpec, xi) -> complex:
-    """mu_hat(xi) = sum_k w_k exp(-2 pi i <xi, z_k>) for a single xi."""
-    xi = np.asarray(xi, dtype=float)
-    phase = measure.nodes @ xi
-    return complex(np.exp(-2j * np.pi * phase) @ measure.weights)
-
-
 def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray) -> np.ndarray:
-    """Vectorized mu_hat over an (K, 2) array of frequencies.  Small
+    """mu_hat(xi) over a (K, 2) array of frequencies xi.  Small
     chunks keep each temporary near the size of a Gram block, so that
     repeated decay fits reuse freed memory instead of mapping new pages."""
     xis = np.asarray(xis, dtype=float)

@@ -34,6 +34,7 @@ from .quad import panel_nodes
 _HALF_OSC = np.pi          # max phase change per panel
 _CLUSTER_WIDTH = 1e-6      # dyadic refinement floor around stationary points, rel. to T
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
+_PANEL_BUDGET = 2 ** 20    # most panels one integral may split into
 
 
 @dataclass
@@ -95,8 +96,7 @@ def stationary_points(n: int, m: int, s: float, curve: CurveSpec, T: float) -> l
 
 
 def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
-                   tol: float = 1e-9, weight=None, t0: float = 0.0,
-                   panel_budget: int = 2 ** 20) -> QuadResult:
+                   tol: float = 1e-9, weight=None, t0: float = 0.0) -> QuadResult:
     """Adaptive certified integral of exp(2 pi i (d p(t) + e t)) w(t) over
     [t0, T], for arbitrary real phase multipliers d and e.
 
@@ -143,9 +143,9 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         bad = np.abs(pb - pa) > _HALF_OSC
         if not bad.any():
             break
-        if a.size + np.count_nonzero(bad) > panel_budget:
+        if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:
             raise ToleranceNotMet(
-                f"panel budget {panel_budget} exhausted while splitting phase")
+                f"panel budget {_PANEL_BUDGET} exhausted while splitting phase")
         mid = 0.5 * (a[bad] + b[bad])
         pm = psi(mid)
         keep = ~bad
@@ -174,9 +174,9 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         bad = errs > 0.5 * tol / max(1, errs.size)
         if not bad.any():
             bad = errs >= errs.max()
-        if a.size + np.count_nonzero(bad) > panel_budget:
+        if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:
             raise ToleranceNotMet(
-                f"panel budget {panel_budget} exhausted at error {total_err:.3e}")
+                f"panel budget {_PANEL_BUDGET} exhausted at error {total_err:.3e}")
         mid = 0.5 * (a[bad] + b[bad])
         lo = np.concatenate([a[bad], mid])
         hi = np.concatenate([mid, b[bad]])

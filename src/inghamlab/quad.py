@@ -30,3 +30,10 @@ def panel_nodes(a, b, order: int):
     weights = half[:, None] * w[None, :]
     return nodes, weights
 
+
+def gl_grid(a: float, b: float, panels: int):
+    """Flattened order-10 Gauss-Legendre nodes and weights on `panels`
+    equal panels of [a, b]; the endpoints are never nodes."""
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = panel_nodes(edges[:-1], edges[1:], 10)
+    return nodes.ravel(), weights.ravel()

@@ -18,12 +18,12 @@ from .classify import abs_pow
 from .curves import CurveSpec, MeasureSpec, fit_fourier_decay, product_nu_hat
 from .errors import DecayTooWeak, NotHermitian, ToleranceNotMet
 from .oscint import phase_integral
-from .quad import panel_nodes
+from .quad import gl_grid, panel_nodes
 
 _HERMITIAN_TOL = 1e-12
 _SANDWICH_SLACK = 1e-8
 _RANDOM_VECTORS = 64       # unit vectors of the Riesz sandwich check
-_POINTS_PER_CYCLE = 12.0   # quadrature density of quadratic_form_quadrature
+_POINTS_PER_CYCLE = 30.0   # quadrature density of quadratic_form_quadrature
 _EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the empirical T
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
@@ -56,7 +56,7 @@ class ExpSystem:
         if has_curve == (self.measure is not None):
             raise ValueError("provide exactly one of curve or measure")
         if has_curve:
-            if self.T is None or self.T <= 0:
+            if self.T is None or not self.T > 0:
                 raise ValueError("curve systems need T > 0")
             if self.weight not in ("lebesgue", "arclength"):
                 raise ValueError("weight must be lebesgue or arclength")
@@ -276,10 +276,11 @@ def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED) -> RieszReport:
 
 def quadratic_form_quadrature(system: ExpSystem, coeffs) -> float:
     """The quadratic form c^H G c realized directly as the integral of
-    |sum_n conj(c_n) e_n|^2 over the system's domain (dense composite
-    Gauss-Legendre along the curve, or a plain weighted sum over measure
-    nodes) without going through the Gram matrix.  Closes the loop
-    matrix-form vs integral-form."""
+    |sum_n conj(c_n) e_n|^2 over the system's domain (order-10
+    Gauss-Legendre on equal panels along the curve, 30 nodes per cycle of
+    the fastest single wave, or a plain weighted sum over measure nodes)
+    without going through the Gram matrix.  Closes the loop matrix-form
+    vs integral-form; on a curve it is also the V = 0 Schrodinger trace."""
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (len(system.indices),):
         raise ValueError("one coefficient per index")
@@ -291,16 +292,14 @@ def quadratic_form_quadrature(system: ExpSystem, coeffs) -> float:
     curve, T = system.curve, system.T
     pmax = float(np.abs(curve.p(np.linspace(0.0, T, 512))).max())
     cycles = float(np.abs(phi[:, 1]).max() * pmax + np.abs(phi[:, 0]).max() * T)
-    panels = max(64, int(_POINTS_PER_CYCLE * cycles / 10.0) + 1)
-    edges = np.linspace(0.0, T, panels + 1)
-    nodes, wts = panel_nodes(edges[:-1], edges[1:], 10)
-    t = nodes.ravel()
+    panels = max(64, int(_POINTS_PER_CYCLE / 10.0 * cycles) + 1)
+    t, wts = gl_grid(0.0, T, panels)
     ph = np.outer(curve.p(t), phi[:, 1]) + np.outer(t, phi[:, 0])
     u = np.exp(-2j * np.pi * ph) @ c
     vals = np.abs(u) ** 2
     if system.weight == "arclength":
         vals = vals * np.sqrt(1.0 + curve.dp(t) ** 2)
-    return float((vals.reshape(nodes.shape) * wts).sum())
+    return float((vals * wts).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +367,13 @@ def minimal_time_counterexample(curve: CurveSpec, s: float,
     eps = (alpha * s - 1.0) / (2.0 * s)
     j_grid = sorted(int(j) for j in j_grid)
     p0 = float(curve.p(np.array([0.0]))[0])
-    edges = np.linspace(0.0, 1.0, 257)
-    nodes, wts = panel_nodes(edges[:-1], edges[1:], 10)
-    tau = nodes.ravel()
+    tau, wts = gl_grid(0.0, 1.0, 256)
     Ts, ratios = [], []
     for j in j_grid:
         Tj = float(j) ** (-(s + eps))
         ph = 2.0 * np.pi * (j * (curve.p(Tj * tau) - p0) + float(j) ** s * Tj * tau)
         vals = np.abs(1.0 - np.exp(1j * ph)) ** 2
-        ratios.append(float((vals.reshape(nodes.shape) * wts).sum()))
+        ratios.append(float((vals * wts).sum()))
         Ts.append(Tj)
     decreasing = bool(np.all(np.diff(ratios) < 0))
     return MinimalTimeResult(s, eps, j_grid, Ts, ratios, 2.0, decreasing)

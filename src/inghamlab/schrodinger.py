@@ -21,8 +21,7 @@ from . import DEFAULT_SEED
 from .classify import abs_pow
 from .curves import CurveSpec
 from .errors import ResolutionExceeded
-from .quad import panel_nodes
-from .riesz import curve_system, gram_matrix
+from .riesz import curve_system, gram_matrix, quadratic_form_quadrature
 
 _MAX_DT_BASE = 0.01
 _PICARD_GRID = 2048            # tau intervals of the Picard quadrature
@@ -143,13 +142,16 @@ def _step_dt(dt: float | None, cap: float, cap_text: str) -> float:
 
 
 def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
-    """Yield the coefficients after each of `steps` Strang steps of
-    length h from u0: half potential phase on the zero-padded grid of
-    M = 4K + 4 points, exact free flow, half potential phase."""
+    """Yield the coefficients, and the share of their energy in the top
+    tenth of the band, after each of `steps` Strang steps of length h
+    from u0: half potential phase on the zero-padded grid of M = 4K + 4
+    points, exact free flow, half potential phase.  A share above 1e-8
+    raises ResolutionExceeded."""
     K = u0.K
     M = 4 * K + 4
     half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
     free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
+    top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * K)))
     c = u0.coeffs
     for _ in range(steps):
         vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
@@ -159,7 +161,11 @@ def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
         vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
         vals *= half
         c = _truncate_spectrum(np.fft.fft(vals) / M, K)
-        yield c
+        frac = float((np.abs(c[top]) ** 2).sum()) / float(np.vdot(c, c).real)
+        if frac > 1e-8:
+            raise ResolutionExceeded(
+                f"energy fraction {frac:.2e} in the top mode band; raise K")
+        yield c, frac
 
 
 @dataclass
@@ -194,18 +200,12 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
     steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / steps
-    top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * u0.K)))
     norm0 = float(np.vdot(u0.coeffs, u0.coeffs).real)
     drift = 0.0
     top_frac = 0.0
-    for c in _strang_steps(u0, V, dt, steps):
-        total = float(np.vdot(c, c).real)
-        drift = max(drift, abs(total - norm0))
-        frac = float((np.abs(c[top]) ** 2).sum()) / total
+    for c, frac in _strang_steps(u0, V, dt, steps):
+        drift = max(drift, abs(float(np.vdot(c, c).real) - norm0))
         top_frac = max(top_frac, frac)
-        if frac > 1e-8:
-            raise ResolutionExceeded(
-                f"energy fraction {frac:.2e} in the top mode band; raise K")
     return TorusState(c, u0.time + t_final, u0.s, u0.K), \
         EvolveDiagnostics(steps, dt, drift, top_frac)
 
@@ -238,67 +238,26 @@ def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
 # traces along curves
 # ---------------------------------------------------------------------------
 
-def state_on_points(state: TorusState, x) -> np.ndarray:
-    """Evaluate the state's Fourier series at torus points x."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(2j * np.pi * np.outer(x, state.modes)) @ state.coeffs
+def trace_along_curve(u0: TorusState, curve: CurveSpec, T: float) -> float:
+    """integral_0^T |u(t, p(t))|^2 dt for the V = 0 solution from u0: the
+    Gram quadratic form of the curve system at conj(c), integrated by
+    quadratic_form_quadrature."""
+    return quadratic_form_quadrature(curve_system(u0.modes, u0.s, curve, T),
+                                     np.conj(u0.coeffs))
 
 
-def free_trace_evaluator(u0: TorusState):
-    """(t, x) -> u(t, x) for the V = 0 closed-form solution."""
-    temp = abs_pow(u0.modes, u0.s)
-
-    def u_eval(t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        phase = np.outer(x, u0.modes) + np.outer(t, temp)
-        return np.exp(2j * np.pi * phase) @ u0.coeffs
-
-    return u_eval
-
-
-def _path_function(curve):
-    return curve.p if isinstance(curve, CurveSpec) else curve
-
-
-def trace_along_curve(u_eval, curve, T: float, resolution: int | None = None,
-                      t0: float = 0.0, u0_hint: TorusState | None = None) -> float:
-    """integral_{t0}^{T} |u(t, p(t) mod 1)|^2 dt by composite
-    Gauss-Legendre along the curve.  resolution is the panel count;
-    when omitted it is scaled to the total phase turnover (estimated
-    from u0_hint when given, else a dense default)."""
-    if not T > t0 >= 0.0:
-        raise ValueError("need 0 <= t0 < T")
-    path = _path_function(curve)
-    if resolution is None:
-        if u0_hint is not None:
-            tt = np.linspace(t0, T, 512)
-            pspan = float(np.abs(path(tt)).max())
-            modes = u0_hint.modes
-            cycles = float(np.abs(modes).max()) * pspan \
-                + float(abs_pow(modes, u0_hint.s).max()) * (T - t0)
-            resolution = max(64, int(3.0 * cycles) + 1)
-        else:
-            resolution = 4096
-    edges = np.linspace(t0, T, resolution + 1)
-    nodes, wts = panel_nodes(edges[:-1], edges[1:], 10)
-    t = nodes.ravel()
-    vals = np.abs(u_eval(t, np.mod(path(t), 1.0))) ** 2
-    return float((vals.reshape(nodes.shape) * wts).sum())
-
-
-def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
+def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
                  dt: float | None = None) -> float:
     """Trace of the potential-perturbed solution along the curve:
     steps the solver with a dt fine enough for both stability and
     quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
     integrating with composite Simpson.  The step is capped at
     min(0.01/(1+|V|), 1/(48 omega)), omega = max |n|^s + |n| max|p'| + 1;
-    a given dt above the cap raises ValueError, as in evolve."""
+    a given dt above the cap raises ValueError, and energy reaching the
+    top of the band raises ResolutionExceeded, as in evolve."""
     _check_data(u0, dt)
-    path = _path_function(curve)
     tt = np.linspace(0.0, T, 512)
-    dpmax = float(np.abs(np.gradient(path(tt), tt)).max())
+    dpmax = float(np.abs(np.gradient(curve.p(tt), tt)).max())
     modes = u0.modes
     omega = float((abs_pow(modes, u0.s) + np.abs(modes) * dpmax).max()) + 1.0
     cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm),
@@ -307,12 +266,12 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve, T: float,
                            f"1/({_TRACE_POINTS_PER_CYCLE:g}*omega))")
     steps = max(2, int(np.ceil(T / dt)))
     times = np.linspace(0.0, T, steps + 1)
-    xs = np.mod(np.asarray(path(times), dtype=float), 1.0)
+    xs = np.mod(curve.p(times), 1.0)
     phases = np.exp(2j * np.pi * np.outer(xs, modes))
     samples = np.empty(steps + 1)
     samples[0] = abs(phases[0] @ u0.coeffs) ** 2
-    for k, c in enumerate(_strang_steps(u0, V, times[1] - times[0], steps),
-                          1):
+    for k, (c, _) in enumerate(_strang_steps(u0, V, times[1] - times[0],
+                                             steps), 1):
         samples[k] = abs(phases[k] @ c) ** 2
     return float(simpson(samples, x=times))
 
@@ -370,8 +329,7 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
             u0 = TorusState(padded, 0.0, s, 2 * K)
         mass = u0.norm_sq()
         if V.sup_norm == 0.0:
-            tr = trace_along_curve(free_trace_evaluator(u0), curve, T,
-                                   u0_hint=u0)
+            tr = trace_along_curve(u0, curve, T)
         else:
             tr = evolve_trace(u0, V, curve, T)
         names.append(name)

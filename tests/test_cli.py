@@ -320,6 +320,11 @@ def docs(tmp_path, mono2_file):
         "nanTgrid": {"subcommand": "ingham-sweep",
                      "parameters": {"curve_file": mono2_file, "s": 2.0,
                                     "Tgrid": [1.0, "nan"]}},
+        "seedHalf": {"subcommand": "boundary", "seed": 1.5},
+        "seedTrue": {"subcommand": "boundary", "seed": True},
+        "seedNull": {"subcommand": "boundary", "seed": None},
+        "seedList": {"subcommand": "boundary", "seed": [3]},
+        "outDir5": {"subcommand": "boundary", "out_dir": 5},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -423,6 +428,21 @@ _MODE_CASES = {
                            "parameter 's': expected a number, got True"),
     "boundary-config-format-xml": (["boundary", "--config", "{xmlFormat}"],
                                    "format must be csv or json, got 'xml'"),
+    "boundary-config-seed-fraction": (["boundary", "--config", "{seedHalf}"],
+                                      "config field 'seed': expected an "
+                                      "integer, got 1.5"),
+    "boundary-config-seed-true": (["boundary", "--config", "{seedTrue}"],
+                                  "config field 'seed': expected a number, "
+                                  "got True"),
+    "boundary-config-seed-null": (["boundary", "--config", "{seedNull}"],
+                                  "config field 'seed': expected a number, "
+                                  "got None"),
+    "boundary-config-seed-list": (["boundary", "--config", "{seedList}"],
+                                  "config field 'seed': expected a number, "
+                                  "got [3]"),
+    "boundary-config-out-dir-number": (["boundary", "--config", "{outDir5}"],
+                                       "config field 'out_dir': expected a "
+                                       "string, got 5"),
     "threepoint-points-nan": (["threepoint", "--points",
                                "0,nan;1,1.1;2.2,2.9"],
                               "parameter 'points': expected a finite number, "

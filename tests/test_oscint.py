@@ -113,9 +113,10 @@ def test_tolerance_controls_the_error(mono2):
     assert loose.panels <= tight.panels
 
 
-def test_exhausted_panel_budget_raises(mono2):
+def test_exhausted_panel_budget_raises(mono2, monkeypatch):
+    monkeypatch.setattr(oscint, "_PANEL_BUDGET", 4)
     with pytest.raises(ToleranceNotMet):
-        oscint.phase_integral(5e4, 1.0, mono2, 2.0, tol=1e-13, panel_budget=4)
+        oscint.phase_integral(5e4, 1.0, mono2, 2.0, tol=1e-13)
 
 
 def test_weighted_integrals(mono2):

@@ -98,10 +98,11 @@ def test_measure_gram_matches_transform(full_circle):
     G = riesz.gram_matrix(system).entries
     phi = np.stack([np.array([abs(n) ** 2.5 for n in idx], dtype=float),
                     np.array(idx, dtype=float)], axis=1)
+    diffs = phi[None, :, :] - phi[:, None, :]
+    transform = curves.mu_hat_grid(full_circle, diffs.reshape(-1, 2)).reshape(4, 4)
     for i in range(4):
         for j in range(4):
-            want = curves.mu_hat(full_circle, phi[j] - phi[i])
-            assert abs(G[i, j] - want) < 1e-12
+            assert abs(G[i, j] - transform[i, j]) < 1e-12
             bessel = special.j0(TWO_PI * np.hypot(*(phi[j] - phi[i])))
             assert abs(G[i, j] - bessel) < 1e-8
 
@@ -200,23 +201,28 @@ def test_riesz_bounds_reject_non_hermitian():
         riesz.riesz_bounds(riesz.GramMatrix(H, (0, 1), 1.0, 1e-9))
 
 
-def test_quadratic_form_closes_the_loop(mono2, full_circle):
+def test_quadratic_form_closes_the_loop(mono2, mono3, full_circle):
     rng = np.random.default_rng(21)
-    systems = [
-        riesz.curve_system(range(-3, 4), 2.0, mono2, 1.0),
-        riesz.curve_system(range(-3, 4), 2.0, mono2, 1.0, weight="arclength"),
-        riesz.measure_system((-2, 0, 1, 3), 2.5, full_circle),
+    # (system, Gram tol, relative tolerance of the form)
+    cases = [
+        (riesz.curve_system(range(-3, 4), 2.0, mono2, 1.0), 1e-10, 1e-6),
+        (riesz.curve_system(range(-3, 4), 2.0, mono2, 1.0, weight="arclength"),
+         1e-10, 1e-6),
+        (riesz.measure_system((-2, 0, 1, 3), 2.5, full_circle), 1e-10, 1e-6),
+        # |u|^2 oscillates at pair differences, up to twice as fast as the
+        # fastest single wave that sets the node density.
+        (riesz.curve_system(range(-4, 5), 1.6, mono3, 2.0), 1e-12, 1e-12),
     ]
-    for system in systems:
+    for system, tol, rel in cases:
         dim = system.dim
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        G = riesz.gram_matrix(system, tol=1e-10)
+        G = riesz.gram_matrix(system, tol=tol)
         want = float(np.real(c.conj() @ G.entries @ c))
         got = riesz.quadratic_form_quadrature(system, c)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=rel)
         assert got >= 0.0
     with pytest.raises(ValueError):
-        riesz.quadratic_form_quadrature(systems[0], np.ones(3))
+        riesz.quadratic_form_quadrature(cases[0][0], np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +248,20 @@ def test_minimal_time_family_collapses(mono2):
     assert res.c_norm_sq == 2.0
     assert res.T_values == sorted(res.T_values, reverse=True)
     assert res.ratios[-1] < 0.05 * res.ratios[0]
+
+
+def test_minimal_time_ratios_are_gram_forms(mono2, arctan3):
+    # ratio_j is the trace of c_0 = 1, c_j = -exp(-2 pi i j p(0)) over
+    # [0, T_j] divided by T_j: the Gram form at conj(c) over T_j.
+    for curve in (mono2, arctan3):
+        res = riesz.minimal_time_counterexample(curve, 2.0, [2, 5, 10, 50, 200])
+        p0 = float(curve.p(0.0))
+        for j, Tj, ratio in zip(res.j_grid, res.T_values, res.ratios):
+            G = riesz.gram_matrix(riesz.curve_system((0, j), 2.0, curve, Tj),
+                                  tol=1e-12 * Tj)
+            c = np.array([1.0, -np.exp(2j * np.pi * j * p0)])
+            form = float(np.real(c.conj() @ G.entries @ c))
+            assert form / Tj == pytest.approx(ratio, rel=1e-12)
 
 
 def test_highfreq_tail_bounds_close(quarter_circle):

@@ -6,6 +6,7 @@ and the trace identities against the Gram quadratic form."""
 import numpy as np
 import pytest
 
+from inghamlab.curves import build_curve
 from inghamlab.errors import ResolutionExceeded
 from inghamlab.riesz import curve_system, gram_matrix
 from inghamlab.schrodinger import (
@@ -17,9 +18,7 @@ from inghamlab.schrodinger import (
     evolve,
     evolve_trace,
     free_evolution,
-    free_trace_evaluator,
     picard_iterate,
-    state_on_points,
     trace_along_curve,
     trace_bound_experiment,
 )
@@ -145,13 +144,15 @@ def test_splitting_is_second_order():
     assert max(orders) <= 2.3
 
 
-def test_band_saturation_raises():
+def test_band_saturation_raises(mono2):
     c = np.zeros(9, dtype=complex)
     c[2:7] = 1.0  # active modes |n| <= 2 with K = 4: no spectral headroom
     u0 = TorusState(c, 0.0, 2.0, 4)
     V = PotentialSpec("Cosine", {"amplitude": 2.0, "mode": 3})
-    with pytest.raises(ResolutionExceeded, match="top mode band"):
-        evolve(u0, V, 1.0)
+    for run in (lambda: evolve(u0, V, 1.0),
+                lambda: evolve_trace(u0, V, mono2, 1.0)):
+        with pytest.raises(ResolutionExceeded, match="top mode band"):
+            run()
 
 
 def test_picard_cross_checks_strang():
@@ -169,14 +170,6 @@ def test_picard_cross_checks_strang():
 # traces along curves
 # ---------------------------------------------------------------------------
 
-def test_single_mode_has_unit_modulus_everywhere():
-    c = np.zeros(7, dtype=complex)
-    c[5] = 1.0
-    state = TorusState(c, 0.0, 2.0, 3)
-    vals = state_on_points(state, np.linspace(0.0, 1.0, 13))
-    np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-14)
-
-
 def test_free_trace_equals_gram_quadratic_form(mono2):
     rng = np.random.default_rng(3)
     K, s, T = 3, 2.0, 1.5
@@ -185,7 +178,7 @@ def test_free_trace_equals_gram_quadratic_form(mono2):
     G = gram_matrix(curve_system(range(-K, K + 1), s, mono2, T), tol=1e-10)
     # the Gram quadratic form at conj(c) synthesizes exactly this trace
     qf = float(np.real(c @ (G.entries @ np.conj(c))))
-    tr = trace_along_curve(free_trace_evaluator(u0), mono2, T, u0_hint=u0)
+    tr = trace_along_curve(u0, mono2, T)
     assert abs(tr - qf) <= 1e-6 * qf
 
 
@@ -195,7 +188,7 @@ def test_evolve_trace_zero_potential_matches_free_trace(mono2):
     c = np.zeros(2 * K + 1, dtype=complex)
     c[K - 3:K + 4] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     u0 = TorusState(c, 0.0, s, K)
-    free_tr = trace_along_curve(free_trace_evaluator(u0), mono2, T, u0_hint=u0)
+    free_tr = trace_along_curve(u0, mono2, T)
     split_tr = evolve_trace(u0, PotentialSpec("Zero", {}), mono2, T)
     assert abs(split_tr - free_tr) <= 1e-8 * free_tr
 
@@ -206,17 +199,17 @@ def test_translated_curve_matches_modulated_data(mono2):
     c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
     u0 = TorusState(c, 0.0, s, K)
     shifted = TorusState(c * np.exp(2j * np.pi * u0.modes * a), 0.0, s, K)
-    tr_path = trace_along_curve(free_trace_evaluator(u0),
-                                lambda t: mono2.p(t) + a, T, resolution=2048)
-    tr_data = trace_along_curve(free_trace_evaluator(shifted), mono2, T,
-                                resolution=2048)
+    raised = build_curve("Monomial", {"a": a, "b": 1.0, "alpha": 2.0})
+    tr_path = trace_along_curve(u0, raised, T)
+    tr_data = trace_along_curve(shifted, mono2, T)
     assert abs(tr_path - tr_data) <= 1e-12 * tr_data
 
 
 def test_trace_argument_guards(mono2):
     u0 = _random_state(6, 3)
-    with pytest.raises(ValueError):
-        trace_along_curve(free_trace_evaluator(u0), mono2, 1.0, t0=1.5)
+    for T in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="T > 0"):
+            trace_along_curve(u0, mono2, T)
     narrow = _random_state(4, 3)
     with pytest.raises(ValueError):
         evolve_trace(narrow, PotentialSpec("Zero", {}), mono2, 1.0)
