@@ -13,11 +13,16 @@ the total phase factors as lambda * phi(t) with
 and phi' is monotone whenever p' is, so the phase has at most one
 stationary point on (0, T).
 
-The integrator subdivides [0, T] so every panel holds at most half an
-oscillation (|delta psi| <= pi), refines dyadically around stationary
-points down to width 1e-6 T, and certifies each panel by comparing
-Gauss-Legendre orders 10 and 20.  All panel bookkeeping is vectorized;
-the only Python-level loops are O(log) splitting rounds.
+The integrator subdivides [0, T] so every panel holds at most one and a
+half oscillations (|delta psi| <= 3 pi), refines dyadically around
+stationary points down to width 1e-6 T, and certifies each panel by
+comparing Gauss-Legendre orders 10 and 20, halving every panel whose
+|GL20 - GL10| is too large.  The phase cap only sets where that
+refinement starts: order 20 is at rounding for up to about 4
+oscillations per panel and order 10 at 1e-13 for about 1.25, so the
+certificate, not the cap, decides where panels must be smaller.  All
+panel bookkeeping is vectorized; the only Python-level loops are
+O(log) splitting rounds.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .curves import CurveSpec
 from .errors import InadmissibleEta, ToleranceNotMet
 from .quad import panel_nodes
 
-_HALF_OSC = np.pi          # max phase change per panel
+_PANEL_PHASE = 3.0 * np.pi  # max phase change per panel: 1.5 oscillations
 _CLUSTER_WIDTH = 1e-6      # dyadic refinement floor around stationary points, rel. to T
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
 _PANEL_BUDGET = 2 ** 20    # most panels one integral may split into
@@ -46,20 +51,19 @@ class QuadResult:
     edges: np.ndarray      # sorted edges of the final panels
 
 
-def _sign_change_roots(f, b: float, a: float = 0.0) -> list:
-    """Roots of a continuous scalar function on (a, b) by bracketing.  The
+def _sign_change_roots(f, b: float) -> list:
+    """Roots of a continuous scalar function on (0, b) by bracketing.  The
     grid skips t = 0, where p' is infinite for Muntz exponents below 1."""
-    lo = max(a, b * 1e-9)
     grid = np.unique(np.concatenate([
-        np.geomspace(lo, b, 200),
-        np.linspace(a, b, 257)[1:],
+        np.geomspace(b * 1e-9, b, 200),
+        np.linspace(0.0, b, 257)[1:],
     ]))
     vals = np.asarray(f(grid), dtype=float)
     roots = []
     sgn = np.sign(vals)
     exact = np.nonzero(sgn == 0)[0]
     for i in exact:
-        if a < grid[i] < b:
+        if 0.0 < grid[i] < b:
             roots.append(float(grid[i]))
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     for i in idx:
@@ -96,20 +100,19 @@ def stationary_points(n: int, m: int, s: float, curve: CurveSpec, T: float) -> l
 
 
 def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
-                   tol: float = 1e-9, weight=None, t0: float = 0.0) -> QuadResult:
+                   tol: float = 1e-9, weight=None) -> QuadResult:
     """Adaptive certified integral of exp(2 pi i (d p(t) + e t)) w(t) over
-    [t0, T], for arbitrary real phase multipliers d and e.
+    [0, T], for arbitrary real phase multipliers d and e.
 
     The returned abs_error_estimate is the summed per-panel |GL20 - GL10|
     discrepancy; panels are split until it drops below tol or the panel
     budget is exhausted (ToleranceNotMet).  The curve's knots are panel
     edges, so the estimate never misses a tabulated curve's kinks.
     """
-    if not T > t0 >= 0.0:
-        raise ValueError("need 0 <= t0 < T")
-    if tol <= 0:
+    if not T > 0:
+        raise ValueError("T must be positive")
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    span = T - t0
     two_pi = 2.0 * np.pi
 
     def psi(t):
@@ -121,26 +124,27 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     if d == 0.0 and e == 0.0:
         roots = []
     else:
-        roots = _sign_change_roots(dpsi, T, t0)
+        roots = _sign_change_roots(dpsi, T)
 
     # breakpoints: ends, the curve's knots, and dyadic shells around every
     # stationary point
-    pts = [t0, T]
+    pts = [0.0, T]
     for r in roots:
-        w = span
-        while w > _CLUSTER_WIDTH * span:
+        w = T
+        while w > _CLUSTER_WIDTH * T:
             w *= 0.5
             for c in (r - w, r + w):
-                if t0 < c < T:
+                if 0.0 < c < T:
                     pts.append(c)
-    knots = curve.knots[(curve.knots > t0) & (curve.knots < T)]
+    knots = curve.knots[(curve.knots > 0.0) & (curve.knots < T)]
     edges = np.unique(np.concatenate([np.asarray(pts, dtype=float), knots]))
     a, b = edges[:-1], edges[1:]
     pa, pb = psi(a), psi(b)
 
-    # split until every panel carries at most half an oscillation
+    # split until every panel carries at most 1.5 oscillations; the
+    # GL20/GL10 refinement below halves the panels that need it
     for _ in range(64):
-        bad = np.abs(pb - pa) > _HALF_OSC
+        bad = np.abs(pb - pa) > _PANEL_PHASE
         if not bad.any():
             break
         if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:

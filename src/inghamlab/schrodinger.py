@@ -146,21 +146,35 @@ def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
     tenth of the band, after each of `steps` Strang steps of length h
     from u0: half potential phase on the zero-padded grid of M = 4K + 4
     points, exact free flow, half potential phase.  A share above 1e-8
-    raises ResolutionExceeded."""
+    raises ResolutionExceeded.
+
+    One zero-padded buffer serves every step: its middle M - 2K - 1
+    entries stay zero, and the retained band after the free flow is
+    written straight into it.  Each yielded array is new."""
     K = u0.K
     M = 4 * K + 4
     half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
     free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
     top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * K)))
-    c = u0.coeffs
+    f = _pad_spectrum(u0.coeffs, K, M)
+    low, high = f[: K + 1], f[M - K:]      # views of the retained band
+
+    def potential_half_step(low_out, high_out):
+        vals = np.fft.ifft(f)
+        vals *= M
+        vals *= half
+        g = np.fft.fft(vals)
+        np.divide(g[: K + 1], M, out=low_out)
+        np.divide(g[M - K:], M, out=high_out)
+
     for _ in range(steps):
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
-        c *= free
-        vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
-        vals *= half
-        c = _truncate_spectrum(np.fft.fft(vals) / M, K)
+        potential_half_step(low, high)
+        low *= free[K:]
+        high *= free[:K]
+        c = np.empty(2 * K + 1, dtype=complex)
+        potential_half_step(c[K:], c[:K])
+        low[:] = c[K:]
+        high[:] = c[:K]
         frac = float((np.abs(c[top]) ** 2).sum()) / float(np.vdot(c, c).real)
         if frac > 1e-8:
             raise ResolutionExceeded(

@@ -113,6 +113,19 @@ def test_tolerance_controls_the_error(mono2):
     assert loose.panels <= tight.panels
 
 
+def test_smooth_phase_panels_hold_more_than_half_an_oscillation(mono2):
+    # No stationary point on [0, 2]: psi' = 2 pi (48 t + 40) > 0.  Panels
+    # of at most half an oscillation would need at least
+    # |psi(T) - psi(0)| / pi of them; the GL20/GL10 certificate lets each
+    # hold more.
+    d, e, T = 24.0, 40.0, 2.0
+    res = oscint.phase_integral(d, e, mono2, T, tol=1e-9)
+    assert res.stationary_points == []
+    assert res.abs_error_estimate <= 1e-9
+    phase_change = TWO_PI * abs(d * (T ** 2) + e * T)
+    assert res.panels < phase_change / np.pi
+
+
 def test_exhausted_panel_budget_raises(mono2, monkeypatch):
     monkeypatch.setattr(oscint, "_PANEL_BUDGET", 4)
     with pytest.raises(ToleranceNotMet):
@@ -128,9 +141,9 @@ def test_weighted_integrals(mono2):
 
 def test_degenerate_arguments_raise(mono2):
     with pytest.raises(ValueError):
-        oscint.phase_integral(1.0, 0.0, mono2, 1.0, t0=-0.5)
+        oscint.phase_integral(1.0, 0.0, mono2, 0.0)
     with pytest.raises(ValueError):
-        oscint.phase_integral(1.0, 0.0, mono2, 1.0, t0=1.0)
+        oscint.phase_integral(1.0, 0.0, mono2, -1.0)
     with pytest.raises(ValueError):
         oscint.phase_integral(1.0, 0.0, mono2, 1.0, tol=0.0)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ and the trace identities against the Gram quadratic form."""
 import numpy as np
 import pytest
 
+from inghamlab.classify import abs_pow
 from inghamlab.curves import build_curve
 from inghamlab.errors import ResolutionExceeded
 from inghamlab.riesz import curve_system, gram_matrix
@@ -14,6 +15,7 @@ from inghamlab.schrodinger import (
     PotentialSpec,
     TorusState,
     _pad_spectrum,
+    _strang_steps,
     _truncate_spectrum,
     evolve,
     evolve_trace,
@@ -77,6 +79,25 @@ def test_pad_truncate_round_trip():
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
+
+def test_strang_steps_match_fresh_arrays_and_keep_each_yield():
+    # The stepper reuses one padded buffer.  Every yielded array must keep
+    # its value through later steps and equal, bit for bit, a step that
+    # pads and truncates into new arrays.
+    u0 = _random_state(8, 3)
+    V = PotentialSpec("Cosine", {"amplitude": 0.8, "mode": 3})
+    K, M, h = 8, 36, 0.01
+    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
+    free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
+    kept = [c for c, _ in _strang_steps(u0, V, h, 6)]
+    c = u0.coeffs
+    for got in kept:
+        for kick in (free, 1.0):
+            vals = np.fft.ifft(_pad_spectrum(c, K, M)) * M
+            vals *= half
+            c = _truncate_spectrum(np.fft.fft(vals) / M, K) * kick
+        assert np.array_equal(got, c)
+
 
 def test_free_evolution_phases_and_norm():
     u0 = _random_state(5, 5)
