@@ -15,11 +15,13 @@ stationary point on (0, T).
 
 The integrator subdivides [0, T] so every panel holds at most one and a
 half oscillations (|delta psi| <= 3 pi), refines dyadically around
-stationary points down to width 1e-6 T, and certifies each panel by
-comparing Gauss-Legendre orders 10 and 20, halving every panel whose
-|GL20 - GL10| is too large.  The phase cap only sets where that
-refinement starts: order 20 is at rounding for up to about 4
-oscillations per panel and order 10 at 1e-13 for about 1.25, so the
+stationary points down to width 1e-6 T, and certifies each panel with
+the embedded Gauss-Kronrod pair: the 21-point Kronrod value, and as its
+error estimate |K21 - G10| against the 10-point Gauss rule on the same
+nodes, floored at QUADPACK's rounding term 50 eps sum w_K |f|.  Every
+panel whose estimate is too large is halved.  The phase cap only sets
+where that refinement starts: K21 is at rounding for up to about 3
+oscillations per panel and G10 at 1e-13 for about 1.25, so the
 certificate, not the cap, decides where panels must be smaller.  All
 panel bookkeeping is vectorized; the only Python-level loops are
 O(log) splitting rounds.
@@ -34,12 +36,15 @@ import numpy as np
 from .classify import abs_pow, classify_pair, tau_threshold
 from .curves import CurveSpec
 from .errors import InadmissibleEta, ToleranceNotMet
-from .quad import panel_nodes
+from .quad import gauss_kronrod21, kronrod_panels
 
 _PANEL_PHASE = 3.0 * np.pi  # max phase change per panel: 1.5 oscillations
 _CLUSTER_WIDTH = 1e-6      # dyadic refinement floor around stationary points, rel. to T
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
 _PANEL_BUDGET = 2 ** 20    # most panels one integral may split into
+_ROUNDING = 50.0 * np.finfo(float).eps   # QUADPACK's rounding floor, per unit of sum w|f|
+_GRID = np.unique(np.concatenate([           # root-bracketing grid on (0, 1]
+    np.geomspace(1e-9, 1.0, 200), np.linspace(0.0, 1.0, 257)[1:]]))
 
 
 @dataclass
@@ -54,10 +59,7 @@ class QuadResult:
 def _sign_change_roots(f, b: float) -> list:
     """Roots of a continuous scalar function on (0, b) by bracketing.  The
     grid skips t = 0, where p' is infinite for Muntz exponents below 1."""
-    grid = np.unique(np.concatenate([
-        np.geomspace(b * 1e-9, b, 200),
-        np.linspace(0.0, b, 257)[1:],
-    ]))
+    grid = b * _GRID
     vals = np.asarray(f(grid), dtype=float)
     roots = []
     sgn = np.sign(vals)
@@ -104,10 +106,13 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     """Adaptive certified integral of exp(2 pi i (d p(t) + e t)) w(t) over
     [0, T], for arbitrary real phase multipliers d and e.
 
-    The returned abs_error_estimate is the summed per-panel |GL20 - GL10|
-    discrepancy; panels are split until it drops below tol or the panel
-    budget is exhausted (ToleranceNotMet).  The curve's knots are panel
-    edges, so the estimate never misses a tabulated curve's kinks.
+    The value is the 21-point Kronrod sum, and the returned
+    abs_error_estimate is the summed per-panel max(|K21 - G10|,
+    50 eps sum w_K |f|), the discrepancy against the embedded 10-point
+    Gauss rule floored at the panel's rounding level; panels are split
+    until it drops below tol or the panel budget is exhausted
+    (ToleranceNotMet).  The curve's knots are panel edges, so the
+    estimate never misses a tabulated curve's kinks.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -142,7 +147,7 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     pa, pb = psi(a), psi(b)
 
     # split until every panel carries at most 1.5 oscillations; the
-    # GL20/GL10 refinement below halves the panels that need it
+    # K21/G10 refinement below halves the panels that need it
     for _ in range(64):
         bad = np.abs(pb - pa) > _PANEL_PHASE
         if not bad.any():
@@ -158,37 +163,39 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         pa = np.concatenate([pa[keep], pa[bad], pm])
         pb = np.concatenate([pb[keep], pm, pb[bad]])
 
-    def panel_values(lo, hi):
-        n10, w10 = panel_nodes(lo, hi, 10)
-        n20, w20 = panel_nodes(lo, hi, 20)
-        f10 = np.exp(1j * psi(n10.ravel())).reshape(n10.shape)
-        f20 = np.exp(1j * psi(n20.ravel())).reshape(n20.shape)
-        if weight is not None:
-            f10 = f10 * weight(n10.ravel()).reshape(n10.shape)
-            f20 = f20 * weight(n20.ravel()).reshape(n20.shape)
-        i10 = (f10 * w10).sum(axis=1)
-        i20 = (f20 * w20).sum(axis=1)
-        return i20, np.abs(i20 - i10)
+    _, wk, wg = gauss_kronrod21()
 
-    vals, errs = panel_values(a, b)
+    def panel_values(lo, hi):
+        _, half, t = kronrod_panels(lo, hi)
+        f = np.exp(1j * psi(t.ravel())).reshape(t.shape)
+        if weight is not None:
+            f = f * weight(t.ravel()).reshape(t.shape)
+        k21 = half * (f @ wk)
+        diff = np.abs(k21 - half * (f[:, :wg.size] @ wg))
+        return k21, diff, np.maximum(diff, _ROUNDING * half * (np.abs(f) @ wk))
+
+    # Panels are picked for halving by |K21 - G10| alone: halving cannot
+    # lower an estimate that is its panel's rounding floor.
+    vals, diffs, errs = panel_values(a, b)
     for _ in range(48):
         total_err = float(errs.sum())
         if total_err <= tol:
             break
-        bad = errs > 0.5 * tol / max(1, errs.size)
+        bad = diffs > 0.5 * tol / max(1, errs.size)
         if not bad.any():
-            bad = errs >= errs.max()
+            bad = diffs >= diffs.max()
         if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:
             raise ToleranceNotMet(
                 f"panel budget {_PANEL_BUDGET} exhausted at error {total_err:.3e}")
         mid = 0.5 * (a[bad] + b[bad])
         lo = np.concatenate([a[bad], mid])
         hi = np.concatenate([mid, b[bad]])
-        new_vals, new_errs = panel_values(lo, hi)
+        new_vals, new_diffs, new_errs = panel_values(lo, hi)
         keep = ~bad
         a = np.concatenate([a[keep], lo])
         b = np.concatenate([b[keep], hi])
         vals = np.concatenate([vals[keep], new_vals])
+        diffs = np.concatenate([diffs[keep], new_diffs])
         errs = np.concatenate([errs[keep], new_errs])
 
     return QuadResult(complex(vals.sum()), float(errs.sum()), int(a.size),

@@ -18,7 +18,7 @@ from .classify import abs_pow
 from .curves import CurveSpec, MeasureSpec, fit_fourier_decay, product_nu_hat
 from .errors import DecayTooWeak, NotHermitian, ToleranceNotMet
 from .oscint import phase_integral
-from .quad import gl_grid, panel_nodes
+from .quad import gauss_kronrod21, gl_grid, kronrod_panels
 
 _HERMITIAN_TOL = 1e-12
 _SANDWICH_SLACK = 1e-8
@@ -94,25 +94,38 @@ def _phase_vectors(system: ExpSystem) -> np.ndarray:
                      idx.astype(float)], axis=1)
 
 
-def _gram_product(nodes: np.ndarray, wts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _gram_product(t: np.ndarray, x: np.ndarray, wts: np.ndarray, phi: np.ndarray,
+                  panels=None, gauss=None):
     """G = E^H W E with E[k, n] = exp(-2 pi i <z_k, phi(n)>) over nodes
-    z_k = (t_k, x_k) with weights w_k >= 0, summed over fixed blocks of
-    nodes.
+    z_k = (t_k, x_k) with weights w_k >= 0, summed over blocks of whole
+    panels.
+
+    Without `panels` every node is its own panel: t, x and wts are the
+    node coordinates and weights, as for a measure's cloud.  With
+    panels = (halves, offsets), t holds the P panel midpoints, panel p
+    has the R nodes at times t_p + halves_p offsets_j, and x and wts have
+    shape (P, R).
 
     Each entry factors as E[k, n] = a_k(tau_n) b_k(lambda_n), with
     a_k(tau) = exp(-2 pi i t_k tau) and b_k(lambda) = exp(-2 pi i x_k lambda).
-    a takes one exp per distinct tau, since the indices +-n share |n|^s.
-    b is multiplied up along the sorted lambdas from one direct exp of
-    the smallest, by z_k^gap with one exp per distinct gap, for any real
-    lambdas: the rounding of the gaps telescopes to about
-    eps (lambda_max - lambda_min), and equally spaced lambdas take two
-    exps per node.  The block of sqrt(W) E is built as a (J, block)
-    array, whose transpose BLAS zherk reads without a copy and adds to
-    the upper triangle of G, leaving the lower one zero.  G + G^H with the diagonal taken once then fills the lower
-    triangle from the upper one, so the result is exactly Hermitian."""
+    a takes one exp per distinct tau, since the indices +-n share |n|^s,
+    and per node, or for panels per (tau, panel) and per (tau, distinct
+    half-width, offset), as exp(-2 pi i tau t_p) exp(-2 pi i tau halves_p
+    offsets_j): bisected panels repeat their widths.  b is multiplied up
+    along the sorted lambdas from one direct exp of the smallest, by
+    z_k^gap with one exp per distinct gap, for any real lambdas: the
+    rounding of the gaps telescopes to about eps (lambda_max - lambda_min),
+    and equally spaced lambdas take two exps per node.  The block of
+    sqrt(W) E is built as a (J, block) array, offset by offset, whose
+    transpose BLAS zherk reads without a copy and adds to the upper
+    triangle of G.
+
+    With `gauss`, a vector of k scales, the Gram over the first k offsets
+    of every panel, with the weight of offset j scaled by gauss_j^2, comes
+    from the same exponentials and is returned after G."""
     if wts.min() < 0.0:
         k = int(np.argmin(wts))
-        raise ValueError(f"weights must be nonnegative; weight {k} is {wts[k]:.3e}")
+        raise ValueError(f"weights must be nonnegative; weight {k} is {wts.flat[k]:.3e}")
     # The bookkeeping runs on Python lists: J is at most a few hundred,
     # and numpy's per-call cost would dominate the small curve Grams.
     lams = phi[:, 1].tolist()
@@ -123,21 +136,50 @@ def _gram_product(nodes: np.ndarray, wts: np.ndarray, phi: np.ndarray) -> np.nda
     # for the g-th distinct gap.
     freqs = np.append(lams[order[0]], gaps)
     steps = tuple(zip(order, order[1:], (1 + g for g in gap_of)))
-    G = np.zeros((len(lams),) * 2, dtype=complex, order="F")
-    for lo in range(0, nodes.shape[0], _BLOCK):
-        t, x = nodes[lo:lo + _BLOCK].T
-        root_w = np.sqrt(wts[lo:lo + _BLOCK])
-        z = np.outer(-2j * np.pi * freqs, x)
+    P = t.shape[0]
+    x, wts = x.reshape(P, -1), wts.reshape(P, -1)
+    if panels is not None:
+        halves, offsets = panels
+        widths, width_of = np.unique(halves, return_inverse=True)
+        # shift[u, j, h] = exp(-2 pi i tau_u widths_h offsets_j)
+        shift = np.multiply.outer(-2j * np.pi * taus, np.outer(offsets, widths))
+        np.exp(shift, out=shift)
+    J, R = len(lams), x.shape[1]
+    G = np.zeros((J, J), dtype=complex, order="F")
+    G_sub = None if gauss is None else np.zeros_like(G)
+    block = max(1, _BLOCK // R)
+    for lo in range(0, P, block):
+        # columns offset by offset: column j * (panels in the block) + p
+        xb = x[lo:lo + block].T.ravel()
+        root_w = np.sqrt(wts[lo:lo + block].T.ravel())
+        z = np.outer(-2j * np.pi * freqs, xb)
         np.exp(z, out=z)
-        E = np.empty((len(lams), t.size), dtype=complex)
+        E = np.empty((J, xb.size), dtype=complex)
         np.multiply(root_w, z[0], out=E[order[0]])
         for prev, nxt, g in steps:
             np.multiply(E[prev], z[g], out=E[nxt])
-        a = np.outer(-2j * np.pi * taus, t)
+        a = np.outer(-2j * np.pi * taus, t[lo:lo + block])
         np.exp(a, out=a)
+        if panels is not None:
+            # np.take gathers along the last axis far faster than indexing
+            at_mid = a
+            a = np.take(shift, width_of[lo:lo + block], axis=2)
+            a *= at_mid[:, None, :]
+            a = a.reshape(len(taus), -1)
         for row, u in zip(E, tau_of):
             row *= a[u]
         G = zherk(1.0, E.T, beta=1.0, c=G, trans=2, overwrite_c=1)
+        if gauss is not None:
+            E_sub = (E.reshape(J, R, -1)[:, :gauss.size] * gauss[:, None]).reshape(J, -1)
+            G_sub = zherk(1.0, E_sub.T, beta=1.0, c=G_sub, trans=2, overwrite_c=1)
+    if gauss is None:
+        return _hermitian(G)
+    return _hermitian(G), _hermitian(G_sub)
+
+
+def _hermitian(G: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose upper triangle is G's (the lower one
+    zero): G + G^H with the diagonal taken once, exactly Hermitian."""
     H = G + G.conj().T
     np.fill_diagonal(H, G.diagonal())
     return H
@@ -162,20 +204,21 @@ def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
     if float(curve.p(T)) < float(curve.p(0.0)):
         d = -d
     edges = phase_integral(d, e, curve, T, tol=bound, weight=w).edges
-
-    def panel_gram(order):
-        t, gw = (x.ravel() for x in panel_nodes(edges[:-1], edges[1:], order))
-        gw = gw if w is None else gw * w(t)
-        return _gram_product(np.column_stack([t, curve.p(t)]), gw, phi)
+    r, wk, wg = gauss_kronrod21()
+    gauss = np.sqrt(wg / wk[:wg.size])   # G10 weights over K21 weights
 
     for halvings in range(_MAX_HALVINGS + 1):
-        G = panel_gram(20)
-        err = float(np.abs(G - panel_gram(10)).max())
+        mid, half, t = kronrod_panels(edges[:-1], edges[1:])
+        t = t.ravel()
+        gw = (half[:, None] * wk).ravel()
+        gw = gw if w is None else gw * w(t)
+        G, G10 = _gram_product(mid, curve.p(t), gw, phi, panels=(half, r), gauss=gauss)
+        err = float(np.abs(G - G10).max())
         if err <= bound:
             break
         if halvings == _MAX_HALVINGS:
             raise ToleranceNotMet(
-                f"curve Gram: max |G20 - G10| = {err:.3e} exceeds tol/J = "
+                f"curve Gram: max |K21 - G10| = {err:.3e} exceeds tol/J = "
                 f"{bound:.3e} on {edges.size - 1} panels")
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     if w is None:
@@ -187,12 +230,14 @@ def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
     """Gram matrix G[n, m] = <e_n, e_m> over the system's domain, formed
     as the PSD product E* W E over weighted nodes (positivity is
     structural): a measure's own nodes, or for a curve the nodes (t, p(t))
-    on the panels of one adaptive integral of the fastest pair, accepted
-    once the order-20 and order-10 products agree to tol / dim."""
+    on the panels of one adaptive integral of the fastest pair.  A curve
+    Gram is the 21-point Kronrod product, accepted once it agrees with
+    the 10-point Gauss product on the same nodes to tol / dim."""
     phi = _phase_vectors(system)
     if system.measure is not None:
         meas = system.measure
-        return GramMatrix(_gram_product(meas.nodes, meas.weights, phi),
+        return GramMatrix(_gram_product(meas.nodes[:, 0], meas.nodes[:, 1],
+                                        meas.weights, phi),
                           system.indices, float(meas.weights.sum()), tol)
     G = _curve_gram(system, phi, tol)
     mass = system.T if system.weight == "lebesgue" else float(G[0, 0].real)

@@ -65,7 +65,7 @@ def test_tabulated_curve_matches_piecewise_linear_closed_form():
     # p = t^2 tabulated on 41 points is piecewise linear, so on each
     # segment [a, a + h] the phase is A + B t and the integral is
     # h exp(i (A + B (a + h/2))) sinc(B h / 2 pi).  Kinks inside a panel
-    # would hide from the |GL20 - GL10| estimate.
+    # would hide from the |K21 - G10| estimate.
     from inghamlab.curves import build_curve
     t = np.linspace(0.0, 4.0, 41)
     p = t ** 2
@@ -116,7 +116,7 @@ def test_tolerance_controls_the_error(mono2):
 def test_smooth_phase_panels_hold_more_than_half_an_oscillation(mono2):
     # No stationary point on [0, 2]: psi' = 2 pi (48 t + 40) > 0.  Panels
     # of at most half an oscillation would need at least
-    # |psi(T) - psi(0)| / pi of them; the GL20/GL10 certificate lets each
+    # |psi(T) - psi(0)| / pi of them; the K21/G10 certificate lets each
     # hold more.
     d, e, T = 24.0, 40.0, 2.0
     res = oscint.phase_integral(d, e, mono2, T, tol=1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from inghamlab import curves, oscint, riesz
+from inghamlab import curves, oscint, quad, riesz
 from inghamlab.errors import DecayTooWeak, NotHermitian
 
 TWO_PI = 2.0 * np.pi
@@ -140,22 +140,64 @@ _KERNEL_CASES = {
 @pytest.mark.parametrize("count, t_max, taus, lams", _KERNEL_CASES.values(),
                          ids=_KERNEL_CASES.keys())
 def test_gram_product_matches_direct_exponentials(count, t_max, taus, lams):
+    # One-node panels: the nodes are a cloud, as for a measure.
     rng = np.random.default_rng(count)
     nodes = np.column_stack([rng.uniform(0.0, t_max, count),
                              rng.uniform(-1.0, 1.0, count)])
     wts = rng.uniform(0.0, 1.0, count)
     phi = np.column_stack([taus, lams]).astype(float)
-    G = riesz._gram_product(nodes, wts, phi)
+    G = riesz._gram_product(nodes[:, 0], nodes[:, 1], wts, phi)
     want = _direct_gram(nodes, wts, phi[:, 0], phi[:, 1])
     assert np.abs(G - want).max() <= 1e-12 * wts.sum()
     assert np.array_equal(G, G.conj().T)
 
 
+# name: (half-widths of the panels, temporal frequencies, spatial frequencies)
+_PANEL_CASES = {
+    # 600 panels of 21 nodes span four blocks; two widths, as from bisection
+    "repeated-widths": (np.repeat([0.01, 0.005], 300), np.abs(_window(7, 5)) ** 2.5,
+                        _window(7, 5)),
+    "distinct-widths": (np.random.default_rng(4).uniform(1e-4, 0.02, 450),
+                        np.abs(_window(3, 4)) ** 3.0, _window(3, 4)),
+    "mixed-non-integer": (np.tile([0.004, 0.004, 0.013, 0.001, 0.0025], 90),
+                          np.array([0.0, 1.5, 2.75, 9.0, 40.0]),
+                          np.array([0.5, -1.25, 3.3, 7.0, -20.0])),
+    "one-panel": (np.array([0.3]), np.array([2.0, 0.0]), np.array([3.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("halves, taus, lams", _PANEL_CASES.values(),
+                         ids=_PANEL_CASES.keys())
+def test_gram_product_panels_match_direct_exponentials(halves, taus, lams):
+    # Panel form, t = mid + half * offset on the Gauss-Kronrod offsets, with
+    # the Gauss sub-Gram against a direct sum over the 10 Gauss nodes.
+    r, wk, wg = quad.gauss_kronrod21()
+    rng = np.random.default_rng(halves.size)
+    mids = rng.uniform(0.0, 2.0, halves.size)
+    t = mids[:, None] + halves[:, None] * r
+    x = np.sin(3.0 * t) + rng.uniform(-1.0, 1.0, t.shape)
+    wts = halves[:, None] * wk * rng.uniform(0.5, 1.5, t.shape)
+    phi = np.column_stack([taus, lams]).astype(float)
+    scale = np.sqrt(wg / wk[:10])
+    G, G_sub = riesz._gram_product(mids, x, wts, phi, panels=(halves, r), gauss=scale)
+    nodes = np.column_stack([t.ravel(), x.ravel()])
+    want = _direct_gram(nodes, wts.ravel(), phi[:, 0], phi[:, 1])
+    assert np.abs(G - want).max() <= 1e-12 * wts.sum()
+    assert np.array_equal(G, G.conj().T)
+    sub = np.column_stack([t[:, :10].ravel(), x[:, :10].ravel()])
+    sub_w = (wts[:, :10] * scale ** 2).ravel()
+    want = _direct_gram(sub, sub_w, phi[:, 0], phi[:, 1])
+    assert np.abs(G_sub - want).max() <= 1e-12 * sub_w.sum()
+    assert np.array_equal(G_sub, G_sub.conj().T)
+    alone = riesz._gram_product(mids, x, wts, phi, panels=(halves, r))
+    assert np.array_equal(alone, G)
+
+
 def test_gram_product_rejects_a_negative_weight():
-    nodes = np.zeros((5, 2))
     wts = np.array([0.2, 0.2, -0.1, 0.2, 0.2])
     with pytest.raises(ValueError, match="weight 2 is -1.000e-01"):
-        riesz._gram_product(nodes, wts, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        riesz._gram_product(np.zeros(5), np.zeros(5), wts,
+                            np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_gram_round_trips_through_json(mono2):
