@@ -33,11 +33,12 @@ BRANCHES = ("EllipseUV", "EllipseVU", "MixedXPos", "MixedYPos")
 
 
 def abs_pow(n, s: float):
-    """|n|^s computed as exp(s log |n|); exactly 0 for n = 0."""
+    """|n|^s from the power function, which is within an ulp where
+    exp(s log |n|) is not; exactly 0 for n = 0."""
     n = np.asarray(n)
     out = np.zeros(np.shape(n), dtype=float)
     nz = n != 0
-    out[nz] = np.exp(s * np.log(np.abs(n[nz]).astype(float)))
+    out[nz] = np.abs(n[nz]).astype(float) ** s
     if out.ndim == 0:
         return float(out)
     return out

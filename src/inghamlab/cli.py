@@ -1,7 +1,13 @@
 """Command line interface: every experiment as a subcommand.
 
 Argument parsing happens before numpy is imported so that --threads can
-pin the BLAS/OpenMP pool sizes of the numeric libraries.  Exit codes:
+pin the BLAS/OpenMP pool sizes of the numeric libraries: the numeric
+modules are reached as attributes of the package (`lab.riesz`), which
+imports each one on first use, and numpy itself only inside the
+functions that run after main has applied --threads.  Library calls
+look the function up on its module at call time, so a wrapper set on a
+module attribute (perfbench's tracer, a test's monkeypatch) sees every
+call.  Exit codes:
 0 success, 1 error (bad input, tolerance failures, crashes), 2 when a
 subcommand's mathematical assertion fails (monotonicity broken, fit
 outside its window, acceptance batch red) so CI can distinguish
@@ -17,10 +23,13 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-from . import DEFAULT_SEED, __version__
+import inghamlab as lab
+
+from . import DEFAULT_SEED, __version__, tables
+from .errors import ArtifactError, InadmissiblePoints
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -115,42 +124,38 @@ class _Document:
 
 
 def _curve(doc, p):
-    from . import curves
-    return curves.curve_from_dict(doc)
+    return lab.curves.curve_from_dict(doc)
 
 
 def _measure(doc, p):
-    from . import curves
-    return curves.measure_from_dict(doc)
+    return lab.curves.measure_from_dict(doc)
 
 
 def _gamma(doc, p):
-    from . import rigidity
-    return rigidity.ObservationCurveGamma(doc["kind"], doc.get("params", {}))
+    return lab.rigidity.ObservationCurveGamma(doc["kind"],
+                                              doc.get("params", {}))
 
 
 def _potential(doc, p):
-    from . import schrodinger
-    return schrodinger.PotentialSpec(doc["kind"], doc.get("params", {}))
+    return lab.schrodinger.PotentialSpec(doc["kind"], doc.get("params", {}))
 
 
 def _state(doc, p):
-    from . import schrodinger
     import numpy as np
     coeffs = np.asarray(doc["coeffs_re"], dtype=float) \
         + 1j * np.asarray(doc.get("coeffs_im", 0.0), dtype=float)
     s = float(doc.get("s", 2.0 if p["s"] is None else p["s"]))
     K = int(doc.get("K", (len(coeffs) - 1) // 2))
-    return schrodinger.TorusState(coeffs, float(doc.get("time", 0.0)), s, K)
+    return lab.schrodinger.TorusState(coeffs, float(doc.get("time", 0.0)),
+                                      s, K)
 
 
 def _system(doc, p):
-    from . import rigidity
     import numpy as np
     coeffs = np.asarray(doc["coefficients_re"], dtype=float) \
         + 1j * np.asarray(doc.get("coefficients_im", 0.0), dtype=float)
-    return rigidity.LowFreqSystem(int(doc["N"]), float(doc["s"]),
-                                  tuple(doc["lambdas"]), tuple(coeffs))
+    return lab.rigidity.LowFreqSystem(int(doc["N"]), float(doc["s"]),
+                                      tuple(doc["lambdas"]), tuple(coeffs))
 
 
 CURVE = _Document("curve_file", _curve)
@@ -345,7 +350,8 @@ def _resolve(subcommand: str, given: dict) -> dict:
 @dataclass
 class ExperimentConfig:
     """One experiment: subcommand plus its parameter map.  Round-trips
-    losslessly through JSON by to_dict and from_dict."""
+    losslessly through JSON: from_dict reads what dataclasses.asdict
+    writes."""
 
     subcommand: str
     parameters: dict = field(default_factory=dict)
@@ -362,9 +368,6 @@ class ExperimentConfig:
                 raise ValueError(f"config field '{name}': {exc}") from None
         if self.format not in _FORMATS:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -397,7 +400,6 @@ class RunContext:
     def emit(self, name, columns, rows, meta=None, plot=None, **axes):
         """Write one table to <out_dir>/<name>.<fmt> and, given a plot
         kind, its plot files beside it, named <name> and a suffix."""
-        from . import tables
         stamp = datetime.now(timezone.utc).isoformat()
         table = tables.ResultTable(
             name, columns, rows,
@@ -412,7 +414,6 @@ class RunContext:
 
     def emit_document(self, name, doc) -> str:
         """Write a JSON document to <out_dir>/<name>.json."""
-        from . import tables
         os.makedirs(self.out_dir, exist_ok=True)
         path = tables.dump_json(tables.plain(doc),
                                 os.path.join(self.out_dir, f"{name}.json"))
@@ -430,9 +431,8 @@ def _pick(obj, *names) -> dict:
 
 def run_validate_curve(p, ctx):
     import numpy as np
-    from . import curves
     curve, T = p["curve"], p["T"]
-    rep = curves.validate_H_alpha(curve, T, p["grid"])
+    rep = lab.curves.validate_H_alpha(curve, T, p["grid"])
     fields = {**_pick(rep, "passed", "lower_ratio_min", "upper_ratio_max",
                       "curvature_ratio_min", "sign_constant"),
               **_pick(curve, "alpha", "c1", "c2", "c3")}
@@ -448,9 +448,8 @@ def run_validate_curve(p, ctx):
 
 
 def run_integral(p, ctx):
-    from . import oscint
-    r = oscint.oscillatory_integral(p["n"], p["m"], p["s"], p["curve"],
-                                    p["T"], tol=p["tol"])
+    r = lab.oscint.oscillatory_integral(p["n"], p["m"], p["s"], p["curve"],
+                                        p["T"], tol=p["tol"])
     result = {"value_re": r.value.real, "value_im": r.value.imag,
               "modulus": abs(r.value),
               **_pick(r, "abs_error_estimate", "panels")}
@@ -460,11 +459,10 @@ def run_integral(p, ctx):
 
 
 def run_classify(p, ctx):
-    from . import classify
     s, tau = p["s"], p["tau"]
     if tau is None:
-        tau = classify.tau_threshold(p["curve"], p["T"])
-    grid = classify.region_grid(s, tau, p["N"])
+        tau = lab.classify.tau_threshold(p["curve"], p["T"])
+    grid = lab.classify.region_grid(s, tau, p["N"])
     ctx.emit("region_grid", ("n", "m", "tag", "ratio"), grid.rows(),
              meta={"s": s, "tau": tau,
                    **{f"count_{k}": v for k, v in grid.counts.items()}},
@@ -473,10 +471,9 @@ def run_classify(p, ctx):
 
 
 def run_boundary(p, ctx):
-    from . import classify
     rows = [(pt.branch, pt.parameter, *pt.point, abs(pt.residual()))
-            for b in classify.BRANCHES
-            for pt in classify.boundary_samples(b, p["samples"])]
+            for b in lab.classify.BRANCHES
+            for pt in lab.classify.boundary_samples(b, p["samples"])]
     max_res = max([0.0, *(row[-1] for row in rows)])
     ctx.emit("boundary", ("branch", "parameter", "x", "y", "residual"), rows,
              meta={"max_residual": max_res})
@@ -484,11 +481,10 @@ def run_boundary(p, ctx):
 
 
 def run_lemma21(p, ctx):
-    from . import sums
     gamma, s, N = p["gamma"], p["s"], p["N"]
     checkpoints = [n for n in (10, 31, 100, 316, 1000, 3162, 10000, 31623)
                    if n < N]
-    scan = sums.sup_M(gamma, s, N, checkpoints=checkpoints)
+    scan = lab.sums.sup_M(gamma, s, N, checkpoints=checkpoints)
     meta = {"gamma": gamma, "s": s, "sup": scan.sup_value,
             "argmax_n": scan.argmax[0], "argmax_m": scan.argmax[1]}
     if scan.growth_fit is not None:
@@ -496,7 +492,7 @@ def run_lemma21(p, ctx):
     ctx.emit("sup_scan", ("N", "sup"), [*scan.checkpoints,
                                         (N, scan.sup_value)],
              meta=meta, plot="loglog-fit")
-    wit = sums.inf_witness(gamma, s, N)
+    wit = lab.sums.inf_witness(gamma, s, N)
     ctx.emit("inf_witness", ("m", "ratio"), zip(wit.ms, wit.ratios),
              meta=_pick(wit, "family", "contracted"))
     return {"sup": scan.sup_value, "argmax": scan.argmax,
@@ -505,9 +501,8 @@ def run_lemma21(p, ctx):
 
 
 def run_tails(p, ctx):
-    from . import sums
-    fit = sums.tail_decay_fit(p["gamma"], p["delta"], p["s"], p["Ngrid"],
-                              m_set=p["mset"])
+    fit = lab.sums.tail_decay_fit(p["gamma"], p["delta"], p["s"],
+                                  p["Ngrid"], m_set=p["mset"])
     ctx.emit("tail_sums", ("N", "m", "S_m_N"),
              [(N, m, fit.values[i, j]) for i, m in enumerate(fit.m_set)
               for j, N in enumerate(fit.N_grid)])
@@ -518,20 +513,18 @@ def run_tails(p, ctx):
 
 
 def _gram(p):
-    from . import riesz
     indices = range(-p["N"], p["N"] + 1)
     if p["measure"] is not None:
-        system = riesz.measure_system(indices, p["s"], p["measure"])
+        system = lab.riesz.measure_system(indices, p["s"], p["measure"])
     else:
-        system = riesz.curve_system(indices, p["s"], p["curve"], p["T"],
-                                    weight=p["weight"])
-    return riesz.gram_matrix(system, tol=p["tol"])
+        system = lab.riesz.curve_system(indices, p["s"], p["curve"],
+                                        p["T"], weight=p["weight"])
+    return lab.riesz.gram_matrix(system, tol=p["tol"])
 
 
 def run_gram(p, ctx):
-    from . import riesz
     G = _gram(p)
-    path = ctx.emit_document("gram", riesz.gram_to_dict(G))
+    path = ctx.emit_document("gram", lab.riesz.gram_to_dict(G))
     ctx.emit("gram_entries", ("n", "m", "re", "im"),
              [(n, m, z.real, z.imag)
               for n, row in zip(G.indices, G.entries)
@@ -541,9 +534,8 @@ def run_gram(p, ctx):
 
 
 def run_riesz(p, ctx):
-    from . import riesz
     G = _gram(p)
-    rep = riesz.riesz_bounds(G, seed=ctx.seed)
+    rep = lab.riesz.riesz_bounds(G, seed=ctx.seed)
     ctx.emit("riesz_report",
              ("lambda_min", "lambda_max", "dim", "random_vector_checks"),
              [(rep.lambda_min, rep.lambda_max, G.dim,
@@ -553,9 +545,8 @@ def run_riesz(p, ctx):
 
 
 def run_ingham_sweep(p, ctx):
-    from . import riesz
     s, N = p["s"], p["N"]
-    res = riesz.ingham_sweep(p["curve"], s, N, p["Tgrid"], tol=p["tol"])
+    res = lab.riesz.ingham_sweep(p["curve"], s, N, p["Tgrid"], tol=p["tol"])
     found = _pick(res, "monotone", "empirical_T")
     ctx.emit("ingham_sweep", ("T", "lambda_min", "lambda_max", "ratio"),
              [(T, lo, hi, lo / T) for T, lo, hi in
@@ -567,9 +558,8 @@ def run_ingham_sweep(p, ctx):
 
 
 def run_minimal_time(p, ctx):
-    from . import riesz
     s = p["s"]
-    res = riesz.minimal_time_counterexample(p["curve"], s, p["jgrid"])
+    res = lab.riesz.minimal_time_counterexample(p["curve"], s, p["jgrid"])
     ctx.emit("minimal_time", ("j", "T_j", "ratio"),
              zip(res.j_grid, res.T_values, res.ratios),
              meta={"s": s, **_pick(res, "eps", "decreasing", "c_norm_sq")})
@@ -578,20 +568,19 @@ def run_minimal_time(p, ctx):
 
 
 def run_highfreq(p, ctx):
-    from . import riesz
     measure = p["measure"]
     # Sizes left unset take the library's defaults, which differ by mode;
     # _MODE_NEEDS rejects N without sgrid.
     sizes = {key: p[key] for key in ("N", "window") if p[key] is not None}
     if p["sgrid"] is not None:
-        res = riesz.highfreq_dispersion_sweep(measure, p["sgrid"], **sizes)
+        res = lab.riesz.highfreq_dispersion_sweep(measure, p["sgrid"], **sizes)
         found = _pick(res, "eta_hat", "lo_target", "hi_target")
         ctx.emit("dispersion_sweep", ("s", "lambda_min", "lambda_max"),
                  zip(res.s_grid, res.lambda_min, res.lambda_max),
                  meta={**_pick(res, "N", "window"), **found})
         return found, True
     s = p["s"]
-    res = riesz.highfreq_bounds(measure, s, p["Ngrid"], **sizes)
+    res = lab.riesz.highfreq_bounds(measure, s, p["Ngrid"], **sizes)
     found = _pick(res, "N_star", "delta_hat", "eta_hat")
     ctx.emit("highfreq_bounds", ("N", "lambda_min", "lambda_max"),
              zip(res.N_grid, res.lambda_min, res.lambda_max),
@@ -602,9 +591,8 @@ def run_highfreq(p, ctx):
 
 
 def run_sharpness(p, ctx):
-    from . import riesz
     delta, s = p["delta"], p["s"]
-    res = riesz.sharpness_sum(delta, s, p["Ngrid"])
+    res = lab.riesz.sharpness_sum(delta, s, p["Ngrid"])
     found = _pick(res, "slope", "expected_slope", "passes",
                   "exceeds_diagonal")
     ctx.emit("sharpness_sum", ("N", "S_N"), zip(res.N_grid, res.values),
@@ -613,10 +601,9 @@ def run_sharpness(p, ctx):
 
 
 def run_merged(p, ctx):
-    from . import riesz
     T, N = p["T"], p["N"]
-    res = riesz.merged_bound_experiment(p["curve"], T, p["sgrid"], N=N,
-                                        tol=p["tol"])
+    res = lab.riesz.merged_bound_experiment(p["curve"], T, p["sgrid"],
+                                            N=N, tol=p["tol"])
     ctx.emit("merged_bound",
              ("s", "lambda_min", "coupling", "product_bound_max"),
              zip(res.s_grid, res.lambda_min, res.coupling,
@@ -628,11 +615,10 @@ def run_merged(p, ctx):
 
 def run_wronskian(p, ctx):
     import numpy as np
-    from . import rigidity
     gamma = p["gamma_curve"]
     xs = np.linspace(p["xmin"], p["xmax"], p["samples"])
-    w = rigidity.wronskian_n1(gamma, xs)
-    rep = rigidity.n1_vanishing_classifier(gamma, xs)
+    w = lab.rigidity.wronskian_n1(gamma, xs)
+    rep = lab.rigidity.n1_vanishing_classifier(gamma, xs)
     ctx.emit("wronskian", ("x", "re", "im", "abs"),
              [(x, z.real, z.imag, abs(z)) for x, z in zip(xs, w)],
              meta=_pick(rep, "case"))
@@ -640,10 +626,8 @@ def run_wronskian(p, ctx):
 
 
 def run_threepoint(p, ctx):
-    from . import rigidity
-    from .errors import InadmissiblePoints
     try:
-        rep = rigidity.three_point_test(p["points"], p["coeffs"])
+        rep = lab.rigidity.three_point_test(p["points"], p["coeffs"])
     except InadmissiblePoints as exc:
         fields = {"admissible": False, "detail": str(exc)}
         ctx.emit("threepoint", ("field", "value"), fields.items())
@@ -659,8 +643,7 @@ def run_threepoint(p, ctx):
 
 
 def run_zeroprobe(p, ctx):
-    from . import rigidity
-    rep = rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"])
+    rep = lab.rigidity.zero_set_probe(p["system"], p["gamma_curve"], p["T"])
     ctx.emit("zero_probe", ("t",), [(t,) for t in rep.zeros],
              meta=_pick(rep, "verdict", "max_abs", "coeff_norm"))
     return {**_pick(rep, "verdict", "max_abs"), "zeros": len(rep.zeros)}, \
@@ -668,14 +651,13 @@ def run_zeroprobe(p, ctx):
 
 
 def run_schrodinger(p, ctx):
-    from . import schrodinger
     V, T, u0 = p["potential"], p["T"], p["u0"]
     if u0 is not None:
-        uT, diag = schrodinger.evolve(u0, V, T, dt=p["dt"])
+        uT, diag = lab.schrodinger.evolve(u0, V, T, dt=p["dt"])
         summary = {**_pick(diag, "steps", "norm_drift")}
         if p["curve"] is not None:
-            summary["trace"] = schrodinger.evolve_trace(u0, V, p["curve"], T,
-                                                        dt=p["dt"])
+            summary["trace"] = lab.schrodinger.evolve_trace(
+                u0, V, p["curve"], T, dt=p["dt"])
         ctx.emit("evolution", ("n", "re", "im", "mass"),
                  [(n, c.real, c.imag, abs(c) ** 2)
                   for n, c in zip(uT.modes, uT.coeffs)],
@@ -686,9 +668,8 @@ def run_schrodinger(p, ctx):
             "coeffs_im": uT.coeffs.imag})
         return {**summary, "state_json": path}, True
     s = p["s"]
-    res = schrodinger.trace_bound_experiment(p["curve"], s, V, T,
-                                             K=p["K"], n_random=p["trials"],
-                                             seed=ctx.seed)
+    res = lab.schrodinger.trace_bound_experiment(
+        p["curve"], s, V, T, K=p["K"], n_random=p["trials"], seed=ctx.seed)
     ctx.emit("trace_ratios", ("trial", "ratio"),
              zip(res.trial_names, res.ratios),
              meta={"T": T, "s": s,
@@ -718,7 +699,6 @@ def execute(config: ExperimentConfig, dry=False):
 
 def run_batch(doc: dict, out_dir: str, fmt: str, dry=False):
     """Execute a {"experiments": [...]} batch document."""
-    from . import tables
     if "experiments" not in doc:
         raise ValueError("batch config needs an 'experiments' list")
     results, all_ok = [], True
@@ -787,8 +767,6 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    from . import tables
-    from .errors import ArtifactError
     try:
         config_doc = None if args.config is None else _load_json(args.config)
         base = ExperimentConfig(args.subcommand)    # the field defaults

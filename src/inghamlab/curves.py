@@ -40,9 +40,10 @@ _DECAY_DIRECTIONS = 64  # equispaced directions per radius of a decay fit
 class CurveSpec:
     """A concrete curve p with declared admissibility data.
 
-    kind is one of CURVE_KINDS; params holds the construction parameters so
-    the curve round-trips through JSON.  Affine curves are retained as a
-    straight-line baseline; they carry alpha = 1 and always fail validation.
+    kind is one of CURVE_KINDS; params holds the construction parameters,
+    so a {kind, params} document rebuilds the curve (curve_from_dict).
+    Affine curves are retained as a straight-line baseline; they carry
+    alpha = 1 and always fail validation.
     The kind's builder in CURVE_KINDS supplies p, p', p'' and `knots`, the
     sorted times where p may fail to be smooth (a tabulated curve's t grid,
     empty for the closed-form kinds).
@@ -284,19 +285,6 @@ def build_curve(kind: str, params: dict) -> CurveSpec:
     return CurveSpec(kind, params, *constants)
 
 
-def curve_to_dict(curve: CurveSpec) -> dict:
-    params = {}
-    for key, val in curve.params.items():
-        if isinstance(val, np.ndarray):
-            params[key] = val.tolist()
-        elif key == "coefficients":
-            params[key] = [[a, e] for a, e in val]
-        else:
-            params[key] = val
-    return {"kind": curve.kind, "params": params,
-            "alpha": curve.alpha, "c1": curve.c1, "c2": curve.c2, "c3": curve.c3}
-
-
 def curve_from_dict(doc: dict) -> CurveSpec:
     return build_curve(doc["kind"], doc["params"])
 
@@ -466,23 +454,7 @@ def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:
     return DecayFit(float(-slope), eta_hat, radii, sups, radii[mask])
 
 
-def measure_to_dict(measure: MeasureSpec) -> dict:
-    params = {}
-    for key, val in measure.params.items():
-        if isinstance(val, CurveSpec):
-            params[key] = curve_to_dict(val)
-        else:
-            params[key] = val
-    return {
-        "kind": measure.kind,
-        "params": params,
-        "claimed_delta": measure.claimed_delta,
-        "resolution": measure.resolution,
-        "nodes": measure.nodes.tolist(),
-        "weights": measure.weights.tolist(),
-    }
-
-
 def measure_from_dict(doc: dict) -> MeasureSpec:
-    """Rebuild a measure; constructor params win over stored nodes."""
+    """Build a measure from its {kind, params, resolution} document; the
+    nodes and weights are always constructed, never read from it."""
     return build_measure(doc["kind"], doc["params"], int(doc.get("resolution", 1024)))

@@ -85,22 +85,6 @@ def _sign_change_roots(f, b: float) -> list:
     return sorted(roots)
 
 
-def stationary_points(n: int, m: int, s: float, curve: CurveSpec, T: float) -> list:
-    """Roots of (n - m) p'(t) + |n|^s - |m|^s in (0, T), the stationary
-    points of the pair's phase, located by bracketing + bisection.
-
-    Monotone p' gives at most one root; the search is generic so tabulated
-    curves with wiggly derivatives are still handled.
-    """
-    if abs(n) == abs(m):
-        raise ValueError("stationary points are defined for |n| != |m|")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    d = float(n - m)
-    e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
-    return _sign_change_roots(lambda t: d * curve.dp(t) + e, T)
-
-
 def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
                    tol: float = 1e-9, weight=None) -> QuadResult:
     """Adaptive certified integral of exp(2 pi i (d p(t) + e t)) w(t) over
@@ -248,19 +232,6 @@ def default_eta(s: float, alpha: float) -> float:
     return 1.0 if inclusive else 0.5 * hi
 
 
-def vdc_t1(eta: float, alpha: float):
-    """Window floor T1 attached to the bad-pair bound (informational only).
-
-    For 0 < eta < 1 it is 4^(eta / ((1-eta)(alpha-1))); for eta <= 0 it is 1;
-    for eta = 1 the bound is window-independent and no floor applies (None).
-    """
-    if eta == 1.0:
-        return None
-    if eta <= 0.0:
-        return 1.0
-    return 4.0 ** (eta / ((1.0 - eta) * (alpha - 1.0)))
-
-
 def antidiagonal_t0(curve: CurveSpec) -> float:
     """Window floor for the antidiagonal bound: (3(alpha-1)/(4 pi c1))^(1/alpha)."""
     al = curve.alpha
@@ -295,32 +266,3 @@ def vdc_theoretical_bound(n: int, m: int, s: float, curve: CurveSpec, T: float,
     return (T ** ((1.0 - eta) / 2.0)
             * abs(n - m) ** (-eta / denom)
             * e ** (-(al - 1.0 - eta) / denom))
-
-
-@dataclass
-class RatioScan:
-    """Empirical check that |I_(n,m)| / bound stays bounded over a pair grid."""
-
-    max_ratio: float
-    argmax: tuple
-    pairs: int
-
-
-def vdc_ratio_scan(curve: CurveSpec, s: float, T: float, N: int) -> RatioScan:
-    """Max of |I_(n,m)(T)| / vdc_theoretical_bound over |n|, |m| <= N, n != m,
-    with the bad-pair bound at default_eta.
-
-    By conjugation symmetry only pairs with n > m are computed.  Reported,
-    not asserted: the implied constants of the bounds are not explicit.
-    """
-    eta = default_eta(s, curve.alpha)
-    best, arg, pairs = 0.0, (0, 0), 0
-    for n in range(-N, N + 1):
-        for m in range(-N, n):
-            bound = vdc_theoretical_bound(n, m, s, curve, T, eta)
-            val = abs(oscillatory_integral(n, m, s, curve, T).value)
-            pairs += 1
-            ratio = val / bound
-            if ratio > best:
-                best, arg = ratio, (n, m)
-    return RatioScan(best, arg, pairs)

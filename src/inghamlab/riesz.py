@@ -255,13 +255,6 @@ def gram_to_dict(G: GramMatrix) -> dict:
     }
 
 
-def gram_from_dict(doc: dict) -> GramMatrix:
-    entries = np.asarray(doc["entries_re"], dtype=float) \
-        + 1j * np.asarray(doc["entries_im"], dtype=float)
-    return GramMatrix(entries, tuple(doc["indices"]),
-                      float(doc["T_or_mass"]), float(doc["tol"]))
-
-
 # ---------------------------------------------------------------------------
 # Riesz bounds
 # ---------------------------------------------------------------------------
@@ -372,8 +365,8 @@ def ingham_sweep(curve: CurveSpec, s: float, N: int, T_grid,
     if N > 60:
         raise ValueError("N above desk scale (60)")
     T_grid = sorted(float(T) for T in T_grid)
-    if len(T_grid) < 2:
-        raise ValueError("need at least two grid times")
+    if len(set(T_grid)) < 2:
+        raise ValueError(f"T_grid needs two distinct times to compare, got {T_grid}")
     idx = range(-N, N + 1)
     lmins, lmaxs = [], []
     for T in T_grid:
@@ -411,6 +404,10 @@ def minimal_time_counterexample(curve: CurveSpec, s: float,
     alpha = curve.alpha
     eps = (alpha * s - 1.0) / (2.0 * s)
     j_grid = sorted(int(j) for j in j_grid)
+    if len(set(j_grid)) < 2:
+        raise ValueError(f"j_grid needs two distinct modes to compare, got {j_grid}")
+    if j_grid[0] < 1:
+        raise ValueError(f"j_grid modes must be >= 1, got {j_grid}")
     p0 = float(curve.p(np.array([0.0]))[0])
     tau, wts = gl_grid(0.0, 1.0, 256)
     Ts, ratios = [], []
@@ -585,6 +582,8 @@ def merged_bound_experiment(curve: CurveSpec, T: float, s_grid, N: int = 20,
     if N < 2:
         raise ValueError(f"N must be >= 2 to couple |m| <= 1 with |n| >= 2, got {N}")
     s_grid = sorted(float(x) for x in s_grid)
+    if len(set(s_grid)) < 2:
+        raise ValueError(f"s_grid needs two distinct values to compare, got {s_grid}")
     idx = tuple(range(-N, N + 1))
     lmins, couplings, prods = [], [], []
     for s in s_grid:

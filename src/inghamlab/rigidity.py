@@ -16,11 +16,8 @@ by substitution rather than quoted):
     slope +1, gamma = x + beta:  c_1 = 0 and c_0 + c_-1 e^(-2 pi i beta) = 0
     slope -1, gamma = -x + beta: c_-1 = 0 and c_0 + c_1 e^(2 pi i beta) = 0
 
-The module also carries the two auxiliary finite-dimensional devices of
-the uniqueness argument: the power-Vandermonde determinant on the
-spatial frequencies (powers starting at 1, so a zero frequency
-degenerates the matrix and is flagged, not repaired), and the
-three-point admissibility test in the plane.
+The module also carries the three-point admissibility test in the
+plane, a finite-dimensional device of the uniqueness argument.
 """
 
 from __future__ import annotations
@@ -197,42 +194,6 @@ def n1_vanishing_classifier(gamma: ObservationCurveGamma,
     return VanishingReport(
         "OnlyTrivial", "c = 0", None,
         {"wronskian_nonzero_samples": nonzero, "samples": int(xs.size)})
-
-
-# ---------------------------------------------------------------------------
-# Vandermonde apparatus
-# ---------------------------------------------------------------------------
-
-@dataclass
-class VandermondeReport:
-    det_magnitude: float
-    invertible: bool
-    zero_frequency: bool
-    dim: int
-
-
-def vandermonde_rank(lambdas) -> VandermondeReport:
-    """|det| of the matrix V[m, k] = (2 pi i lambda_k)^m, m = 1..K, by
-    the closed product formula, cross-checked against a direct LU
-    determinant.  The powers start at m = 1, so lambda = 0 yields a
-    zero column: reported as non-invertible with the zero_frequency
-    flag raised (not silently shifted to powers from 0)."""
-    lam = np.asarray([float(x) for x in lambdas])
-    K = lam.size
-    diff = np.abs(lam[None, :] - lam[:, None])[np.triu_indices(K, 1)]
-    prod_pairs = float(np.prod(diff)) if diff.size else 1.0
-    prod_lams = float(np.prod(np.abs(lam)))
-    magnitude = _TWO_PI ** (K + K * (K - 1) // 2) * prod_lams * prod_pairs
-    z = 2j * np.pi * lam
-    V = z[None, :] ** np.arange(1, K + 1)[:, None]
-    direct = abs(np.linalg.det(V))
-    if magnitude > 0 and abs(direct - magnitude) > 1e-10 * magnitude:
-        raise ArithmeticError(
-            "product-formula determinant disagrees with LU determinant")
-    zero_freq = bool(np.any(lam == 0.0))
-    distinct = bool(diff.size == 0 or diff.min() > 0.0)
-    return VandermondeReport(magnitude, bool(distinct and not zero_freq),
-                             zero_freq, K)
 
 
 # ---------------------------------------------------------------------------

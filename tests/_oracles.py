@@ -1,8 +1,14 @@
-"""Slow, independent reference computations used only by the tests."""
+"""Code that only the tests call: slow, independent reference
+computations, and helpers that write library objects back to JSON,
+scan the decay bounds, and take Vandermonde determinants."""
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
+
+from inghamlab import oscint, riesz
+from inghamlab.curves import CurveSpec
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -72,3 +78,100 @@ def simpson_pair_oracle(p, s_values, T: float, pairs, n_points=1_000_001,
             v = acc[(s, d, a, b)]
             out[(s,) + key] = np.conj(v) if conj else v
     return out
+
+
+def curve_to_dict(curve: CurveSpec) -> dict:
+    """The JSON document of a curve, which curves.curve_from_dict reads."""
+    params = {}
+    for key, val in curve.params.items():
+        if isinstance(val, np.ndarray):
+            params[key] = val.tolist()
+        elif key == "coefficients":
+            params[key] = [[a, e] for a, e in val]
+        else:
+            params[key] = val
+    return {"kind": curve.kind, "params": params,
+            "alpha": curve.alpha, "c1": curve.c1, "c2": curve.c2, "c3": curve.c3}
+
+
+def measure_to_dict(measure) -> dict:
+    """The JSON document of a measure, which curves.measure_from_dict reads."""
+    params = {key: curve_to_dict(val) if isinstance(val, CurveSpec) else val
+              for key, val in measure.params.items()}
+    return {
+        "kind": measure.kind,
+        "params": params,
+        "claimed_delta": measure.claimed_delta,
+        "resolution": measure.resolution,
+        "nodes": measure.nodes.tolist(),
+        "weights": measure.weights.tolist(),
+    }
+
+
+def gram_from_dict(doc: dict) -> riesz.GramMatrix:
+    """The Gram matrix of a riesz.gram_to_dict document."""
+    entries = np.asarray(doc["entries_re"], dtype=float) \
+        + 1j * np.asarray(doc["entries_im"], dtype=float)
+    return riesz.GramMatrix(entries, tuple(doc["indices"]),
+                            float(doc["T_or_mass"]), float(doc["tol"]))
+
+
+@dataclass
+class RatioScan:
+    """Empirical check that |I_(n,m)| / bound stays bounded over a pair grid."""
+
+    max_ratio: float
+    argmax: tuple
+    pairs: int
+
+
+def vdc_ratio_scan(curve: CurveSpec, s: float, T: float, N: int) -> RatioScan:
+    """Max of |I_(n,m)(T)| / oscint.vdc_theoretical_bound over |n|, |m| <= N,
+    n > m, with the bad-pair bound at oscint.default_eta.
+
+    Every |I_(n,m)| is read from one curve Gram on -N..N.  Reported, not
+    asserted: the implied constants of the bounds are not explicit.
+    """
+    eta = oscint.default_eta(s, curve.alpha)
+    G = riesz.gram_matrix(riesz.curve_system(range(-N, N + 1), s, curve, T))
+    best, arg, pairs = 0.0, (0, 0), 0
+    for i, n in enumerate(G.indices):
+        for j, m in enumerate(G.indices[:i]):
+            bound = oscint.vdc_theoretical_bound(n, m, s, curve, T, eta)
+            pairs += 1
+            ratio = float(abs(G.entries[i, j])) / bound
+            if ratio > best:
+                best, arg = ratio, (n, m)
+    return RatioScan(best, arg, pairs)
+
+
+@dataclass
+class VandermondeReport:
+    det_magnitude: float
+    invertible: bool
+    zero_frequency: bool
+    dim: int
+
+
+def vandermonde_rank(lambdas) -> VandermondeReport:
+    """|det| of the matrix V[m, k] = (2 pi i lambda_k)^m, m = 1..K, by
+    the closed product formula, cross-checked against a direct LU
+    determinant.  The powers start at m = 1, so lambda = 0 yields a
+    zero column: reported as non-invertible with the zero_frequency
+    flag raised (not silently shifted to powers from 0)."""
+    lam = np.asarray([float(x) for x in lambdas])
+    K = lam.size
+    diff = np.abs(lam[None, :] - lam[:, None])[np.triu_indices(K, 1)]
+    prod_pairs = float(np.prod(diff)) if diff.size else 1.0
+    prod_lams = float(np.prod(np.abs(lam)))
+    magnitude = (2.0 * np.pi) ** (K + K * (K - 1) // 2) * prod_lams * prod_pairs
+    z = 2j * np.pi * lam
+    V = z[None, :] ** np.arange(1, K + 1)[:, None]
+    direct = abs(np.linalg.det(V))
+    if magnitude > 0 and abs(direct - magnitude) > 1e-10 * magnitude:
+        raise ArithmeticError(
+            "product-formula determinant disagrees with LU determinant")
+    zero_freq = bool(np.any(lam == 0.0))
+    distinct = bool(diff.size == 0 or diff.min() > 0.0)
+    return VandermondeReport(magnitude, bool(distinct and not zero_freq),
+                             zero_freq, K)

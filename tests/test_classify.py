@@ -1,5 +1,7 @@
 """Index-pair classification and the explicit bad-region boundary."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ def test_abs_pow_matches_definition():
     assert classify.abs_pow(np.asarray(-3), 2.0) == pytest.approx(9.0)
     vals = classify.abs_pow(np.array([-2, 0, 5]), 1.5)
     np.testing.assert_allclose(vals, [2.0 ** 1.5, 0.0, 5.0 ** 1.5])
+    # Within an ulp: exp(1.5 log 8) is 4 ulp below 8^1.5.
+    got = classify.abs_pow(np.asarray(-8), 1.5)
+    assert abs(got - 8.0 ** 1.5) <= math.ulp(8.0 ** 1.5)
 
 
 def test_pair_tags():
@@ -31,6 +36,8 @@ def test_pair_tags():
     # Boundary ratio exactly -tau belongs to GoodMinus.
     pc = classify.classify_pair(1, -9, 2.0, 8.0)
     assert pc.tag == "GoodMinus" and pc.ratio == pytest.approx(-8.0)
+    pc = classify.classify_pair(-5, -3, 2.0, 8.0)
+    assert pc.tag == "GoodMinus" and pc.ratio == -8.0
     pc = classify.classify_pair(1, -2, 2.0, 8.0)
     assert pc.tag == "Bad" and pc.ratio == pytest.approx(-1.0)
     with pytest.raises(ValueError):

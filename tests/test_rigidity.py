@@ -6,13 +6,13 @@ the zero-set probe."""
 import numpy as np
 import pytest
 
+from _oracles import vandermonde_rank
 from inghamlab.errors import AmbiguousCurve, InadmissiblePoints
 from inghamlab.rigidity import (
     LowFreqSystem,
     ObservationCurveGamma,
     n1_vanishing_classifier,
     three_point_test,
-    vandermonde_rank,
     wronskian_n1,
     wronskian_n1_fd,
     zero_set_probe,
