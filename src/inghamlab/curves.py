@@ -15,6 +15,10 @@ z_k in R^2 and nonnegative weights w_k summing to one, with the transform
 convention
 
     mu_hat(xi) = sum_k w_k exp(-2 pi i <xi, z_k>),      mu_hat(0) = 1.
+
+A tensor-product measure mu_t (x) mu_x also keeps its two 1-D factors, so
+that its transform is mu_hat_t(xi_t) mu_hat_x(xi_x) and its Gram matrix the
+Hadamard product of two 1-D Grams.
 """
 
 from __future__ import annotations
@@ -295,7 +299,14 @@ def curve_from_dict(doc: dict) -> CurveSpec:
 
 @dataclass
 class MeasureSpec:
-    """Planar probability measure sampled by quadrature nodes and weights."""
+    """Planar probability measure sampled by quadrature nodes and weights.
+
+    A tensor-product measure also carries axes = ((t, w_t), (x, w_x)), the
+    1-D nodes and weights (each summing to 1) of its two factors: nodes is
+    then the tensor grid of t and x, t outer, and weights is w_t (x) w_x to
+    rounding.  mu_hat_grid and riesz.gram_matrix use the factors whenever
+    they are set.
+    """
 
     kind: str
     params: dict
@@ -303,6 +314,7 @@ class MeasureSpec:
     weights: np.ndarray      # shape (M,), nonnegative, sums to 1
     claimed_delta: float     # decay exponent the construction aims for
     resolution: int
+    axes: tuple | None = None
 
     def diameter(self) -> float:
         return float(np.max(np.hypot(self.nodes[:, 0], self.nodes[:, 1])))
@@ -319,6 +331,10 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
     SmoothBump        tensor bump density (1-u^2)^k (1-v^2)^k on a box
     ProductNuDelta    nu (x) delta_0 where nu has density ~ |x|^(delta-1) e^(-2 pi |x|),
                       with the closed-form transform product_nu_hat below
+
+    The two tensor products, SmoothBump and ProductNuDelta, also fill
+    `axes` with their 1-D factors; the x factor of ProductNuDelta is the
+    single node 0 with weight 1.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64 nodes")
@@ -362,10 +378,12 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         bump = (1.0 - u * u) ** order
         tt = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * u
         xx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * u
-        W = np.outer(wu * bump, wu * bump).ravel()
+        w_axis = wu * bump
+        W = np.outer(w_axis, w_axis).ravel()
         nodes = np.column_stack([np.repeat(tt, xx.size), np.tile(xx, tt.size)])
+        w_axis = w_axis / w_axis.sum()
         return MeasureSpec(kind, params, nodes, W / W.sum(), float(order + 1),
-                           resolution)
+                           resolution, ((tt, w_axis), (xx, w_axis)))
     if kind == "ProductNuDelta":
         delta = float(params["delta"])
         if not (0.0 < delta < 1.0):
@@ -384,7 +402,9 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         xs = np.concatenate([-x[::-1], x])
         ws = np.concatenate([w_half[::-1], w_half])
         nodes = np.column_stack([xs, np.zeros_like(xs)])
-        return MeasureSpec(kind, params, nodes, ws / ws.sum(), delta, resolution)
+        ws = ws / ws.sum()
+        return MeasureSpec(kind, params, nodes, ws, delta, resolution,
+                           ((xs, ws), (np.zeros(1), np.ones(1))))
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
@@ -400,15 +420,27 @@ def product_nu_hat(delta: float, xi) -> np.ndarray:
 
 
 def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray) -> np.ndarray:
-    """mu_hat(xi) over a (K, 2) array of frequencies xi.  Small
-    chunks keep each temporary near the size of a Gram block, so that
-    repeated decay fits reuse freed memory instead of mapping new pages."""
+    """mu_hat(xi) over a (K, 2) array of frequencies xi: the product of the
+    two 1-D transforms of a measure with `axes`, otherwise the sum over
+    its node cloud."""
     xis = np.asarray(xis, dtype=float)
+    if measure.axes is not None:
+        (t, w_t), (x, w_x) = measure.axes
+        return _transform(xis[:, :1], t[None, :], w_t) \
+            * _transform(xis[:, 1:], x[None, :], w_x)
+    return _transform(xis, measure.nodes.T, measure.weights)
+
+
+def _transform(xis: np.ndarray, nodes_T: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-2 pi i <xi, z_k>) for each row xi of xis, with the
+    nodes z_k as the columns of nodes_T.  Small chunks keep each temporary
+    near the size of a Gram block, so that repeated decay fits reuse freed
+    memory instead of mapping new pages."""
     out = np.empty(xis.shape[0], dtype=complex)
     for lo in range(0, xis.shape[0], _MU_HAT_CHUNK):
         hi = min(lo + _MU_HAT_CHUNK, xis.shape[0])
-        z = -2j * np.pi * (xis[lo:hi] @ measure.nodes.T)
-        out[lo:hi] = np.exp(z, out=z) @ measure.weights
+        z = -2j * np.pi * (xis[lo:hi] @ nodes_T)
+        out[lo:hi] = np.exp(z, out=z) @ weights
     return out
 
 

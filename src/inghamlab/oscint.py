@@ -1,4 +1,4 @@
-"""Certified oscillatory integrals I_(n,m)(T) and their decay bounds.
+"""Certified oscillatory integrals I_(n,m)(T).
 
 The central object is
 
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import abs_pow, classify_pair, tau_threshold
+from .classify import abs_pow
 from .curves import CurveSpec
-from .errors import InadmissibleEta, ToleranceNotMet
+from .errors import ToleranceNotMet
 from .quad import gauss_kronrod21, kronrod_panels
 
 _PANEL_PHASE = 3.0 * np.pi  # max phase change per panel: 1.5 oscillations
@@ -200,69 +200,3 @@ def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
     e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
     return phase_integral(d, e, curve, T, tol, weight)
 
-
-# ---------------------------------------------------------------------------
-# decay bounds
-# ---------------------------------------------------------------------------
-
-def eta_admissible_range(s: float, alpha: float) -> tuple:
-    """Admissible (lo, hi, hi_inclusive) for the interpolation parameter eta."""
-    lo = -(alpha - 1.0)
-    if s >= 1.0 + 1.0 / alpha:
-        return lo, 1.0, True
-    hi = (s - 1.0) * (alpha - 1.0) / (2.0 - s)
-    return lo, hi, False
-
-
-def check_eta(eta: float, s: float, alpha: float) -> None:
-    lo, hi, inclusive = eta_admissible_range(s, alpha)
-    if not eta > lo:
-        raise InadmissibleEta(f"eta={eta} violates eta > -(alpha-1) = {lo}")
-    if inclusive:
-        if not eta <= hi:
-            raise InadmissibleEta(f"eta={eta} violates eta <= 1 (s >= 1 + 1/alpha)")
-    elif not eta < hi:
-        raise InadmissibleEta(
-            f"eta={eta} violates eta < (s-1)(alpha-1)/(2-s) = {hi} (1 < s < 1 + 1/alpha)")
-
-
-def default_eta(s: float, alpha: float) -> float:
-    """A safe admissible eta: 1 in the wide regime, mid-range otherwise."""
-    lo, hi, inclusive = eta_admissible_range(s, alpha)
-    return 1.0 if inclusive else 0.5 * hi
-
-
-def antidiagonal_t0(curve: CurveSpec) -> float:
-    """Window floor for the antidiagonal bound: (3(alpha-1)/(4 pi c1))^(1/alpha)."""
-    al = curve.alpha
-    return (3.0 * (al - 1.0) / (4.0 * np.pi * curve.c1)) ** (1.0 / al)
-
-
-def vdc_theoretical_bound(n: int, m: int, s: float, curve: CurveSpec, T: float,
-                          eta: float | None = None):
-    """Stationary-phase decay bound for |I_(n,m)(T)|, without implied constant.
-
-    Diagonal pairs have no decay bound (the integral is exactly T): None.
-    AntiDiagonal:  |n|^(-1/alpha)          (valid for T >= antidiagonal_t0)
-    GoodPlus/Minus: 1 / ||n|^s - |m|^s|
-    Bad:           T^((1-eta)/2) |n-m|^(-eta/(2(alpha-1)))
-                     * ||n|^s - |m|^s|^(-(alpha-1-eta)/(2(alpha-1)))
-    eta must be admissible whenever supplied; it is required for Bad pairs.
-    """
-    if eta is not None:
-        check_eta(eta, s, curve.alpha)
-    pc = classify_pair(n, m, s, tau_threshold(curve, T))
-    if pc.tag == "Diagonal":
-        return None
-    if pc.tag == "AntiDiagonal":
-        return abs(n) ** (-1.0 / curve.alpha)
-    e = abs(float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)))
-    if pc.tag in ("GoodPlus", "GoodMinus"):
-        return 1.0 / e
-    if eta is None:
-        raise InadmissibleEta("bad-pair bound needs an explicit eta")
-    al = curve.alpha
-    denom = 2.0 * (al - 1.0)
-    return (T ** ((1.0 - eta) / 2.0)
-            * abs(n - m) ** (-eta / denom)
-            * e ** (-(al - 1.0 - eta) / denom))

