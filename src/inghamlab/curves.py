@@ -444,15 +444,23 @@ def _transform(xis: np.ndarray, nodes_T: np.ndarray, weights: np.ndarray) -> np.
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecayFit:
-    """Radial decay fit of sup_{|xi| = R} |mu_hat| on a log-log grid."""
+    """Radial decay fit of sup_{|xi| = R} |mu_hat| on a log-log grid.
+
+    The arrays are read-only copies, so that one fit can be shared."""
 
     delta_hat: float
     eta_hat: float
     radii: np.ndarray
     sup_values: np.ndarray
     fit_radii: np.ndarray
+
+    def __post_init__(self):
+        for name in ("radii", "sup_values", "fit_radii"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:

@@ -21,10 +21,6 @@ class ToleranceNotMet(ArtifactError):
     """Adaptive quadrature exhausted its panel budget above tolerance."""
 
 
-class InadmissibleEta(ArtifactError):
-    """Interpolation parameter eta outside the admissible range."""
-
-
 class DivergentParameters(ArtifactError):
     """Tail-sum parameters fail the convergence condition."""
 

@@ -7,6 +7,8 @@ sharpness sum of the product measure, and the merged low+high bound.
 
 from __future__ import annotations
 
+import functools
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -15,7 +17,8 @@ from scipy.linalg.blas import zherk
 
 from . import DEFAULT_SEED
 from .classify import abs_pow
-from .curves import CurveSpec, MeasureSpec, fit_fourier_decay, product_nu_hat
+from .curves import (CurveSpec, MeasureSpec, build_measure, fit_fourier_decay,
+                     product_nu_hat)
 from .errors import DecayTooWeak, NotHermitian, ToleranceNotMet
 from .oscint import phase_integral
 from .quad import gauss_kronrod21, gl_grid, kronrod_panels
@@ -28,6 +31,7 @@ _EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the emp
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
 _NODES_PER_CYCLE = 16.0    # measure quadrature density of the high-frequency runs
+_FIT_CACHE_SIZE = 256      # decay fits a process keeps, least recently used dropped
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +437,42 @@ def _window_indices(N: int, window: int):
     return tuple(range(-(N + window), -N + 1)) + tuple(range(N, N + window + 1))
 
 
-def _resolved(measure: MeasureSpec, xi_max: float) -> MeasureSpec:
-    """The measure rebuilt with _NODES_PER_CYCLE nodes per cycle of the
-    frequency xi_max across its diameter (at least 4,096 nodes)."""
-    return measure.with_resolution(
-        max(4096, int(np.ceil(_NODES_PER_CYCLE * xi_max * measure.diameter()))))
+def _resolution(measure: MeasureSpec, xi_max: float) -> int:
+    """The resolution that puts _NODES_PER_CYCLE nodes on each cycle of
+    the frequency xi_max across the measure's diameter (at least 4,096)."""
+    return max(4096, int(np.ceil(_NODES_PER_CYCLE * xi_max * measure.diameter())))
 
 
 def _decay_fit(measure: MeasureSpec, radii=None):
     """Fourier decay fit of the measure on radii (default 36 radii over
-    [1, 200]), with a quadrature that resolves the largest radius."""
-    if radii is None:
-        radii = np.geomspace(1.0, 200.0, 36)
-    return fit_fourier_decay(_resolved(measure, float(np.max(radii))), radii)
+    [1, 200]), with a quadrature that resolves the largest radius, fitted
+    once per measure document and radii in a process: the fit is a pure
+    function of the kind, the parameters, the resolution and the exact
+    radii, so a repeat returns the same DecayFit.  A fit that raises
+    (InsufficientDecay) is not kept and raises again."""
+    radii = np.asarray(np.geomspace(1.0, 200.0, 36) if radii is None else radii,
+                       dtype=float)
+    params = json.dumps(measure.params, sort_keys=True, default=_param_document)
+    return _fit_document(measure.kind, params,
+                         _resolution(measure, float(np.max(radii))), radii.tobytes())
+
+
+def _param_document(value):
+    """The JSON form of a measure parameter that json cannot write: a
+    curve as its {kind, params} document, numpy values as lists or
+    numbers."""
+    if isinstance(value, CurveSpec):
+        return {"kind": value.kind, "params": value.params}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"measure parameter of type {type(value).__name__} has no "
+                    f"JSON document")
+
+
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _fit_document(kind: str, params: str, resolution: int, radii: bytes):
+    return fit_fourier_decay(build_measure(kind, json.loads(params), resolution),
+                             np.frombuffer(radii))
 
 
 def _window_bounds(measure: MeasureSpec, s: float, indices) -> RieszReport:
@@ -453,7 +480,7 @@ def _window_bounds(measure: MeasureSpec, s: float, indices) -> RieszReport:
     quadrature rebuilt to resolve the largest frequency difference."""
     phi = _phase_vectors(measure_system(indices, s, measure))
     span = phi.max(axis=0) - phi.min(axis=0)
-    meas = _resolved(measure, float(np.hypot(span[0], span[1])))
+    meas = measure.with_resolution(_resolution(measure, float(np.hypot(span[0], span[1]))))
     return riesz_bounds(gram_matrix(measure_system(indices, s, meas)))
 
 
@@ -477,9 +504,10 @@ def highfreq_bounds(measure: MeasureSpec, s: float, N_grid, window: int = 30,
     (with the 10% slack [0.45, 1.55] used by the acceptance run).
 
     The measure's quadrature is rebuilt for every N so that the largest
-    frequency difference stays resolved; the Fourier decay exponent is
-    fitted once and a DecayTooWeak warning (not an error) is emitted
-    when s * delta_hat <= 1, where the theorem gives no guarantee.
+    frequency difference stays resolved.  The Fourier decay exponent is
+    fitted once per measure document and radii in a process, and every
+    call emits a DecayTooWeak warning (not an error) when
+    s * delta_hat <= 1, where the theorem gives no guarantee.
     """
     fit = _decay_fit(measure, fit_radii)
     if s * fit.delta_hat <= 1.0:
@@ -515,7 +543,8 @@ def highfreq_dispersion_sweep(measure: MeasureSpec, s_grid, N: int = 2,
                               window: int = 10) -> DispersionSweep:
     """Fixed small N, dispersion s swept upward: the two-sided bounds
     should approach the window [(1 - eta)/2, (3 + eta)/2] where eta is
-    the measure's fitted near-frequency sup.  Reported, not asserted."""
+    the measure's near-frequency sup, fitted once per measure document and
+    radii in a process.  Reported, not asserted."""
     fit = _decay_fit(measure)
     idx = _window_indices(N, window)
     lmins, lmaxs = [], []

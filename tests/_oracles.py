@@ -11,7 +11,7 @@ import numpy as np
 from inghamlab import riesz
 from inghamlab.classify import abs_pow, classify_pair, tau_threshold
 from inghamlab.curves import CurveSpec
-from inghamlab.errors import InadmissibleEta
+from inghamlab.errors import ArtifactError
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -117,6 +117,10 @@ def gram_from_dict(doc: dict) -> riesz.GramMatrix:
         + 1j * np.asarray(doc["entries_im"], dtype=float)
     return riesz.GramMatrix(entries, tuple(doc["indices"]),
                             float(doc["T_or_mass"]), float(doc["tol"]))
+
+
+class InadmissibleEta(ArtifactError):
+    """Interpolation parameter eta outside the admissible range."""
 
 
 def eta_admissible_range(s: float, alpha: float) -> tuple:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import (antidiagonal_t0, check_eta, default_eta, eta_admissible_range,
-                      vdc_ratio_scan, vdc_theoretical_bound)
+from _oracles import (InadmissibleEta, antidiagonal_t0, check_eta, default_eta,
+                      eta_admissible_range, vdc_ratio_scan, vdc_theoretical_bound)
 from inghamlab import oscint
-from inghamlab.errors import InadmissibleEta, ToleranceNotMet
+from inghamlab.errors import ToleranceNotMet
 
 TWO_PI = 2.0 * np.pi
 

@@ -10,7 +10,7 @@ from scipy import special
 from _oracles import gram_from_dict
 from test_curves import TENSOR_MEASURES
 from inghamlab import curves, oscint, quad, riesz
-from inghamlab.errors import DecayTooWeak, NotHermitian
+from inghamlab.errors import DecayTooWeak, InsufficientDecay, NotHermitian
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,6 +352,91 @@ def test_smooth_bump_decay_fit_is_rapid_on_the_benchmark_radii():
         "SmoothBump", {"box": [0.0, 0.6395, 0.0, 0.6724], "order": 3})
     fit = riesz._decay_fit(bump, np.geomspace(1.0, 100.0, 8))
     assert fit.delta_hat >= 2.0
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """An empty decay-fit cache, and the list of measures that
+    fit_fourier_decay is called on from here on."""
+    riesz._fit_document.cache_clear()
+    calls = []
+    real = riesz.fit_fourier_decay
+
+    def spy(measure, radii):
+        calls.append(measure)
+        return real(measure, radii)
+
+    monkeypatch.setattr(riesz, "fit_fourier_decay", spy)
+    yield calls
+    riesz._fit_document.cache_clear()
+
+
+def test_highfreq_results_are_bit_identical_cold_and_warm(quarter_circle, fit_calls):
+    runs = [(riesz.highfreq_bounds(quarter_circle, 2.5, [2, 6], window=4),
+             riesz.highfreq_dispersion_sweep(quarter_circle, [2.0, 3.0], N=2, window=4))
+            for _ in range(2)]
+    # One fit for both experiments, which share the default radii.
+    assert len(fit_calls) == 1
+    (hf_cold, sweep_cold), (hf_warm, sweep_warm) = runs
+    assert repr(hf_warm) == repr(hf_cold)
+    assert repr(sweep_warm) == repr(sweep_cold)
+
+
+def test_decay_too_weak_warns_on_every_call(quarter_circle, fit_calls):
+    for _ in range(2):
+        with pytest.warns(DecayTooWeak):
+            riesz.highfreq_bounds(quarter_circle, 1.5, [2], window=4)
+    assert len(fit_calls) == 1
+
+
+def test_insufficient_decay_raises_on_every_call(fit_calls):
+    # A circle of radius 1e-5 keeps |mu_hat| above 0.99 out to |xi| = 200.
+    speck = curves.build_measure("ArcLengthOnCircle", {"radius": 1e-5})
+    for _ in range(2):
+        with pytest.raises(InsufficientDecay):
+            riesz.highfreq_bounds(speck, 2.5, [2], window=4)
+    assert len(fit_calls) == 2
+    assert riesz._fit_document.cache_info().currsize == 0
+
+
+def test_decay_fits_share_no_entry_across_documents_and_radii(mono2, mono3, fit_calls):
+    arc = {"radius": 1.0, "theta0": 0.0, "theta1": 1.5}
+    arc_ulp = dict(arc, theta1=float(np.nextafter(1.5, 2.0)))
+    base = np.geomspace(1.0, 100.0, 8)
+    fits = [
+        (curves.build_measure("ArcLengthOnCircle", arc), base),
+        (curves.build_measure("ArcLengthOnCircle", arc_ulp), base),
+        (curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 0.8}), base),
+        (curves.build_measure("ArcLengthOnGraph", {"curve": mono3, "T": 0.8}), base),
+        # two radius grids with the same resolution ...
+        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(1.0, 100.0, 9)),
+        # ... and two resolutions: 16 * 300 and 16 * 400 nodes across radius 1
+        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(3.0, 300.0, 8)),
+        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(4.0, 400.0, 8)),
+    ]
+    results = [riesz._decay_fit(m, radii) for m, radii in fits]
+    assert len(fit_calls) == len(fits)
+    assert riesz._fit_document.cache_info().currsize == len(fits)
+    assert fit_calls[4].resolution == fit_calls[0].resolution
+    assert fit_calls[5].resolution != fit_calls[6].resolution
+    # Each fit is the uncached fit of its own measure and radii.
+    for (m, radii), got, built in zip(fits, results, fit_calls):
+        assert built.resolution == riesz._resolution(m, float(radii.max()))
+        want = curves.fit_fourier_decay(m.with_resolution(built.resolution), radii)
+        assert (got.delta_hat, got.eta_hat) == (want.delta_hat, want.eta_hat)
+        assert np.array_equal(got.sup_values, want.sup_values)
+
+
+def test_a_cached_decay_fit_is_read_only(quarter_circle, fit_calls):
+    radii = np.geomspace(1.0, 100.0, 8)
+    fit = riesz._decay_fit(quarter_circle, radii)
+    for values in (fit.radii, fit.sup_values, fit.fit_radii):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    with pytest.raises(AttributeError):
+        fit.delta_hat = 0.0
+    radii[0] = 1.0   # the caller's array stays writable
+    assert riesz._decay_fit(quarter_circle, radii) is fit
 
 
 def test_sharpness_sum_grows_at_the_predicted_rate():
