@@ -44,36 +44,11 @@ def abs_pow(n, s: float):
     return out
 
 
-@dataclass(frozen=True)
-class PairClass:
-    tag: str
-    ratio: float | None
-    tau: float
-
-
 def tau_threshold(curve: CurveSpec, T: float) -> float:
     """tau = 2 c2 T^(alpha-1)."""
     if T <= 0:
         raise ValueError("T must be positive")
     return 2.0 * curve.c2 * T ** (curve.alpha - 1.0)
-
-
-def classify_pair(n: int, m: int, s: float, tau: float) -> PairClass:
-    if not (0 < tau < math.inf and math.isfinite(s)):
-        raise ValueError(f"need finite s and finite tau > 0, got s={s}, tau={tau}")
-    if n == m:
-        return PairClass("Diagonal", None, tau)
-    if n == -m:
-        return PairClass("AntiDiagonal", 0.0, tau)
-    ratio = (abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)) / (n - m)
-    ratio = float(ratio)
-    if ratio > 0:
-        tag = "GoodPlus"
-    elif ratio <= -tau:
-        tag = "GoodMinus"
-    else:
-        tag = "Bad"
-    return PairClass(tag, ratio, tau)
 
 
 @dataclass

@@ -371,6 +371,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {doc!r}")
         extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
@@ -699,10 +701,13 @@ def execute(config: ExperimentConfig, dry=False):
 
 def run_batch(doc: dict, out_dir: str, fmt: str, dry=False):
     """Execute a {"experiments": [...]} batch document."""
-    if "experiments" not in doc:
-        raise ValueError("batch config needs an 'experiments' list")
+    entries = doc.get("experiments") if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ValueError("batch config needs an 'experiments' list of JSON "
+                         "objects")
     results, all_ok = [], True
-    for i, entry in enumerate(doc["experiments"]):
+    for i, entry in enumerate(entries):
         cfg = ExperimentConfig.from_dict(entry)
         if "out_dir" not in entry:
             cfg.out_dir = os.path.join(out_dir,

@@ -300,6 +300,8 @@ def curve_from_dict(doc: dict) -> CurveSpec:
 @dataclass
 class MeasureSpec:
     """Planar probability measure sampled by quadrature nodes and weights.
+    It carries no decay exponent: fit_fourier_decay measures the decay of
+    its Fourier transform from the nodes and weights.
 
     A tensor-product measure also carries axes = ((t, w_t), (x, w_x)), the
     1-D nodes and weights (each summing to 1) of its two factors: nodes is
@@ -312,7 +314,6 @@ class MeasureSpec:
     params: dict
     nodes: np.ndarray        # shape (M, 2), columns (t, x)
     weights: np.ndarray      # shape (M,), nonnegative, sums to 1
-    claimed_delta: float     # decay exponent the construction aims for
     resolution: int
     axes: tuple | None = None
 
@@ -354,7 +355,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         if not total > 0:
             raise DegenerateCurve("arc length collapsed to zero")
         nodes = np.column_stack([t, curve.p(t)])
-        return MeasureSpec(kind, params, nodes, w / total, 0.5, resolution)
+        return MeasureSpec(kind, params, nodes, w / total, resolution)
     if kind == "ArcLengthOnCircle":
         r = float(params["radius"])
         if r <= 0:
@@ -367,7 +368,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         th, glw = gl_grid(theta0, theta1, math.ceil(resolution / 10))
         nodes = np.column_stack([ct + r * np.cos(th), cx + r * np.sin(th)])
         w = glw / glw.sum()   # ds = r dtheta, uniform density in theta
-        return MeasureSpec(kind, params, nodes, w, 0.5, resolution)
+        return MeasureSpec(kind, params, nodes, w, resolution)
     if kind == "SmoothBump":
         t0, t1, x0, x1 = (float(v) for v in params["box"])
         order = int(params.get("order", 4))
@@ -382,8 +383,8 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         W = np.outer(w_axis, w_axis).ravel()
         nodes = np.column_stack([np.repeat(tt, xx.size), np.tile(xx, tt.size)])
         w_axis = w_axis / w_axis.sum()
-        return MeasureSpec(kind, params, nodes, W / W.sum(), float(order + 1),
-                           resolution, ((tt, w_axis), (xx, w_axis)))
+        return MeasureSpec(kind, params, nodes, W / W.sum(), resolution,
+                           ((tt, w_axis), (xx, w_axis)))
     if kind == "ProductNuDelta":
         delta = float(params["delta"])
         if not (0.0 < delta < 1.0):
@@ -403,7 +404,7 @@ def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpe
         ws = np.concatenate([w_half[::-1], w_half])
         nodes = np.column_stack([xs, np.zeros_like(xs)])
         ws = ws / ws.sum()
-        return MeasureSpec(kind, params, nodes, ws, delta, resolution,
+        return MeasureSpec(kind, params, nodes, ws, resolution,
                            ((xs, ws), (np.zeros(1), np.ones(1))))
     raise ValueError(f"unknown measure kind {kind!r}")
 

@@ -114,24 +114,6 @@ def wronskian_n1(gamma: ObservationCurveGamma, x):
     return w
 
 
-def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float) -> complex:
-    """The same Wronskian as a direct 3x3 determinant of (f, f', f'')
-    rows with derivatives taken by central finite differences."""
-    x, h = float(x), 1e-5
-
-    def triple(xx):
-        g = float(gamma.gamma(np.asarray([xx]))[0])
-        return np.array([np.exp(1j * _TWO_PI * (g - xx)),
-                         1.0,
-                         np.exp(1j * _TWO_PI * (g + xx))])
-
-    f0 = triple(x)
-    fp, fm = triple(x + h), triple(x - h)
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / h ** 2
-    return complex(np.linalg.det(np.stack([f0, d1, d2])))
-
-
 @dataclass
 class VanishingReport:
     case: str               # HorizontalCase | SlopeMinusOneCase | SlopePlusOneCase | OnlyTrivial
@@ -174,10 +156,12 @@ def n1_vanishing_classifier(gamma: ObservationCurveGamma,
     a majority of the samples.  The emitted witness annihilates
     c_-1 e^(2 pi i (t - gamma)) + c_0 + c_1 e^(2 pi i (t + gamma))
     identically; witnesses are constructed from the derived relations.
+    Fewer than 3 distinct samples raise AmbiguousCurve.
     """
     xs = np.asarray(sorted(float(x) for x in samples), dtype=float)
-    if xs.size < 3:
-        raise AmbiguousCurve("need at least 3 samples to classify the curve")
+    if np.unique(xs).size < 3:
+        raise AmbiguousCurve(
+            "need at least 3 distinct samples to classify the curve")
     vals = np.asarray(gamma.gamma(xs), dtype=float)
     scale = max(1.0, float(np.abs(vals).max()))
     if float(vals.max() - vals.min()) < _AFFINE_TOL * scale:
@@ -302,7 +286,9 @@ def zero_set_probe(system: LowFreqSystem, gamma: ObservationCurveGamma,
     reach (numerical) zero, and the identically-zero verdict when the
     whole grid stays below 1e-10 of the coefficient norm.  Accumulation
     of zeros cannot be decided numerically; uniform smallness is the
-    documented proxy."""
+    documented proxy.  T must be positive."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
     c_norm = float(np.linalg.norm(system.coefficients))
     if c_norm == 0.0:
         return ZeroProbeReport("SuspectedIdenticallyZero", [], 0.0, 0.0)

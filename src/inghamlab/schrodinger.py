@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import simpson
 
 from . import DEFAULT_SEED
 from .classify import abs_pow
@@ -24,7 +24,6 @@ from .errors import ResolutionExceeded
 from .riesz import curve_system, gram_matrix, quadratic_form_quadrature
 
 _MAX_DT_BASE = 0.01
-_PICARD_GRID = 2048            # tau intervals of the Picard quadrature
 _TRACE_POINTS_PER_CYCLE = 48.0  # trace steps per cycle of the fastest mode
 
 
@@ -117,14 +116,6 @@ def _pad_spectrum(coeffs: np.ndarray, K: int, M: int) -> np.ndarray:
     return f
 
 
-def _truncate_spectrum(f: np.ndarray, K: int) -> np.ndarray:
-    M = f.shape[-1]
-    out = np.empty(f.shape[:-1] + (2 * K + 1,), dtype=complex)
-    out[..., K:] = f[..., : K + 1]
-    out[..., :K] = f[..., M - K:]
-    return out
-
-
 def _check_data(u0: TorusState, dt: float | None) -> None:
     if u0.K < 2 * u0.max_active_mode():
         raise ValueError("need K >= 2 * max active mode of the data")
@@ -190,12 +181,6 @@ class EvolveDiagnostics:
     top_band_fraction: float
 
 
-def free_evolution(u0: TorusState, t: float) -> TorusState:
-    """Exact closed-form flow for V = 0: c_n -> c_n exp(2 pi i |n|^s t)."""
-    phase = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * t)
-    return TorusState(u0.coeffs * phase, u0.time + t, u0.s, u0.K)
-
-
 def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
            dt: float | None = None) -> tuple:
     """Strang split-step evolution by t_final; returns (state, diagnostics).
@@ -222,30 +207,6 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
         top_frac = max(top_frac, frac)
     return TorusState(c, u0.time + t_final, u0.s, u0.K), \
         EvolveDiagnostics(steps, dt, drift, top_frac)
-
-
-def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
-                   n_iter: int = 3) -> TorusState:
-    """Duhamel fixed-point cross-check for small sup|V| * t:
-    c(t) = e^(2 pi i |n|^s t) (c(0) - 2 pi i int_0^t e^(-2 pi i |n|^s tau)
-    (V u(tau))_n d tau), iterated n_iter times from the free flow.
-    Quadrature is cumulative trapezoid on a uniform tau grid."""
-    if V.sup_norm * t_final > 0.1 + 1e-12:
-        raise ValueError("Picard cross-check is restricted to |V| T <= 0.1")
-    K = u0.K
-    M = 4 * K + 4
-    vgrid = V.values(M)
-    taus = np.linspace(0.0, t_final, _PICARD_GRID + 1)
-    temp = abs_pow(u0.modes, u0.s)
-    rot = np.exp(2j * np.pi * np.outer(taus, temp))       # free phases
-    U = rot * u0.coeffs[None, :]                           # free flow iterate
-    for _ in range(n_iter):
-        vals = np.fft.ifft(_pad_spectrum(U, K, M), axis=1) * M
-        vu = np.fft.fft(vals * vgrid[None, :], axis=1) / M
-        integrand = np.conj(rot) * _truncate_spectrum(vu, K)
-        acc = cumulative_trapezoid(integrand, taus, axis=0, initial=0.0)
-        U = rot * (u0.coeffs[None, :] - 2j * np.pi * acc)
-    return TorusState(U[-1], u0.time + t_final, u0.s, u0.K)
 
 
 # ---------------------------------------------------------------------------

@@ -337,15 +337,3 @@ def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
     N0 = int(N_grid[int(np.argmax(ok))]) if ok.any() else -1
     return TailFit(gamma, delta, s, N_grid, m_set, vals, max_per_N, slope,
                    sigma, bool(slope <= -sigma + 0.15), N0)
-
-
-def tail_m_decay(gamma: float, delta: float, s: float) -> tuple:
-    """Vanishing of S_m as |m| grows, at N = 10: compare max S_m over
-    m = 0, 10, ..., 100 against max over 12 log-spaced m in [1000, 10000].
-    Returns (max_small, max_large, decays)."""
-    def max_S(ms):
-        return max(tail_sum(gamma, delta, s, int(m), 10).value for m in ms)
-
-    max_small = max_S(range(0, 101, 10))
-    max_large = max_S(np.unique(np.geomspace(1000, 10000, 12).astype(int)))
-    return max_small, max_large, bool(max_large < max_small)

@@ -1,17 +1,32 @@
 """Code that only the tests call: slow, independent reference
 computations, and helpers that write library objects back to JSON,
 state and scan the stationary-phase decay bounds of the pair integrals,
-and take Vandermonde determinants."""
+and take Vandermonde determinants.
 
+The reference computations share no code with what they check: the
+closed-form free flow and a Duhamel (Picard) iterate, with its own
+spectral padding, for the Strang stepper of inghamlab.schrodinger; a
+finite-difference determinant for the factorized Wronskian of
+inghamlab.rigidity; the pairwise tag rule for classify.region_grid; and
+the decay of S_m in |m| from single tail sums."""
+
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from inghamlab import riesz
-from inghamlab.classify import abs_pow, classify_pair, tau_threshold
+from inghamlab.classify import abs_pow, tau_threshold
 from inghamlab.curves import CurveSpec
 from inghamlab.errors import ArtifactError
+from inghamlab.rigidity import ObservationCurveGamma
+from inghamlab.schrodinger import PotentialSpec, TorusState
+from inghamlab.sums import tail_sum
+
+_TWO_PI = 2.0 * np.pi
+_PICARD_GRID = 2048            # tau intervals of the Picard quadrature
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -104,7 +119,6 @@ def measure_to_dict(measure) -> dict:
     return {
         "kind": measure.kind,
         "params": params,
-        "claimed_delta": measure.claimed_delta,
         "resolution": measure.resolution,
         "nodes": measure.nodes.tolist(),
         "weights": measure.weights.tolist(),
@@ -117,6 +131,112 @@ def gram_from_dict(doc: dict) -> riesz.GramMatrix:
         + 1j * np.asarray(doc["entries_im"], dtype=float)
     return riesz.GramMatrix(entries, tuple(doc["indices"]),
                             float(doc["T_or_mass"]), float(doc["tol"]))
+
+
+@dataclass(frozen=True)
+class PairClass:
+    tag: str
+    ratio: float | None
+    tau: float
+
+
+def classify_pair(n: int, m: int, s: float, tau: float) -> PairClass:
+    """The tag of one index pair by the rule of inghamlab.classify's
+    module docstring, with its ratio (None on the diagonal)."""
+    if not (0 < tau < math.inf and math.isfinite(s)):
+        raise ValueError(f"need finite s and finite tau > 0, got s={s}, tau={tau}")
+    if n == m:
+        return PairClass("Diagonal", None, tau)
+    if n == -m:
+        return PairClass("AntiDiagonal", 0.0, tau)
+    ratio = (abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)) / (n - m)
+    ratio = float(ratio)
+    if ratio > 0:
+        tag = "GoodPlus"
+    elif ratio <= -tau:
+        tag = "GoodMinus"
+    else:
+        tag = "Bad"
+    return PairClass(tag, ratio, tau)
+
+
+def tail_m_decay(gamma: float, delta: float, s: float) -> tuple:
+    """Vanishing of S_m as |m| grows, at N = 10: compare max S_m over
+    m = 0, 10, ..., 100 against max over 12 log-spaced m in [1000, 10000].
+    Returns (max_small, max_large, decays)."""
+    def max_S(ms):
+        return max(tail_sum(gamma, delta, s, int(m), 10).value for m in ms)
+
+    max_small = max_S(range(0, 101, 10))
+    max_large = max_S(np.unique(np.geomspace(1000, 10000, 12).astype(int)))
+    return max_small, max_large, bool(max_large < max_small)
+
+
+def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float) -> complex:
+    """The N = 1 Wronskian of rigidity.wronskian_n1 as a direct 3x3
+    determinant of (f, f', f'') rows with derivatives taken by central
+    finite differences."""
+    x, h = float(x), 1e-5
+
+    def triple(xx):
+        g = float(gamma.gamma(np.asarray([xx]))[0])
+        return np.array([np.exp(1j * _TWO_PI * (g - xx)),
+                         1.0,
+                         np.exp(1j * _TWO_PI * (g + xx))])
+
+    f0 = triple(x)
+    fp, fm = triple(x + h), triple(x - h)
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (fp - 2.0 * f0 + fm) / h ** 2
+    return complex(np.linalg.det(np.stack([f0, d1, d2])))
+
+
+def free_evolution(u0: TorusState, t: float) -> TorusState:
+    """Exact closed-form flow for V = 0: c_n -> c_n exp(2 pi i |n|^s t)."""
+    phase = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * t)
+    return TorusState(u0.coeffs * phase, u0.time + t, u0.s, u0.K)
+
+
+def pad_spectrum(coeffs: np.ndarray, K: int, M: int) -> np.ndarray:
+    """Coefficients c_-K..c_K (last axis) as an M-point DFT spectrum:
+    c_n at position n mod M, zero elsewhere."""
+    f = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
+    f[..., : K + 1] = coeffs[..., K:]
+    f[..., M - K:] = coeffs[..., :K]
+    return f
+
+
+def truncate_spectrum(f: np.ndarray, K: int) -> np.ndarray:
+    """The modes -K..K of an M-point DFT spectrum (last axis)."""
+    M = f.shape[-1]
+    out = np.empty(f.shape[:-1] + (2 * K + 1,), dtype=complex)
+    out[..., K:] = f[..., : K + 1]
+    out[..., :K] = f[..., M - K:]
+    return out
+
+
+def picard_iterate(u0: TorusState, V: PotentialSpec, t_final: float,
+                   n_iter: int = 3) -> TorusState:
+    """Duhamel fixed-point cross-check for small sup|V| * t:
+    c(t) = e^(2 pi i |n|^s t) (c(0) - 2 pi i int_0^t e^(-2 pi i |n|^s tau)
+    (V u(tau))_n d tau), iterated n_iter times from the free flow.
+    Quadrature is cumulative trapezoid on a uniform tau grid."""
+    if V.sup_norm * t_final > 0.1 + 1e-12:
+        raise ValueError("Picard cross-check is restricted to |V| T <= 0.1")
+    K = u0.K
+    M = 4 * K + 4
+    vgrid = V.values(M)
+    taus = np.linspace(0.0, t_final, _PICARD_GRID + 1)
+    temp = abs_pow(u0.modes, u0.s)
+    rot = np.exp(2j * np.pi * np.outer(taus, temp))       # free phases
+    U = rot * u0.coeffs[None, :]                           # free flow iterate
+    for _ in range(n_iter):
+        vals = np.fft.ifft(pad_spectrum(U, K, M), axis=1) * M
+        vu = np.fft.fft(vals * vgrid[None, :], axis=1) / M
+        integrand = np.conj(rot) * truncate_spectrum(vu, K)
+        acc = cumulative_trapezoid(integrand, taus, axis=0, initial=0.0)
+        U = rot * (u0.coeffs[None, :] - 2j * np.pi * acc)
+    return TorusState(U[-1], u0.time + t_final, u0.s, u0.K)
 
 
 class InadmissibleEta(ArtifactError):

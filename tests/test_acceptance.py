@@ -17,7 +17,8 @@ import time
 
 import numpy as np
 
-from _oracles import simpson_pair_oracle
+from _oracles import (classify_pair, free_evolution, simpson_pair_oracle,
+                      tail_m_decay, wronskian_n1_fd)
 from inghamlab import classify, cli, oscint, rigidity, riesz, schrodinger, sums
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -116,7 +117,7 @@ def test_criterion_04_tail_sum_decay(capsys):
     bits, ok = [], True
     for gamma, delta, s in TAIL_TRIPLES:
         fit = sums.tail_decay_fit(gamma, delta, s, grid)
-        _, _, decays = sums.tail_m_decay(gamma, delta, s)
+        _, _, decays = tail_m_decay(gamma, delta, s)
         ok = ok and fit.passes and decays
         bits.append(f"({gamma:g},{delta:g},{s:g}) slope {fit.slope:.3f} "
                     f"<= {-fit.sigma_expected + 0.15:.2f}, m-decay {decays}")
@@ -232,7 +233,7 @@ def test_criterion_09_bad_region_boundary(capsys):
             checked += 1
             expect = ("GoodMinus" if (num + tau * (n - m)) * (n - m) <= 0.0
                       else "Bad")
-            if classify.classify_pair(n, m, s, tau).tag != expect:
+            if classify_pair(n, m, s, tau).tag != expect:
                 mismatches += 1
 
     # radial scaling moves boundary points strictly across: the ratio of
@@ -241,8 +242,8 @@ def test_criterion_09_bad_region_boundary(capsys):
     for branch in classify.BRANCHES:
         for p in classify.boundary_samples(branch, 40):
             x, y = p.point
-            outer = classify.classify_pair(1.05 * x, 1.05 * y, s, tau).tag
-            inner = classify.classify_pair(0.95 * x, 0.95 * y, s, tau).tag
+            outer = classify_pair(1.05 * x, 1.05 * y, s, tau).tag
+            inner = classify_pair(0.95 * x, 0.95 * y, s, tau).tag
             sides_ok = sides_ok and outer == "GoodMinus" and inner == "Bad"
 
     ok = residual_ok and mismatches == 0 and sides_ok
@@ -272,7 +273,7 @@ def test_criterion_10_rigidity(capsys):
                  "den": [1.0, 0.0, float(rng.uniform(0.1, 0.5))]})
         x = float(rng.uniform(-2.0, 2.0))
         exact = rigidity.wronskian_n1(gamma, x)
-        approx = rigidity.wronskian_n1_fd(gamma, x)
+        approx = wronskian_n1_fd(gamma, x)
         worst = max(worst, abs(approx - exact) / max(abs(exact), 1e-30))
     fd_ok = worst <= 1e-4
 
@@ -349,7 +350,7 @@ def test_criterion_11_schrodinger(mono2, capsys):
     c[4:13] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     u0 = schrodinger.TorusState(c, 0.0, 2.0, 8)
     final, _ = schrodinger.evolve(u0, zero, 0.5)
-    closed = schrodinger.free_evolution(u0, 0.5)
+    closed = free_evolution(u0, 0.5)
     free_err = float(np.abs(final.coeffs - closed.coeffs).max())
 
     # (b) unitarity under a genuine potential

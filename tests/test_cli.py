@@ -244,13 +244,25 @@ def test_batch_run(tmp_path, capsys):
     assert os.path.isdir(os.path.join(out, "01_boundary"))
 
 
-def test_batch_document_guard(tmp_path):
+def test_batch_document_guard(tmp_path, capsys):
     with pytest.raises(ValueError, match="experiments"):
         run_batch({"runs": []}, str(tmp_path), "csv")
     typo = {"experiments": [{"subcommand": "boundary",
                              "parameters": {"sampels": 10}}]}
     with pytest.raises(ValueError, match="sampels"):
         run_batch(typo, str(tmp_path), "csv")
+    # Documents of the wrong shape exit 1 with a message, not a traceback.
+    path = tmp_path / "doc.json"
+    for doc in ({"experiments": [5]}, {"experiments": {"a": 1}},
+                {"experiments": "ab"}, [{"subcommand": "boundary"}], 5):
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--dry-run"]) == 1
+        assert capsys.readouterr().err == (
+            "error: batch config needs an 'experiments' list of JSON objects\n")
+    path.write_text("[1]")
+    assert main(["boundary", "--config", str(path), "--dry-run"]) == 1
+    assert capsys.readouterr().err == \
+        "error: config must be a JSON object, got [1]\n"
 
 
 # config_hash() of each experiments/acceptance.json entry, in order.  The
@@ -295,6 +307,8 @@ def docs(tmp_path, mono2_file):
     for name, doc in {
         "parabola": {"kind": "Polynomial", "params": {"coeffs": [0, 0, 1]}},
         "flat_no_x0": {"kind": "Horizontal", "params": {}},
+        "system": {"N": 1, "s": 2.0, "lambdas": [-1.0, 0.0, 1.0],
+                   "coefficients_re": [0.0, 1.0, 1.0]},
         "cosine_no_amplitude": {"kind": "Cosine", "params": {"mode": 3}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
         "quarter": {"kind": "ArcLengthOnCircle",
@@ -374,6 +388,14 @@ _EXPLICIT_CASES = {
     "config-fraction-for-int": (["gram", "--config", "{halfN}"], 1, "'N'"),
     "merged-N0": (["merged", "--curve-file", "{mono2}", "--N", "0"], 1,
                   "N must be >= 2"),
+    "wronskian-one-point": (["wronskian", "--gamma-file", "{parabola}",
+                             "--samples", "10", "--xmin", "1", "--xmax", "1"],
+                            1, "need at least 3 distinct samples"),
+    "zeroprobe-T0": (["zeroprobe", "--system-file", "{system}", "--gamma-file",
+                      "{parabola}", "--T", "0"], 1, "T must be positive, got 0.0"),
+    "zeroprobe-T-negative": (["zeroprobe", "--system-file", "{system}",
+                              "--gamma-file", "{parabola}", "--T", "-1"], 1,
+                             "T must be positive, got -1.0"),
     "wronskian-gamma-no-x0": (["wronskian", "--gamma-file", "{flat_no_x0}",
                                "--dry-run"], 1, "'x0'"),
     "schrodinger-cosine-no-amplitude": (["schrodinger", "--u0-file", "{u0}",

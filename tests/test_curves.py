@@ -165,18 +165,6 @@ def test_measures_are_probability_measures(mono2, full_circle, quarter_circle):
         assert m.nodes.shape == (m.weights.size, 2)
 
 
-def test_measure_claimed_delta_values(mono2):
-    graph = curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 1.0})
-    circle = curves.build_measure("ArcLengthOnCircle", {"radius": 1.0})
-    bump = curves.build_measure(
-        "SmoothBump", {"box": [0.0, 1.0, 0.0, 1.0], "order": 4})
-    nu = curves.build_measure("ProductNuDelta", {"delta": 0.7})
-    assert graph.claimed_delta == 0.5
-    assert circle.claimed_delta == 0.5
-    assert bump.claimed_delta == 5.0
-    assert nu.claimed_delta == 0.7
-
-
 # kind, params, resolution: SmoothBump on an origin box and on a non-square
 # off-origin box, and ProductNuDelta, whose x factor is the point mass at 0.
 TENSOR_MEASURES = {
@@ -364,6 +352,6 @@ def test_decay_fit_errors():
     with pytest.raises(ValueError):
         curves.fit_fourier_decay(circle, np.geomspace(1.0, 40.0, 16))
     point = curves.MeasureSpec("ArcLengthOnCircle", {}, np.zeros((4, 2)),
-                               np.full(4, 0.25), 0.0, 64)
+                               np.full(4, 0.25), 64)
     with pytest.raises(InsufficientDecay):
         curves.fit_fourier_decay(point, np.geomspace(1.0, 100.0, 17))

@@ -10,7 +10,8 @@ from scipy import special
 from _oracles import gram_from_dict
 from test_curves import TENSOR_MEASURES
 from inghamlab import curves, oscint, quad, riesz
-from inghamlab.errors import DecayTooWeak, InsufficientDecay, NotHermitian
+from inghamlab.errors import (DecayTooWeak, InsufficientDecay, NotHermitian,
+                              ToleranceNotMet)
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,6 +93,61 @@ def test_curve_gram_makes_one_adaptive_integral(mono2, monkeypatch):
     riesz.gram_matrix(riesz.curve_system(range(-4, 5), 2.0, mono2, 2.0))
     # One integral, of the fastest pair: d = 8 (= 4 - (-4)), e = 4^2 - 0.
     assert calls == [(8.0, pytest.approx(16.0, rel=1e-15))]
+
+
+# Non-monotone curves, on which the envelope pair's panels do not bound
+# every pair's phase speed: the first Gauss/Kronrod certificate misses
+# tol/J = 1e-9/21 (2.0e-6 on the sine, 2.0e-9 on the Muntz parabola) and
+# one halving of every panel meets it.
+_SINE_T = np.linspace(0.0, 2.0, 81)
+_HALVING_CASES = {
+    "tabulated-sine": (("UserTabulated", {
+        "t": _SINE_T, "p": 0.5 * np.sin(TWO_PI * _SINE_T),
+        "dp": np.pi * np.cos(TWO_PI * _SINE_T),
+        "d2p": -2.0 * np.pi ** 2 * np.sin(TWO_PI * _SINE_T)}), 2.0, 1.5),
+    "muntz-parabola": (("Muntz", {"coefficients": [[-1.0, 1.0], [1.0, 2.0]],
+                                  "t0": 0.0}), 1.6, 3.0),
+}
+
+
+@pytest.fixture
+def gram_products(monkeypatch):
+    """The certificate max |K21 - G10| of each _gram_product call."""
+    certificates = []
+    real = riesz._gram_product
+
+    def spy(*args, **kwargs):
+        G, G10 = real(*args, **kwargs)
+        certificates.append(float(np.abs(G - G10).max()))
+        return G, G10
+
+    monkeypatch.setattr(riesz, "_gram_product", spy)
+    return certificates
+
+
+@pytest.mark.parametrize("curve_args, s, T", _HALVING_CASES.values(),
+                         ids=_HALVING_CASES.keys())
+def test_curve_gram_halves_its_panels_once(curve_args, s, T, gram_products):
+    curve = curves.build_curve(*curve_args)
+    system = riesz.curve_system(range(-10, 11), s, curve, T)
+    G = riesz.gram_matrix(system).entries
+    bound = 1e-9 / system.dim
+    assert len(gram_products) == 2
+    assert gram_products[0] > bound >= gram_products[1]
+    idx = system.indices
+    for i in range(0, system.dim, 3):
+        for j in range(i + 1, system.dim, 3):
+            want = oscint.oscillatory_integral(idx[i], idx[j], s, curve, T, tol=1e-11)
+            assert abs(G[i, j] - want.value) < 5e-14, (idx[i], idx[j])
+
+
+@pytest.mark.parametrize("curve_args, s, T", _HALVING_CASES.values(),
+                         ids=_HALVING_CASES.keys())
+def test_curve_gram_without_halvings_raises(curve_args, s, T, monkeypatch):
+    monkeypatch.setattr(riesz, "_MAX_HALVINGS", 0)
+    system = riesz.curve_system(range(-10, 11), s, curves.build_curve(*curve_args), T)
+    with pytest.raises(ToleranceNotMet, match=r"max \|K21 - G10\|"):
+        riesz.gram_matrix(system)
 
 
 def test_measure_gram_matches_transform(full_circle):

@@ -6,7 +6,7 @@ the zero-set probe."""
 import numpy as np
 import pytest
 
-from _oracles import vandermonde_rank
+from _oracles import vandermonde_rank, wronskian_n1_fd
 from inghamlab.errors import AmbiguousCurve, InadmissiblePoints
 from inghamlab.rigidity import (
     LowFreqSystem,
@@ -14,7 +14,6 @@ from inghamlab.rigidity import (
     n1_vanishing_classifier,
     three_point_test,
     wronskian_n1,
-    wronskian_n1_fd,
     zero_set_probe,
 )
 
@@ -164,6 +163,11 @@ def test_classifier_needs_three_samples():
     gamma = ObservationCurveGamma("Horizontal", {"x0": 0.0})
     with pytest.raises(AmbiguousCurve):
         n1_vanishing_classifier(gamma, [0.0, 1.0])
+    # Repeats of one or two points cannot tell a parabola from a line.
+    parabola = ObservationCurveGamma("Polynomial", {"coeffs": [0.0, 0.0, 1.0]})
+    for samples in ([1.0] * 10, [0.0, 1.0, 1.0, 0.0]):
+        with pytest.raises(AmbiguousCurve, match="3 distinct samples"):
+            n1_vanishing_classifier(parabola, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,14 @@ def test_low_freq_system_guards():
         LowFreqSystem(1, 2.0, (-1.0, 0.0), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         LowFreqSystem(1, 2.0, (-1.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_probe_rejects_an_empty_or_negative_interval(T):
+    system = LowFreqSystem(1, 2.0, (-1.0, 0.0, 1.0), (0.0, 1.0, 1.0))
+    gamma = ObservationCurveGamma("Polynomial", {"coeffs": [0.0, 0.0, 1.0]})
+    with pytest.raises(ValueError, match="T must be positive"):
+        zero_set_probe(system, gamma, T)
 
 
 def test_probe_flags_zero_coefficients():
