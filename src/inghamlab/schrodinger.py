@@ -54,8 +54,13 @@ class TorusState:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
     def max_active_mode(self) -> int:
-        nz = np.nonzero(np.abs(self.coeffs) > 0)[0]
-        return int(np.abs(nz - self.K).max()) if nz.size else 0
+        return _max_active_mode(self.coeffs)
+
+
+def _max_active_mode(coeffs: np.ndarray) -> int:
+    """Largest |n| with a nonzero coefficient in any row of coeffs."""
+    nz = np.nonzero(np.abs(coeffs) > 0)[-1]
+    return int(np.abs(nz - coeffs.shape[-1] // 2).max()) if nz.size else 0
 
 
 def _constant_potential(v0):
@@ -116,8 +121,9 @@ def _pad_spectrum(coeffs: np.ndarray, K: int, M: int) -> np.ndarray:
     return f
 
 
-def _check_data(u0: TorusState, dt: float | None) -> None:
-    if u0.K < 2 * u0.max_active_mode():
+def _check_data(coeffs: np.ndarray, dt: float | None) -> None:
+    """Every row of coeffs must leave the band K dealiasing headroom."""
+    if coeffs.shape[-1] // 2 < 2 * _max_active_mode(coeffs):
         raise ValueError("need K >= 2 * max active mode of the data")
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -132,44 +138,62 @@ def _step_dt(dt: float | None, cap: float, cap_text: str) -> float:
     return dt
 
 
-def _strang_steps(u0: TorusState, V: PotentialSpec, h: float, steps: int):
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b along the last axis, row by row over the leading axes.
+    matmul reduces each row pair with one vector dot, so every row gets
+    the bits of the same product taken alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _strang_steps(coeffs: np.ndarray, s: float, V: PotentialSpec, h: float,
+                  steps: int):
     """Yield the coefficients, and the share of their energy in the top
     tenth of the band, after each of `steps` Strang steps of length h
-    from u0: half potential phase on the zero-padded grid of M = 4K + 4
-    points, exact free flow, half potential phase.  A share above 1e-8
-    raises ResolutionExceeded.
+    from coeffs: half potential phase on the zero-padded grid of
+    M = 4K + 4 points, exact free flow, half potential phase.  A share
+    above 1e-8 raises ResolutionExceeded naming the step.
 
-    One zero-padded buffer serves every step: its middle M - 2K - 1
-    entries stay zero, and the retained band after the free flow is
-    written straight into it.  Each yielded array is new."""
-    K = u0.K
+    coeffs is one state, shape (2K+1,), or a stack of states, shape
+    (R, 2K+1), that advance together: the FFTs run along the last axis
+    of the whole stack and the phases broadcast over its rows.  Each row
+    is checked on its own and has the bits of its run alone; the error
+    of a stack of several rows also names the row.  One zero-padded
+    buffer serves every step: its middle M - 2K - 1 columns stay zero,
+    and the retained band after the free flow is written straight into
+    it.  Each yielded array is new."""
+    K = coeffs.shape[-1] // 2
     M = 4 * K + 4
+    modes = np.arange(-K, K + 1)
     half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
-    free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
-    top = np.abs(u0.modes) >= max(1, int(np.ceil(0.9 * K)))
-    f = _pad_spectrum(u0.coeffs, K, M)
-    low, high = f[: K + 1], f[M - K:]      # views of the retained band
+    free = np.exp(2j * np.pi * abs_pow(modes, s) * h)
+    top = np.flatnonzero(np.abs(modes) >= max(1, int(np.ceil(0.9 * K))))
+    f = _pad_spectrum(coeffs, K, M)
+    low, high = f[..., : K + 1], f[..., M - K:]   # views of the retained band
 
     def potential_half_step(low_out, high_out):
         vals = np.fft.ifft(f)
         vals *= M
         vals *= half
         g = np.fft.fft(vals)
-        np.divide(g[: K + 1], M, out=low_out)
-        np.divide(g[M - K:], M, out=high_out)
+        np.divide(g[..., : K + 1], M, out=low_out)
+        np.divide(g[..., M - K:], M, out=high_out)
 
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         potential_half_step(low, high)
         low *= free[K:]
         high *= free[:K]
-        c = np.empty(2 * K + 1, dtype=complex)
-        potential_half_step(c[K:], c[:K])
-        low[:] = c[K:]
-        high[:] = c[:K]
-        frac = float((np.abs(c[top]) ** 2).sum()) / float(np.vdot(c, c).real)
-        if frac > 1e-8:
+        c = np.empty(coeffs.shape, dtype=complex)
+        potential_half_step(c[..., K:], c[..., :K])
+        low[...] = c[..., K:]
+        high[...] = c[..., :K]
+        frac = ((np.abs(c.take(top, axis=-1)) ** 2).sum(-1)
+                / _row_dot(c.conj(), c).real)
+        if frac.max() > 1e-8:
+            row = int(np.argmax(frac > 1e-8))
+            where = f"step {step}" + (f", row {row}" if frac.size > 1 else "")
             raise ResolutionExceeded(
-                f"energy fraction {frac:.2e} in the top mode band; raise K")
+                f"{where}: energy fraction {np.ravel(frac)[row]:.2e} in the "
+                f"top mode band; raise K")
         yield c, frac
 
 
@@ -192,7 +216,7 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    _check_data(u0, dt)
+    _check_data(u0.coeffs, dt)
     dt = _step_dt(dt, _MAX_DT_BASE / (1.0 + V.sup_norm), "0.01/(1+|V|)")
     if t_final == 0:
         return TorusState(u0.coeffs.copy(), u0.time, u0.s, u0.K), \
@@ -202,9 +226,9 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     norm0 = float(np.vdot(u0.coeffs, u0.coeffs).real)
     drift = 0.0
     top_frac = 0.0
-    for c, frac in _strang_steps(u0, V, dt, steps):
+    for c, frac in _strang_steps(u0.coeffs, u0.s, V, dt, steps):
         drift = max(drift, abs(float(np.vdot(c, c).real) - norm0))
-        top_frac = max(top_frac, frac)
+        top_frac = max(top_frac, float(frac))
     return TorusState(c, u0.time + t_final, u0.s, u0.K), \
         EvolveDiagnostics(steps, dt, drift, top_frac)
 
@@ -221,20 +245,21 @@ def trace_along_curve(u0: TorusState, curve: CurveSpec, T: float) -> float:
                                      np.conj(u0.coeffs))
 
 
-def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
-                 dt: float | None = None) -> float:
-    """Trace of the potential-perturbed solution along the curve:
-    steps the solver with a dt fine enough for both stability and
-    quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
-    integrating with composite Simpson.  The step is capped at
-    min(0.01/(1+|V|), 1/(48 omega)), omega = max |n|^s + |n| max|p'| + 1;
-    a given dt above the cap raises ValueError, and energy reaching the
-    top of the band raises ResolutionExceeded, as in evolve."""
-    _check_data(u0, dt)
+def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
+                  curve: CurveSpec, T: float, dt: float | None = None) -> list:
+    """The trace along the curve of the potential-perturbed solution from
+    each row of coeffs, shape (R, 2K+1): one pass of _strang_steps
+    advances every row, and each row's samples |u(t_k, p(t_k))|^2 at
+    the step times are integrated with composite Simpson.  Each trace
+    has the bits of its row run alone."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    _check_data(coeffs, dt)
+    K = coeffs.shape[-1] // 2
     tt = np.linspace(0.0, T, 512)
     dpmax = float(np.abs(np.gradient(curve.p(tt), tt)).max())
-    modes = u0.modes
-    omega = float((abs_pow(modes, u0.s) + np.abs(modes) * dpmax).max()) + 1.0
+    modes = np.arange(-K, K + 1)
+    omega = float((abs_pow(modes, s) + np.abs(modes) * dpmax).max()) + 1.0
     cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm),
               1.0 / (_TRACE_POINTS_PER_CYCLE * omega))
     dt = _step_dt(dt, cap, f"min(0.01/(1+|V|), "
@@ -243,12 +268,29 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
     times = np.linspace(0.0, T, steps + 1)
     xs = np.mod(curve.p(times), 1.0)
     phases = np.exp(2j * np.pi * np.outer(xs, modes))
-    samples = np.empty(steps + 1)
-    samples[0] = abs(phases[0] @ u0.coeffs) ** 2
-    for k, (c, _) in enumerate(_strang_steps(u0, V, times[1] - times[0],
+    u = np.empty((coeffs.shape[0], steps + 1), dtype=complex)
+    u[:, 0] = _row_dot(phases[0], coeffs)
+    for k, (c, _) in enumerate(_strang_steps(coeffs, s, V, times[1] - times[0],
                                              steps), 1):
-        samples[k] = abs(phases[k] @ c) ** 2
-    return float(simpson(samples, x=times))
+        u[:, k] = _row_dot(phases[k], c)
+    # hypot and float_power round as the scalar abs(u) ** 2 does; np.abs
+    # of a complex array and array ** 2 do not always.
+    samples = np.float_power(np.hypot(u.real, u.imag), 2)
+    return [float(simpson(row, x=times)) for row in samples]
+
+
+def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
+                 dt: float | None = None) -> float:
+    """Trace of the potential-perturbed solution along the curve:
+    steps the solver with a dt fine enough for both stability and
+    quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
+    integrating with composite Simpson.  The step is capped at
+    min(0.01/(1+|V|), 1/(48 omega)), omega = max |n|^s + |n| max|p'| + 1;
+    T must be positive, a given dt above the cap raises ValueError, and
+    energy reaching the top of the band raises ResolutionExceeded, as in
+    evolve.  This is the one-row case of the stacked trace that
+    trace_bound_experiment runs over all its trials at once."""
+    return _curve_traces(u0.coeffs[None], u0.s, V, curve, T, dt)[0]
 
 
 @dataclass
@@ -269,10 +311,15 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     the two-mode short-time vectors c_0 = 1, c_j = -exp(-2 pi i j p(0)),
     the minimal Gram eigenvector (the V = 0 worst case), and random
     data.  The max ratio probes the upper trace bound, the min ratio is
-    the empirical observability constant."""
+    the empirical observability constant.  With V != 0 every trial,
+    padded to band 2K, advances in one stack through one Strang pass;
+    each ratio has the bits of evolve_trace run on that trial alone."""
     if K < 2:
         raise ValueError(f"K must be at least 2 for the two-mode trials, "
                          f"got {K}")
+    if n_random < 0:
+        raise ValueError(f"n_random must be a nonnegative count of random "
+                         f"trials, got {n_random}")
     rng = np.random.default_rng(seed)
     dim = 2 * K + 1
     trials: dict = {}
@@ -292,22 +339,18 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     for r in range(n_random):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         trials[f"random_{r}"] = c
-    names, ratios = [], []
-    for name, c in trials.items():
-        if V.sup_norm == 0.0:
-            u0 = TorusState(np.asarray(c, dtype=complex), 0.0, s, K)
-        else:
-            # Give the evolved runs dealiasing headroom: band 2K with the
-            # data confined to |n| <= K.
-            padded = np.zeros(4 * K + 1, dtype=complex)
-            padded[K:3 * K + 1] = c
-            u0 = TorusState(padded, 0.0, s, 2 * K)
-        mass = u0.norm_sq()
-        if V.sup_norm == 0.0:
-            tr = trace_along_curve(u0, curve, T)
-        else:
-            tr = evolve_trace(u0, V, curve, T)
-        names.append(name)
-        ratios.append(tr / mass)
+    names = list(trials)
+    if V.sup_norm == 0.0:
+        states = [TorusState(np.asarray(c, dtype=complex), 0.0, s, K)
+                  for c in trials.values()]
+        traces = [trace_along_curve(u0, curve, T) for u0 in states]
+    else:
+        # Give the evolved runs dealiasing headroom: band 2K with the
+        # data confined to |n| <= K.
+        padded = np.zeros((len(names), 4 * K + 1), dtype=complex)
+        padded[:, K:3 * K + 1] = list(trials.values())
+        states = [TorusState(c, 0.0, s, 2 * K) for c in padded]
+        traces = _curve_traces(padded, s, V, curve, T)
+    ratios = [tr / u0.norm_sq() for tr, u0 in zip(traces, states)]
     return TraceBoundResult(T, s, V.sup_norm, names, ratios,
                             float(max(ratios)), float(min(ratios)))

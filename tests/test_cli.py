@@ -310,6 +310,7 @@ def docs(tmp_path, mono2_file):
         "system": {"N": 1, "s": 2.0, "lambdas": [-1.0, 0.0, 1.0],
                    "coefficients_re": [0.0, 1.0, 1.0]},
         "cosine_no_amplitude": {"kind": "Cosine", "params": {"mode": 3}},
+        "cosine": {"kind": "Cosine", "params": {"amplitude": 0.1, "mode": 1}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
         "quarter": {"kind": "ArcLengthOnCircle",
                     "params": {"radius": 1.0, "theta0": 0.0,
@@ -382,6 +383,13 @@ _EXPLICIT_CASES = {
                                         "--dt", "0.009"], 1,
                                        "dt must be at most min(0.01/(1+|V|), "
                                        "1/(48*omega)) = 1.120e-03"),
+    "schrodinger-trace-T0": (["schrodinger", "--u0-file", "{u0}",
+                              "--curve-file", "{mono2}", "--T", "0"], 1,
+                             "T must be positive, got 0.0"),
+    "schrodinger-trials-negative": (["schrodinger", "--curve-file", "{mono2}",
+                                     "--V-file", "{cosine}", "--s", "2",
+                                     "--T", "0.5", "--trials", "-2"], 1,
+                                    "random trials, got -2"),
     "empty-grid": (["sharpness", "--Ngrid", ""], 1, "'Ngrid'"),
     "config-typo": (["ingham-sweep", "--config", "{tgird}"], 1, "Tgird"),
     "config-list-for-int": (["gram", "--config", "{listN}"], 1, "'N'"),

@@ -3,10 +3,14 @@ state plumbing, potential evaluation, exactness for V = 0 and constant
 V, unitarity, second-order self-convergence, the Duhamel cross-check,
 and the trace identities against the Gram quadratic form."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from _oracles import free_evolution, pad_spectrum, picard_iterate, truncate_spectrum
+from inghamlab import schrodinger
 from inghamlab.classify import abs_pow
 from inghamlab.curves import build_curve
 from inghamlab.errors import ResolutionExceeded
@@ -83,19 +87,31 @@ def test_strang_steps_match_fresh_arrays_and_keep_each_yield():
     # The stepper reuses one padded buffer.  Every yielded array must keep
     # its value through later steps and equal, bit for bit, a step that
     # pads and truncates into new arrays with the oracle's own helpers.
+    # A stack of states advances through batched FFTs: each of its rows
+    # must equal, bit for bit, the run of that state alone.
     u0 = _random_state(8, 3)
     V = PotentialSpec("Cosine", {"amplitude": 0.8, "mode": 3})
     K, M, h = 8, 36, 0.01
     half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
     free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
-    kept = [c for c, _ in _strang_steps(u0, V, h, 6)]
+    kept = list(_strang_steps(u0.coeffs, u0.s, V, h, 6))
+    top = np.abs(u0.modes) >= 8
     c = u0.coeffs
-    for got in kept:
+    for got, frac in kept:
         for kick in (free, 1.0):
             vals = np.fft.ifft(pad_spectrum(c, K, M)) * M
             vals *= half
             c = truncate_spectrum(np.fft.fft(vals) / M, K) * kick
         assert np.array_equal(got, c)
+        assert frac == (float((np.abs(c[top]) ** 2).sum())
+                        / float(np.vdot(c, c).real))
+    other = _random_state(8, 4, seed=12)
+    stack = np.stack([other.coeffs, u0.coeffs])
+    alone = [list(_strang_steps(row, u0.s, V, h, 6)) for row in stack]
+    for k, (rows, fracs) in enumerate(_strang_steps(stack, u0.s, V, h, 6)):
+        for r in range(2):
+            assert np.array_equal(rows[r], alone[r][k][0])
+            assert fracs[r] == alone[r][k][1]
 
 
 def test_free_evolution_phases_and_norm():
@@ -171,8 +187,23 @@ def test_band_saturation_raises(mono2):
     V = PotentialSpec("Cosine", {"amplitude": 2.0, "mode": 3})
     for run in (lambda: evolve(u0, V, 1.0),
                 lambda: evolve_trace(u0, V, mono2, 1.0)):
-        with pytest.raises(ResolutionExceeded, match="top mode band"):
+        with pytest.raises(ResolutionExceeded,
+                           match=r"^step \d+: .*top mode band"):
             run()
+    # Of a stack, only the row without headroom saturates, and the error
+    # names it with the step at which its run alone crossed 1e-8.
+    weak = PotentialSpec("Cosine", {"amplitude": 0.05, "mode": 3})
+    with pytest.raises(ResolutionExceeded) as alone:
+        for _ in _strang_steps(c, 2.0, weak, 2e-4, 100):
+            pass
+    step = int(re.match(r"step (\d+):", str(alone.value)).group(1))
+    assert step > 1
+    calm = np.zeros(9, dtype=complex)
+    calm[4] = 1.0
+    with pytest.raises(ResolutionExceeded,
+                       match=rf"^step {step}, row 1: .*top mode band"):
+        for _ in _strang_steps(np.stack([calm, c]), 2.0, weak, 2e-4, 100):
+            pass
 
 
 def test_picard_cross_checks_strang():
@@ -225,6 +256,31 @@ def test_translated_curve_matches_modulated_data(mono2):
     assert abs(tr_path - tr_data) <= 1e-12 * tr_data
 
 
+def test_stacked_trace_samples_match_a_scalar_loop(mono2):
+    # The trace samples every row of its stack at once; each trace must
+    # keep the bits of the scalar abs(phases[k] @ c) ** 2 per row and
+    # step, integrated row by row.  Two steps keep each sample's last bit
+    # visible in the Simpson sum, and 4,000 rows let a rounding that
+    # differs in one sample of a thousand show.
+    rng = np.random.default_rng(2)
+    K, R = 6, 4000
+    stack = np.zeros((R, 2 * K + 1), dtype=complex)
+    stack[:, K - 3:K + 4] = (rng.standard_normal((R, 7))
+                             + 1j * rng.standard_normal((R, 7)))
+    V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
+    T, steps = 0.001, 2
+    times = np.linspace(0.0, T, steps + 1)
+    phases = np.exp(2j * np.pi * np.outer(np.mod(mono2.p(times), 1.0),
+                                          np.arange(-K, K + 1)))
+    states = [stack] + [c for c, _ in _strang_steps(
+        stack, 2.0, V, times[1] - times[0], steps)]
+    want = [float(simpson([abs(phases[k] @ states[k][r]) ** 2
+                           for k in range(steps + 1)], x=times))
+            for r in range(R)]
+    got = schrodinger._curve_traces(stack, 2.0, V, mono2, T, dt=T / steps)
+    assert got == want
+
+
 def test_trace_argument_guards(mono2):
     u0 = _random_state(6, 3)
     for T in (0.0, float("nan")):
@@ -235,6 +291,9 @@ def test_trace_argument_guards(mono2):
         evolve_trace(narrow, PotentialSpec("Zero", {}), mono2, 1.0)
 
 
+_COSINE = PotentialSpec("Cosine", {"amplitude": 0.1, "mode": 1})
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda c: evolve(_random_state(8, 4), PotentialSpec("Zero", {}), 0.1,
                       dt=0.0), "dt"),
@@ -242,10 +301,15 @@ def test_trace_argument_guards(mono2):
                             c, 0.1, dt=0.0), "dt"),
     (lambda c: evolve_trace(_random_state(8, 4), PotentialSpec("Zero", {}),
                             c, 0.1, dt=0.009), "dt"),
+    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, 0.0), "T"),
+    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, -0.5), "T"),
     (lambda c: trace_bound_experiment(c, 2.0, PotentialSpec("Zero", {}), 0.5,
                                       K=1, n_random=1), "K"),
+    (lambda c: trace_bound_experiment(c, 2.0, _COSINE, 0.5, K=3,
+                                      n_random=-3), "n_random"),
 ], ids=["evolve-dt0", "evolve_trace-dt0", "evolve_trace-dt-above-cap",
-        "trace_bound-K1"])
+        "evolve_trace-T0", "evolve_trace-T-negative", "trace_bound-K1",
+        "trace_bound-n_random-negative"])
 def test_degenerate_arguments_name_the_parameter(mono2, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
         call(mono2)
@@ -263,10 +327,24 @@ def test_trace_bound_experiment_free_case(mono2):
     assert result.V_sup == 0.0
 
 
-def test_trace_bound_experiment_with_potential(mono2):
+def test_trace_bound_experiment_with_potential(mono2, monkeypatch):
+    # The trials advance together in one stack; each ratio must keep the
+    # bits of evolve_trace run alone on that trial's padded state.
+    stacks = []
+    real = schrodinger._curve_traces
+
+    def spy(coeffs, *args):
+        stacks.append(coeffs.copy())
+        return real(coeffs, *args)
+
+    monkeypatch.setattr(schrodinger, "_curve_traces", spy)
     V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
     result = trace_bound_experiment(mono2, 2.0, V, 0.5, K=3, n_random=1, seed=7)
     assert result.V_sup == 0.3
     assert len(result.trial_names) == len(result.ratios)
     assert all(r > 0 for r in result.ratios)
     assert result.min_ratio <= result.max_ratio
+    assert stacks[0].shape == (len(result.ratios), 13)
+    for row, ratio in zip(stacks[0], result.ratios):
+        u0 = TorusState(row, 0.0, 2.0, 6)
+        assert ratio == evolve_trace(u0, V, mono2, 0.5) / u0.norm_sq()
