@@ -99,7 +99,10 @@ def _points(value) -> list:
 
 
 def _coeffs(value) -> list:
-    return [complex(re, im) for re, im in _pairs(value)]
+    pairs = _pairs(value)
+    if len(pairs) != 3:
+        raise ValueError("need exactly three re,im pairs")
+    return [complex(re, im) for re, im in pairs]
 
 
 def _load_json(path: str) -> dict:
@@ -399,7 +402,7 @@ class RunContext:
     config_hash: str
     written: list = field(default_factory=list)
 
-    def emit(self, name, columns, rows, meta=None, plot=None, **axes):
+    def emit(self, name, columns, rows, meta=None, plot=None):
         """Write one table to <out_dir>/<name>.<fmt> and, given a plot
         kind, its plot files beside it, named <name> and a suffix."""
         stamp = datetime.now(timezone.utc).isoformat()
@@ -412,7 +415,7 @@ class RunContext:
         write = tables.write_json if self.fmt == "json" else tables.write_csv
         self.written.append(write(table, f"{base}.{self.fmt}"))
         if plot is not None:
-            self.written.extend(tables.emit_plot_data(table, plot, base, **axes))
+            self.written.extend(tables.emit_plot_data(table, plot, base))
 
     def emit_document(self, name, doc) -> str:
         """Write a JSON document to <out_dir>/<name>.json."""
@@ -444,8 +447,7 @@ def run_validate_curve(p, ctx):
     lower = curve.c1 / curve.alpha * ts ** curve.alpha
     upper = curve.c2 / curve.alpha * ts ** curve.alpha
     ctx.emit("curve_profile", ("t", "p_shifted", "lower", "upper"),
-             np.column_stack((ts, ps, lower, upper)).tolist(), plot="curve",
-             ys=["p_shifted", "lower", "upper"])
+             np.column_stack((ts, ps, lower, upper)).tolist(), plot="curve")
     return _pick(rep, "passed", "failures"), rep.passed
 
 
@@ -553,8 +555,7 @@ def run_ingham_sweep(p, ctx):
     ctx.emit("ingham_sweep", ("T", "lambda_min", "lambda_max", "ratio"),
              [(T, lo, hi, lo / T) for T, lo, hi in
               zip(res.T_grid, res.lambda_min, res.lambda_max)],
-             meta={"s": s, "N": N, **found}, plot="xy", x="T",
-             y="lambda_min")
+             meta={"s": s, "N": N, **found}, plot="xy")
     return {**found, "lambda_min_final": res.lambda_min[-1]}, \
         bool(res.monotone)
 
@@ -588,7 +589,7 @@ def run_highfreq(p, ctx):
              zip(res.N_grid, res.lambda_min, res.lambda_max),
              meta={"s": s, "window": res.window, **found,
                    "N_star": -1 if res.N_star is None else res.N_star},
-             plot="xy", x="N", y="lambda_min")
+             plot="xy")
     return found, res.N_star is not None
 
 

@@ -187,16 +187,16 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
 
 
 def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
-                         tol: float = 1e-9, weight=None) -> QuadResult:
-    """I_(n,m)(T) for the pair (n, m) at dispersion s, optionally weighted.
+                         tol: float = 1e-9) -> QuadResult:
+    """I_(n,m)(T) for the pair (n, m) at dispersion s.
 
-    Unweighted diagonal pairs short-circuit to the exact value T.
+    Diagonal pairs short-circuit to the exact value T.
     """
-    if n == m and weight is None:
+    if n == m:
         if T <= 0:
             raise ValueError("T must be positive")
         return QuadResult(complex(T), 0.0, 1, [], np.array([0.0, T]))
     d = float(n - m)
     e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
-    return phase_integral(d, e, curve, T, tol, weight)
+    return phase_integral(d, e, curve, T, tol)
 

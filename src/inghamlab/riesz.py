@@ -53,6 +53,8 @@ class ExpSystem:
 
     def __post_init__(self):
         idx = tuple(int(n) for n in self.indices)
+        if not idx:
+            raise ValueError("the index set is empty")
         if list(idx) != sorted(set(idx)):
             raise ValueError("indices must be distinct and sorted")
         object.__setattr__(self, "indices", idx)
@@ -434,6 +436,10 @@ def minimal_time_counterexample(curve: CurveSpec, s: float,
 
 
 def _window_indices(N: int, window: int):
+    if N < 1:
+        raise ValueError(f"window base frequency N must be >= 1, got {N}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     return tuple(range(-(N + window), -N + 1)) + tuple(range(N, N + window + 1))
 
 
@@ -580,8 +586,8 @@ def sharpness_sum(delta: float, s: float, N_grid) -> SharpnessResult:
     N_grid = sorted(int(N) for N in N_grid)
     if len(set(N_grid)) < 2:
         raise ValueError(f"N_grid needs two distinct sizes for a slope, got {N_grid}")
-    if N_grid[0] < 1:
-        raise ValueError(f"N_grid sizes must be >= 1, got {N_grid}")
+    if N_grid[0] < 2:
+        raise ValueError(f"N_grid sizes must be >= 2, got {N_grid}")
     Nmax = N_grid[-1]
     n = np.arange(1, Nmax + 1, dtype=float) ** s
     M = product_nu_hat(delta, n[:, None] - n[None, :])

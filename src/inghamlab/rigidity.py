@@ -233,6 +233,8 @@ def three_point_test(points, c=None) -> ThreePointReport:
     residual = None
     if c is not None:
         cc = np.asarray(c, dtype=complex)
+        if cc.shape != (3,):
+            raise ValueError("need exactly three coefficients (c_-1, c_0, c_1)")
         residual = float(np.abs(M @ cc).max())
     return ThreePointReport(rank, True, tuple(float(s) for s in sv), residual)
 

@@ -25,8 +25,9 @@ import numpy as np
 from .errors import DivergentParameters, ToleranceNotMet
 
 _ROW_CHUNK = 512
-_DEFAULT_HORIZON = 10 ** 6
+_MIN_HORIZON = 10 ** 6
 _DEFAULT_MSET = (0, 1, 7, 100, 1000)
+_CRITICAL_LOSS = 0.1   # sigma's loss on the critical line gamma + delta = 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +143,15 @@ def inf_witness(gamma: float, s: float, N_trunc: int) -> InfWitness:
 # tail sums
 # ---------------------------------------------------------------------------
 
-def expected_sigma(gamma: float, delta: float, s: float, eps: float = 0.1) -> float:
+def expected_sigma(gamma: float, delta: float, s: float) -> float:
     """Decay exponent sigma with S_m(N) <= C N^(-sigma), by the case split
-    on gamma + delta (the eps loss applies on the critical line)."""
+    on gamma + delta (less _CRITICAL_LOSS on the critical line)."""
     gd = gamma + delta
     if gd > 1.0:
         return (s - 1.0) * delta
     if gd < 1.0:
         return s * delta + gamma - max(1.0, delta)
-    return (s - 1.0) * delta - eps
+    return (s - 1.0) * delta - _CRITICAL_LOSS
 
 
 def _check_convergence(gamma: float, delta: float, s: float) -> None:
@@ -231,21 +232,15 @@ def _branch_remainder(gamma, delta, s, c, b, start):
     return value, trunc + abs(dga) / 6.0
 
 
-def _tail_horizon(gamma: float, delta: float, s: float, m: int, N: int,
-                  horizon: int | None) -> int:
-    """Check the arguments of S_m(N) and return its horizon: by default
-    max(10^6, 10*max(N, |m|)), and a given horizon must reach that floor."""
+def _tail_horizon(gamma: float, delta: float, s: float, m: int, N: int) -> int:
+    """Check the arguments of S_m(N) and return its horizon,
+    max(10^6, 10*max(N, |m|))."""
     if delta <= 0 or s <= 1:
         raise ValueError("need delta > 0 and s > 1")
     if N < 1:
         raise ValueError("N must be a positive count")
     _check_convergence(gamma, delta, s)
-    floor = 10 * max(N, abs(m))
-    if horizon is None:
-        return max(_DEFAULT_HORIZON, floor)
-    if horizon < floor:
-        raise ValueError(f"horizon must be at least 10*max(N,|m|) = {floor}")
-    return horizon
+    return max(_MIN_HORIZON, 10 * max(N, abs(m)))
 
 
 def _tail_sums(gamma: float, delta: float, s: float, m: int, Ns,
@@ -283,14 +278,13 @@ def _tail_sums(gamma: float, delta: float, s: float, m: int, Ns,
     return out
 
 
-def tail_sum(gamma: float, delta: float, s: float, m: int, N: int,
-             horizon: int | None = None) -> TailSum:
+def tail_sum(gamma: float, delta: float, s: float, m: int, N: int) -> TailSum:
     """S_m(N) = sum over |n| >= N, |n| != |m| of
     |n-m|^(-gamma) ||n|^s - |m|^s|^(-delta), summed directly up to the
     horizon and completed with an Euler-Maclaurin remainder whose error
     bound must stay below 1e-10 of the value.
     """
-    horizon = _tail_horizon(gamma, delta, s, m, N, horizon)
+    horizon = _tail_horizon(gamma, delta, s, m, N)
     return _tail_sums(gamma, delta, s, m, [N], horizon)[0]
 
 
@@ -310,7 +304,7 @@ class TailFit:
 
 
 def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
-                   m_set=_DEFAULT_MSET, horizon: int | None = None) -> TailFit:
+                   m_set=_DEFAULT_MSET) -> TailFit:
     """Least-squares decay exponent of max_m S_m(N) over the N grid.
 
     The grid must span at least 1.5 decades.  passes means the fitted
@@ -324,7 +318,7 @@ def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
         raise ValueError("N grid must span at least 1.5 decades")
     vals = np.empty((len(m_set), len(N_grid)))
     for i, m in enumerate(m_set):
-        horizons = [_tail_horizon(gamma, delta, s, m, N, horizon) for N in N_grid]
+        horizons = [_tail_horizon(gamma, delta, s, m, N) for N in N_grid]
         for h in sorted(set(horizons)):
             cols = [j for j, hj in enumerate(horizons) if hj == h]
             tails = _tail_sums(gamma, delta, s, m, [N_grid[j] for j in cols], h)

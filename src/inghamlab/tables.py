@@ -154,14 +154,6 @@ def dump_json(doc, path: str) -> str:
     return path
 
 
-def _column(table: ResultTable, name: str, rows) -> list:
-    try:
-        idx = table.columns.index(name)
-    except ValueError:
-        raise ValueError(f"table {table.name} has no column {name!r}")
-    return [row[idx] for row in rows]
-
-
 def _write_xy(path: str, xs, ys, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     for x, y in zip(xs, ys):
@@ -171,20 +163,16 @@ def _write_xy(path: str, xs, ys, comments=()) -> str:
     return path
 
 
-def _plot_xy(table, out_base, x, y):
-    rows = table.sorted_rows()
-    return [_write_xy(out_base + ".dat", _column(table, x, rows),
-                      _column(table, y, rows))]
-
-
-def _plot_loglog_fit(table, out_base, x, y):
+def _plot_loglog_fit(name, out_base, xs, ys):
     """Data file plus a fitted-line companion: least squares on
     log10/log10, the companion sampled at the data abscissae."""
     import numpy as np
 
-    rows = table.sorted_rows()
-    xs = np.asarray(_column(table, x, rows), dtype=float)
-    ys = np.asarray(_column(table, y, rows), dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if np.unique(xs).size < 2:
+        raise ValueError(f"table {name}: a log-log fit needs at least two "
+                         "distinct x values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log plot needs positive data")
     slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)
@@ -196,14 +184,10 @@ def _plot_loglog_fit(table, out_base, x, y):
     return paths
 
 
-def _plot_region_svg(table, out_base):
+def _plot_region_svg(out_base, ns, ms, tags):
     """Classification square: n horizontal, m vertical (m up), one
     colored cell per pair."""
     cell = 6   # pixels per side
-    rows = table.sorted_rows()
-    ns = _column(table, "n", rows)
-    ms = _column(table, "m", rows)
-    tags = _column(table, "tag", rows)
     n_min, n_max = min(ns), max(ns)
     m_min, m_max = min(ms), max(ms)
     width = (n_max - n_min + 1) * cell
@@ -228,29 +212,20 @@ def _plot_region_svg(table, out_base):
     return [path]
 
 
-def _plot_curve(table, out_base, x, ys):
-    rows = table.sorted_rows()
-    xs = _column(table, x, rows)
-    paths = []
-    for yname in ys:
-        paths.append(_write_xy(f"{out_base}.{yname}.dat", xs,
-                               _column(table, yname, rows)))
-    return paths
-
-
-def emit_plot_data(table: ResultTable, kind: str, out_base: str,
-                   x: str = None, y: str = None, ys=None) -> list:
+def emit_plot_data(table: ResultTable, kind: str, out_base: str) -> list:
     """Write two-column whitespace data files (and SVG for region
-    grids) for a table.  Kinds: xy, loglog-fit, region-svg, curve."""
+    grids) for a table; x is its first column.  Kinds: xy and
+    loglog-fit plot the second column, curve writes one file per later
+    column, region-svg draws the first three (n, m, tag)."""
+    rows = table.sorted_rows()
+    columns = [[row[i] for row in rows] for i in range(len(table.columns))]
     if kind == "xy":
-        return _plot_xy(table, out_base, x or table.columns[0],
-                        y or table.columns[1])
+        return [_write_xy(out_base + ".dat", columns[0], columns[1])]
     if kind == "loglog-fit":
-        return _plot_loglog_fit(table, out_base, x or table.columns[0],
-                                y or table.columns[1])
+        return _plot_loglog_fit(table.name, out_base, columns[0], columns[1])
     if kind == "region-svg":
-        return _plot_region_svg(table, out_base)
+        return _plot_region_svg(out_base, *columns[:3])
     if kind == "curve":
-        names = ys or [c for c in table.columns[1:]]
-        return _plot_curve(table, out_base, x or table.columns[0], names)
+        return [_write_xy(f"{out_base}.{name}.dat", columns[0], ys)
+                for name, ys in zip(table.columns[1:], columns[1:])]
     raise ValueError(f"unknown plot kind {kind!r}")

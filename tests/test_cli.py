@@ -440,6 +440,28 @@ _EXPLICIT_CASES = {
                             "--s", "2", "--N", "2", "--Tgrid", "1,1"], 1,
                            "T_grid needs two distinct times to compare, "
                            "got [1.0, 1.0]"),
+    "gram-N-negative": (["gram", "--curve-file", "{mono2}", "--s", "2",
+                         "--N", "-1", "--T", "1"], 1, "index set is empty"),
+    "gram-measure-N-negative": (["gram", "--measure-file", "{quarter}",
+                                 "--s", "2", "--N", "-1"], 1,
+                                "index set is empty"),
+    "ingham-sweep-N-negative": (["ingham-sweep", "--curve-file", "{mono2}",
+                                 "--s", "2", "--N", "-1", "--Tgrid", "0.5,1"],
+                                1, "index set is empty"),
+    "threepoint-two-coeffs": (["threepoint", "--points", "0,0.3;1,1.1;2.2,2.9",
+                               "--coeffs", "1,0;2,0"], 1,
+                              "parameter 'coeffs': need exactly three re,im "
+                              "pairs"),
+    "highfreq-window-negative": (["highfreq", "--measure-file", "{quarter}",
+                                  "--s", "2.5", "--Ngrid", "6", "--window",
+                                  "-1"], 1, "window must be >= 0, got -1"),
+    "highfreq-N-negative": (["highfreq", "--measure-file", "{quarter}",
+                             "--s", "2.5", "--Ngrid", "-5", "--window", "2"],
+                            1, "window base frequency N must be >= 1, got -5"),
+    "lemma21-one-checkpoint": (["lemma21", "--gamma", "1", "--s", "2",
+                                "--N", "10"], 1,
+                               "table sup_scan: a log-log fit needs at least "
+                               "two distinct x values"),
 }
 
 

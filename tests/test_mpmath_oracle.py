@@ -102,8 +102,11 @@ def _check(name, n, m, s, T, arclength=False):
     curve = _BUILT[name]
     d, e = n - m, abs(n) ** s - abs(m) ** s
     exact = _reference(name, d, e, T, arclength)
-    w = (lambda t: np.sqrt(1.0 + curve.dp(t) ** 2)) if arclength else None
-    res = oscint.oscillatory_integral(n, m, s, curve, T, tol=TOL, weight=w)
+    if arclength:
+        res = oscint.phase_integral(d, e, curve, T, tol=TOL,
+                                    weight=lambda t: np.sqrt(1.0 + curve.dp(t) ** 2))
+    else:
+        res = oscint.oscillatory_integral(n, m, s, curve, T, tol=TOL)
     err = abs(res.value - exact)
     case = (name, n, m, s, T, arclength, err, res.abs_error_estimate)
     assert err <= TOL, case

@@ -134,8 +134,6 @@ def test_exhausted_panel_budget_raises(mono2, monkeypatch):
 def test_weighted_integrals(mono2):
     res = oscint.phase_integral(0.0, 0.0, mono2, 2.0, weight=lambda t: t)
     assert abs(res.value - 2.0) < 1e-12
-    res = oscint.oscillatory_integral(3, 3, 2.0, mono2, 2.0, weight=lambda t: t)
-    assert abs(res.value - 2.0) < 1e-12
 
 
 def test_degenerate_arguments_raise(mono2):

@@ -33,6 +33,10 @@ def test_system_validation(mono2, full_circle):
         riesz.ExpSystem((0, 1), 2.0, curve=mono2, T=1.0, measure=full_circle)
     with pytest.raises(ValueError):
         riesz.ExpSystem((0, 1), 2.0)
+    with pytest.raises(ValueError, match="index set is empty"):
+        riesz.curve_system(range(1, 0), 2.0, mono2, 1.0)
+    with pytest.raises(ValueError, match="index set is empty"):
+        riesz.measure_system(range(1, 0), 2.0, full_circle)
     sys = riesz.curve_system([-2, 0, 3], 2.5, mono2, 1.0)
     assert sys.dim == 3
 
@@ -75,8 +79,11 @@ def test_curve_gram_structure(name, weight):
     # Entries are the pair integrals with d = n - m, e = |n|^s - |m|^s.
     for i, n in enumerate(idx):
         for j, m in enumerate(idx[i:], start=i):
-            want = oscint.oscillatory_integral(n, m, 2.0, curve, T, tol=1e-12,
-                                               weight=w)
+            if w is None:
+                want = oscint.oscillatory_integral(n, m, 2.0, curve, T, tol=1e-12)
+            else:
+                want = oscint.phase_integral(n - m, abs(n) ** 2.0 - abs(m) ** 2.0,
+                                             curve, T, tol=1e-12, weight=w)
             assert abs(H[i, j] - want.value) < tol, (n, m)
     assert np.linalg.eigvalsh(H).min() > -1e-10
 
@@ -509,10 +516,11 @@ def test_sharpness_sum_grows_at_the_predicted_rate():
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [5]), "N_grid"),
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [5, 5]), "N_grid"),
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [0, 5]), "N_grid"),
+    (lambda c: riesz.sharpness_sum(0.5, 1.5, [1, 2]), "N_grid"),
     (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=1), "N must"),
     (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=0), "N must"),
 ], ids=["sharpness-empty", "sharpness-one-size", "sharpness-repeated-size",
-        "sharpness-zero-size", "merged-N1", "merged-N0"])
+        "sharpness-zero-size", "sharpness-size-one", "merged-N1", "merged-N0"])
 def test_degenerate_sizes_name_the_parameter(call, name, mono2):
     with pytest.raises(ValueError, match=name):
         call(mono2)

@@ -239,6 +239,8 @@ def test_three_point_progression_violations_raise():
 def test_three_point_shape_guard():
     with pytest.raises(ValueError):
         three_point_test([(0.0, 0.1), (1.0, 0.2)])
+    with pytest.raises(ValueError, match="three coefficients"):
+        three_point_test([(0.0, 0.3), (1.0, 1.1), (2.2, 2.9)], c=(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

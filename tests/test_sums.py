@@ -69,7 +69,6 @@ def test_expected_sigma_case_split():
     assert sums.expected_sigma(0.0, 0.5, 2.5) == pytest.approx(0.25)  # gd < 1
     assert sums.expected_sigma(0.25, 0.25, 5.0) == pytest.approx(0.5)
     assert sums.expected_sigma(1.0, 0.9, 2.0) == pytest.approx(0.9)   # gd > 1
-    assert sums.expected_sigma(0.5, 0.5, 2.0, eps=0.2) == pytest.approx(0.3)
 
 
 def test_divergent_parameters_are_rejected():
@@ -119,8 +118,8 @@ def test_tail_sum_symmetry_and_monotonicity():
 def test_remainder_bound_covers_horizon_change():
     # The certified bound covers the truncation; the 1e-15 relative slack
     # absorbs float accumulation noise over the million-term partial sum.
-    a = sums.tail_sum(1.0, 0.9, 2.0, 7, 100, horizon=10 ** 6)
-    b = sums.tail_sum(1.0, 0.9, 2.0, 7, 100, horizon=2 * 10 ** 6)
+    a, = sums._tail_sums(1.0, 0.9, 2.0, 7, [100], 10 ** 6)
+    b, = sums._tail_sums(1.0, 0.9, 2.0, 7, [100], 2 * 10 ** 6)
     assert abs(a.value - b.value) < a.remainder_bound + 1e-15 * a.value
     assert abs(a.value - b.value) < 1e-12 * a.value
 
@@ -132,8 +131,6 @@ def test_tail_sum_guards():
         sums.tail_sum(1.0, 0.0, 2.0, 7, 10)
     with pytest.raises(ValueError):
         sums.tail_sum(1.0, 0.9, 1.0, 7, 10)
-    with pytest.raises(ValueError):
-        sums.tail_sum(1.0, 0.9, 2.0, 7, 100, horizon=500)
 
 
 @pytest.mark.parametrize("gamma,delta,s", [
@@ -161,8 +158,6 @@ def test_tail_decay_fit_matches_each_tail_sum():
 def test_tail_decay_fit_guards_grid_span():
     with pytest.raises(ValueError):
         sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 300])
-    with pytest.raises(ValueError, match="at least 10\\*max"):
-        sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 10_000], horizon=50_000)
 
 
 def test_tail_vanishes_in_m():

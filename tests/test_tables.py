@@ -118,6 +118,15 @@ def test_plot_xy_writes_two_columns(tmp_path):
     assert lines[1].split() == ["2", "4"]
 
 
+def test_plot_xy_plots_the_second_column(tmp_path):
+    # The shape of the ingham_sweep and highfreq_bounds tables.
+    t = _table([(2.0, 0.5, 7.0), (1.0, 0.25, 6.0)],
+               columns=("T", "lambda_min", "lambda_max"))
+    paths = emit_plot_data(t, "xy", str(tmp_path / "p"))
+    rows = [ln.split() for ln in open(paths[0]).read().splitlines()]
+    assert rows == [["1", "0.25"], ["2", "0.5"]]
+
+
 def test_plot_loglog_fit_companion(tmp_path):
     xs = [10.0, 100.0, 1000.0]
     t = _table([(x, 3.0 * x ** -1.5) for x in xs])
@@ -129,6 +138,14 @@ def test_plot_loglog_fit_companion(tmp_path):
     for ln in fit_lines[2:]:
         x, y = (float(v) for v in ln.split())
         assert y == pytest.approx(3.0 * x ** -1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [[(10.0, 1.0)], [(10.0, 1.0), (10.0, 2.0)]])
+def test_plot_loglog_fit_needs_two_distinct_x(rows, tmp_path):
+    # One point, or one abscissa twice, leaves the slope undetermined.
+    with pytest.raises(ValueError, match="table demo: .* two distinct x"):
+        emit_plot_data(_table(rows), "loglog-fit", str(tmp_path / "p"))
+    assert not (tmp_path / "p.fit.dat").exists()
 
 
 def test_plot_loglog_fit_needs_positive_data(tmp_path):
@@ -162,5 +179,3 @@ def test_plot_argument_guards(tmp_path):
     t = _table([(1.0, 2.0)])
     with pytest.raises(ValueError):
         emit_plot_data(t, "histogram", str(tmp_path / "p"))
-    with pytest.raises(ValueError):
-        emit_plot_data(t, "xy", str(tmp_path / "p"), x="missing")
