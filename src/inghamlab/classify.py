@@ -142,6 +142,8 @@ def boundary_samples(branch: str, count: int) -> list[BoundaryPoint]:
     The mixed branches blow up as t -> 1, which amplifies float cancellation
     in the residual; the subranges keep |x|, |y| moderate.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     if branch in ("EllipseUV", "EllipseVU"):
         lo, hi = math.pi / 6.0 + 1e-6, math.pi / 2.0
     else:

@@ -296,8 +296,8 @@ _PARAMS = {
 # on the keys as given, before defaults fill in, so a dry run checks
 # them as well.
 _MODE_NEEDS = {
-    "gram": ("measure", ("curve", "T"), (), ("curve", "T", "weight")),
-    "riesz": ("measure", ("curve", "T"), (), ("curve", "T", "weight")),
+    "gram": ("measure", ("curve", "T"), (), ("curve", "T", "weight", "tol")),
+    "riesz": ("measure", ("curve", "T"), (), ("curve", "T", "weight", "tol")),
     "classify": ("tau", ("curve",), (), ("curve", "T")),
     "highfreq": ("sgrid", ("s",), ("N",), ("s", "Ngrid")),
     "schrodinger": ("u0", ("s", "curve"), ("dt",), ("K", "trials")),
@@ -400,7 +400,7 @@ class RunContext:
     fmt: str
     seed: int
     config_hash: str
-    written: list = field(default_factory=list)
+    written: list = field(default_factory=list, init=False)
 
     def emit(self, name, columns, rows, meta=None, plot=None):
         """Write one table to <out_dir>/<name>.<fmt> and, given a plot
@@ -478,7 +478,7 @@ def run_boundary(p, ctx):
     rows = [(pt.branch, pt.parameter, *pt.point, abs(pt.residual()))
             for b in lab.classify.BRANCHES
             for pt in lab.classify.boundary_samples(b, p["samples"])]
-    max_res = max([0.0, *(row[-1] for row in rows)])
+    max_res = max(row[-1] for row in rows)
     ctx.emit("boundary", ("branch", "parameter", "x", "y", "residual"), rows,
              meta={"max_residual": max_res})
     return {"max_residual": max_res, "points": len(rows)}, True
@@ -686,7 +686,7 @@ _RUNNERS = {name: globals()[f"run_{name.replace('-', '_')}"]
             for name in _PARAMS}
 
 
-def execute(config: ExperimentConfig, dry=False):
+def execute(config: ExperimentConfig, dry: bool):
     """Run one experiment; returns (summary, ok, ctx).  A dry run stops
     once the parameters and input documents have resolved."""
     if config.subcommand not in _RUNNERS:
@@ -694,9 +694,7 @@ def execute(config: ExperimentConfig, dry=False):
     ctx = RunContext(config.out_dir, config.format, config.seed,
                      config.config_hash())
     params = _resolve(config.subcommand, config.parameters)
-    if dry:
-        return {}, True, ctx
-    summary, ok = _RUNNERS[config.subcommand](params, ctx)
+    summary, ok = ({}, True) if dry else _RUNNERS[config.subcommand](params, ctx)
     return summary, ok, ctx
 
 

@@ -24,7 +24,7 @@ Hadamard product of two 1-D Grams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,10 +86,10 @@ class ValidationReport:
     sign_constant: bool
     T: float
     grid_size: int
-    failures: list = field(default_factory=list)
+    failures: list
 
 
-def validate_H_alpha(curve: CurveSpec, T: float, grid_size: int = 256) -> ValidationReport:
+def validate_H_alpha(curve: CurveSpec, T: float, grid_size: int) -> ValidationReport:
     """Check the declared (c1, c2, c3, alpha) bundle on a log-spaced grid."""
     if T <= 0:
         raise ValueError("T must be positive")
@@ -324,7 +324,7 @@ class MeasureSpec:
         return build_measure(self.kind, self.params, resolution)
 
 
-def build_measure(kind: str, params: dict, resolution: int = 1024) -> MeasureSpec:
+def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
     """Construct a MeasureSpec of the given kind.
 
     ArcLengthOnGraph  normalized arc length on {(t, p(t)) : 0 < t <= T}

@@ -86,7 +86,7 @@ def _sign_change_roots(f, b: float) -> list:
 
 
 def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
-                   tol: float = 1e-9, weight=None) -> QuadResult:
+                   tol: float, weight=None) -> QuadResult:
     """Adaptive certified integral of exp(2 pi i (d p(t) + e t)) w(t) over
     [0, T], for arbitrary real phase multipliers d and e.
 
@@ -187,14 +187,16 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
 
 
 def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
-                         tol: float = 1e-9) -> QuadResult:
+                         tol: float) -> QuadResult:
     """I_(n,m)(T) for the pair (n, m) at dispersion s.
 
     Diagonal pairs short-circuit to the exact value T.
     """
     if n == m:
-        if T <= 0:
+        if not T > 0:
             raise ValueError("T must be positive")
+        if not tol > 0:
+            raise ValueError("tol must be positive")
         return QuadResult(complex(T), 0.0, 1, [], np.array([0.0, T]))
     d = float(n - m)
     e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))

@@ -370,7 +370,7 @@ class SweepResult:
 
 
 def ingham_sweep(curve: CurveSpec, s: float, N: int, T_grid,
-                 tol: float = 1e-8) -> SweepResult:
+                 tol: float) -> SweepResult:
     """lambda_min / lambda_max of the full system -N..N over a grid of
     observation times.  lambda_min must be nondecreasing in T (the Gram
     increment over [T, T'] is itself PSD); the empirical observation
@@ -612,8 +612,8 @@ class MergedResult:
     coupling_decreasing: bool
 
 
-def merged_bound_experiment(curve: CurveSpec, T: float, s_grid, N: int = 20,
-                            tol: float = 1e-8) -> MergedResult:
+def merged_bound_experiment(curve: CurveSpec, T: float, s_grid, N: int,
+                            tol: float) -> MergedResult:
     """Full-system lambda_min at fixed (possibly small) T as the
     dispersion s grows, together with the low/high coupling
     sup_{|m|<=1} sum_{2<=|n|<=N} |I_(m,n)| that the merged bound needs

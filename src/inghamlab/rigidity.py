@@ -201,7 +201,7 @@ class ThreePointReport:
     residual: float | None   # ||M c||_inf when a coefficient triple is supplied
 
 
-def three_point_test(points, c=None) -> ThreePointReport:
+def three_point_test(points, c) -> ThreePointReport:
     """Admissibility and rank of the 3x3 system
     c_-1 e^(i (t_j - x_j)) + c_0 + c_1 e^(i (t_j + x_j)) = 0 at three
     planar points (t_j, x_j).

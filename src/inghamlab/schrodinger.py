@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from . import DEFAULT_SEED
 from .classify import abs_pow
 from .curves import CurveSpec
 from .errors import ResolutionExceeded
@@ -206,11 +205,11 @@ class EvolveDiagnostics:
 
 
 def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
-           dt: float | None = None) -> tuple:
+           dt: float | None) -> tuple:
     """Strang split-step evolution by t_final; returns (state, diagnostics).
 
-    dt is capped at 0.01 / (1 + sup|V|) and rounded so an integer number
-    of steps lands exactly on t_final.  The truncation K must dominate
+    dt is capped at 0.01 / (1 + sup|V|) (None takes the cap) and rounded
+    so whole steps land exactly on t_final.  The truncation K must dominate
     the data (K >= 2 * max active mode); energy reaching the top tenth
     of the band beyond 1e-8 of the total raises ResolutionExceeded.
     """
@@ -280,7 +279,7 @@ def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
 
 
 def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
-                 dt: float | None = None) -> float:
+                 dt: float | None) -> float:
     """Trace of the potential-perturbed solution along the curve:
     steps the solver with a dt fine enough for both stability and
     quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
@@ -305,8 +304,8 @@ class TraceBoundResult:
 
 
 def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
-                           T: float, K: int = 8, n_random: int = 8,
-                           seed: int = DEFAULT_SEED) -> TraceBoundResult:
+                           T: float, K: int, n_random: int,
+                           seed: int) -> TraceBoundResult:
     """Trace/mass ratios over a trial set of initial data: single modes,
     the two-mode short-time vectors c_0 = 1, c_j = -exp(-2 pi i j p(0)),
     the minimal Gram eigenvector (the V = 0 worst case), and random

@@ -18,15 +18,17 @@ reported and kept below 1e-10 of the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentParameters, ToleranceNotMet
 
-_ROW_CHUNK = 512
+_CELL_BUDGET = 1 << 20   # float64 cells per row block of the sup scan
+# The sup scan takes about 15 ns per cell (sup_M(0.5, 2, 20000): 5.9 s),
+# so a 150 s budget caps N_trunc at sqrt(150 s / 15 ns) = 10^5.
+_MAX_N_TRUNC = round((150.0 / 15e-9) ** 0.5)
 _MIN_HORIZON = 10 ** 6
-_DEFAULT_MSET = (0, 1, 7, 100, 1000)
 _CRITICAL_LOSS = 0.1   # sigma's loss on the critical line gamma + delta = 1
 
 
@@ -42,10 +44,10 @@ class SupScan:
     sup_value: float
     argmax: tuple
     growth_fit: float | None
-    checkpoints: list = field(default_factory=list)   # (N, prefix sup) pairs
+    checkpoints: list   # (N, prefix sup) pairs
 
 
-def sup_M(gamma: float, s: float, N_trunc: int, checkpoints=None) -> SupScan:
+def sup_M(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
     """Exact maximum of |n-m| / ||n|^s - |m|^s|^gamma over |n|,|m| <= N_trunc.
 
     The value depends on (n, m) only through (|n|, |m|) except for the
@@ -54,17 +56,16 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints=None) -> SupScan:
     (a + b) / |a^s - b^s|^gamma and representative pair (-a, b).
 
     growth_fit is the log-log slope of the prefix suprema at the
-    checkpoint truncations (default: powers of 10 up to N_trunc); it is
-    the interesting output when (s-1) gamma < 1 and the sup diverges.
+    checkpoint truncations; it is the interesting output when
+    (s-1) gamma < 1 and the sup diverges.  N_trunc is capped at 10^5.
     """
     if gamma <= 0 or s <= 1:
         raise ValueError("need gamma > 0 and s > 1")
     if N_trunc < 10:
         raise ValueError("N_trunc must be at least 10")
-    if checkpoints is None:
-        checkpoints = [10 ** k for k in range(2, 12) if 10 ** k <= N_trunc]
-        if not checkpoints or checkpoints[-1] != N_trunc:
-            checkpoints.append(N_trunc)
+    if N_trunc > _MAX_N_TRUNC:
+        raise ValueError(f"N_trunc must be at most {_MAX_N_TRUNC} (a scan "
+                         f"of about 150 s), got {N_trunc}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
 
     b = np.arange(N_trunc + 1, dtype=float)
@@ -72,33 +73,30 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints=None) -> SupScan:
     best_val, best_ab = -1.0, (0, 1)
     col_best = np.zeros(N_trunc + 1)      # running max over processed a, per b
     prefix: list = []
-    next_cp = 0
 
-    # chunk boundaries aligned with checkpoints so prefix maxima are exact
-    cuts = sorted(set([0, N_trunc + 1] + [cp + 1 for cp in checkpoints]))
-    for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
-        for lo in range(seg_lo, seg_hi, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, seg_hi)
-            a = b[lo:hi]
-            denom = np.abs(pow_b[lo:hi, None] - pow_b[None, :])
-            np.fill_diagonal(denom[:, lo:hi], np.inf)
-            vals = (a[:, None] + b[None, :]) / (denom if gamma == 1.0
-                                                else denom ** gamma)
-            flat = int(np.argmax(vals))
-            ia, ib = divmod(flat, N_trunc + 1)
-            if vals[ia, ib] > best_val:
-                best_val = float(vals[ia, ib])
-                best_ab = (lo + ia, ib)
-            np.maximum(col_best, vals.max(axis=0), out=col_best)
-        while next_cp < len(checkpoints) and checkpoints[next_cp] + 1 <= seg_hi:
-            cp = checkpoints[next_cp]
-            prefix.append((cp, float(col_best[: cp + 1].max())))
-            next_cp += 1
+    # Row blocks of about _CELL_BUDGET cells that also end at every
+    # checkpoint, so the prefix maxima are exact.
+    rows = max(1, _CELL_BUDGET // (N_trunc + 1))
+    cuts = sorted({*range(0, N_trunc + 1, rows), N_trunc + 1,
+                   *(cp + 1 for cp in checkpoints)})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a = b[lo:hi]
+        denom = np.abs(pow_b[lo:hi, None] - pow_b[None, :])
+        np.fill_diagonal(denom[:, lo:hi], np.inf)
+        vals = (a[:, None] + b[None, :]) / (denom if gamma == 1.0
+                                            else denom ** gamma)
+        flat = int(np.argmax(vals))
+        ia, ib = divmod(flat, N_trunc + 1)
+        if vals[ia, ib] > best_val:
+            best_val = float(vals[ia, ib])
+            best_ab = (lo + ia, ib)
+        np.maximum(col_best, vals.max(axis=0), out=col_best)
+        if hi - 1 in checkpoints:
+            prefix.append((hi - 1, float(col_best[:hi].max())))
 
     growth = None
     if len(prefix) >= 2:
-        xs = np.log([p[0] for p in prefix])
-        ys = np.log([p[1] for p in prefix])
+        xs, ys = np.log(prefix).T
         growth = float(np.polyfit(xs, ys, 1)[0])
     a_star, b_star = best_ab
     return SupScan(gamma, s, N_trunc, best_val, (-a_star, b_star), growth, prefix)
@@ -304,7 +302,7 @@ class TailFit:
 
 
 def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
-                   m_set=_DEFAULT_MSET) -> TailFit:
+                   m_set) -> TailFit:
     """Least-squares decay exponent of max_m S_m(N) over the N grid.
 
     The grid must span at least 1.5 decades.  passes means the fitted

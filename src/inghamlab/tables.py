@@ -11,7 +11,7 @@ drop it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Provenance", "ResultTable", "plain", "write_csv", "write_json",
@@ -85,7 +85,7 @@ class ResultTable:
     columns: tuple
     rows: list
     provenance: Provenance
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def __post_init__(self):
         self.columns = tuple(self.columns)

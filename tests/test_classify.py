@@ -85,6 +85,14 @@ def test_boundary_branches_satisfy_the_equation():
         assert worst <= 1e-9, f"{branch}: {worst}"
 
 
+def test_boundary_samples_need_at_least_one_point():
+    for count in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"sample count must be at least 1, got {count}"):
+            classify.boundary_samples("EllipseUV", count)
+    assert len(classify.boundary_samples("EllipseUV", 1)) == 1
+
+
 def test_boundary_endpoints_meet():
     # theta = pi/2 on either ellipse branch reaches an axis point that the
     # mixed branches approach as t -> 0.

@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface: config round trips,
 hashing, exit codes, output artifacts, and run determinism."""
 
+import argparse
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -369,11 +371,23 @@ _EXPLICIT_CASES = {
                          "--xmin", "0", "--samples", "5"], 0,
                         lambda doc, out, sweeps:
                         _table(out, "wronskian")["rows"][0][0] == 0.0),
-    "boundary-samples0": (["boundary", "--samples", "0"], 0,
-                          lambda doc, out, sweeps: doc["points"] == 0),
+    "boundary-samples0": (["boundary", "--samples", "0"], 1,
+                          "sample count must be at least 1, got 0"),
+    "boundary-samples-negative": (["boundary", "--samples", "-3"], 1,
+                                  "sample count must be at least 1, got -3"),
     "integral-tol0": (["integral", "--n", "3", "--m", "-2", "--s", "2",
                        "--curve-file", "{mono2}", "--T", "1", "--tol", "0"],
                       1, "tol"),
+    "integral-diagonal-tol0": (["integral", "--n", "3", "--m", "3", "--s", "2",
+                                "--curve-file", "{mono2}", "--T", "1",
+                                "--tol", "0"], 1, "tol must be positive"),
+    "integral-diagonal-tol-negative": (["integral", "--n", "3", "--m", "3",
+                                        "--s", "2", "--curve-file", "{mono2}",
+                                        "--T", "1", "--tol", "-1"], 1,
+                                       "tol must be positive"),
+    "lemma21-N-above-cap": (["lemma21", "--gamma", "0.5", "--s", "2",
+                             "--N", "100000000"], 1,
+                            "N_trunc must be at most 100000"),
     "validate-curve-T0": (["validate-curve", "--curve-file", "{mono2}",
                            "--T", "0"], 1, "T must"),
     "schrodinger-dt0": (["schrodinger", "--u0-file", "{u0}", "--T", "0.2",
@@ -553,6 +567,9 @@ _MODE_CASES = {
                              _unread("Ngrid", "with", "sgrid")),
     "gram-measure-T": (["gram", "--measure-file", "{quarter}", "--s", "2",
                         "--T", "1"], _unread("T", "with", "measure")),
+    "gram-measure-tol": (["gram", "--measure-file", "{quarter}", "--s", "2",
+                          "--N", "2", "--tol", "-1"],
+                         _unread("tol", "with", "measure")),
     "riesz-measure-weight": (["riesz", "--measure-file", "{quarter}",
                               "--s", "2", "--weight", "arclength"],
                              _unread("weight", "with", "measure")),
@@ -627,6 +644,27 @@ def test_readme_examples_parse_and_tables_match_runners():
     for argv in examples:
         parser.parse_args(argv)
     assert set(_PARAMS) == set(_RUNNERS)
+
+
+def test_highfreq_size_help_matches_the_library_defaults():
+    # highfreq's window and N defaults depend on the mode, so they live in
+    # the signatures of the two library calls; the --help text and the
+    # README restate them, and the parser never reads them, so that it
+    # builds without numpy.
+    bounds = inspect.signature(riesz.highfreq_bounds).parameters
+    sweep = inspect.signature(riesz.highfreq_dispersion_sweep).parameters
+    window, N = bounds["window"].default, sweep["N"].default
+    sweep_window = sweep["window"].default
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    shown = " ".join(sub.choices["highfreq"].format_help().split())
+    assert f"--window WINDOW window width (default {window}; " \
+           f"{sweep_window} with --sgrid)" in shown
+    assert f"--N N window base frequency with --sgrid (default {N})" in shown
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = " ".join(fh.read().split())
+    assert f"at base frequency `--N` (default {N}, window {sweep_window})" \
+        in readme
 
 
 # Run in a fresh interpreter: records the OPENBLAS_NUM_THREADS value

@@ -32,7 +32,7 @@ BESSEL_LITERALS = {
 def test_monomial_parabola_constants(mono2):
     assert mono2.alpha == 2.0
     assert (mono2.c1, mono2.c2, mono2.c3) == (2.0, 2.0, 2.0)
-    report = curves.validate_H_alpha(mono2, 10.0)
+    report = curves.validate_H_alpha(mono2, 10.0, grid_size=256)
     assert report.passed
     assert report.sign_constant
     assert report.lower_ratio_min >= 1.0 - 1e-9
@@ -43,7 +43,7 @@ def test_monomial_parabola_constants(mono2):
 def test_monomial_cubic_constants(mono3):
     assert mono3.alpha == 3.0
     assert (mono3.c1, mono3.c2, mono3.c3) == (3.0, 3.0, 6.0)
-    assert curves.validate_H_alpha(mono3, 10.0).passed
+    assert curves.validate_H_alpha(mono3, 10.0, grid_size=256).passed
 
 
 def test_arctan_modulated_is_admissible(arctan3):
@@ -51,13 +51,13 @@ def test_arctan_modulated_is_admissible(arctan3):
     assert (arctan3.c1, arctan3.c2, arctan3.c3) == (1.0, 2.0, 2.0)
     # At t = 1 the modulation factor is (1 + 1/2) / 3 = 1/2.
     assert arctan3.p(1.0) == pytest.approx(0.5, abs=1e-15)
-    assert curves.validate_H_alpha(arctan3, 10.0).passed
+    assert curves.validate_H_alpha(arctan3, 10.0, grid_size=256).passed
 
 
 def test_affine_always_fails_validation():
     line = curves.build_curve("Affine", {"slope": 2.0, "intercept": 1.0})
     assert line.alpha == 1.0
-    report = curves.validate_H_alpha(line, 10.0)
+    report = curves.validate_H_alpha(line, 10.0, grid_size=256)
     assert not report.passed
     assert any("curvature" in msg for msg in report.failures)
 
@@ -67,14 +67,14 @@ def test_muntz_single_term_finds_zero_shift():
     assert c.params["t0"] == 0.0
     assert c.alpha == 3.0
     assert (c.c1, c.c2, c.c3) == (1.5, 4.5, 3.0)
-    assert curves.validate_H_alpha(c, 10.0).passed
+    assert curves.validate_H_alpha(c, 10.0, grid_size=256).passed
 
 
 def test_muntz_explicit_shift_is_honored():
     c = curves.build_curve("Muntz", {"coefficients": [[2.0, 2.5]], "t0": 0.0})
     assert c.alpha == 2.5
     assert (c.c1, c.c2, c.c3) == (2.5, 7.5, 3.75)
-    assert curves.validate_H_alpha(c, 10.0).passed
+    assert curves.validate_H_alpha(c, 10.0, grid_size=256).passed
 
 
 def test_muntz_multi_term_has_no_admissible_shift():
@@ -107,7 +107,7 @@ def test_user_tabulated_parabola_validates():
         "t": t, "p": t ** 2, "dp": 2.0 * t, "d2p": np.full_like(t, 2.0),
         "alpha": 2.0, "c1": 2.0, "c2": 2.0, "c3": 2.0,
     })
-    assert curves.validate_H_alpha(c, 10.0).passed
+    assert curves.validate_H_alpha(c, 10.0, grid_size=256).passed
     # Linear interpolation reproduces the (linear) derivative table exactly.
     probe = np.array([2e-5, 0.013, 0.8, 4.4, 9.9])
     np.testing.assert_allclose(c.dp(probe), 2.0 * probe, rtol=0, atol=1e-12)
@@ -138,7 +138,7 @@ def test_curve_round_trips_through_json(mono2, arctan3):
 
 def test_validation_rejects_bad_arguments(mono2):
     with pytest.raises(ValueError):
-        curves.validate_H_alpha(mono2, 0.0)
+        curves.validate_H_alpha(mono2, 0.0, grid_size=256)
     with pytest.raises(ValueError):
         curves.validate_H_alpha(mono2, 1.0, grid_size=8)
 
@@ -199,7 +199,8 @@ def test_tensor_transform_matches_the_cloud_sum(kind, params, resolution):
 
 
 def test_curve_measures_have_no_axes(mono2, quarter_circle):
-    graph = curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 1.0})
+    graph = curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 1.0},
+                                 resolution=1024)
     assert graph.axes is None and quarter_circle.axes is None
 
 
@@ -207,9 +208,9 @@ def test_measure_constructor_guards():
     with pytest.raises(ValueError):
         curves.build_measure("ArcLengthOnCircle", {"radius": 1.0}, resolution=32)
     with pytest.raises(ValueError):
-        curves.build_measure("NoSuchKind", {})
+        curves.build_measure("NoSuchKind", {}, resolution=1024)
     with pytest.raises(ValueError):
-        curves.build_measure("ProductNuDelta", {"delta": 1.5})
+        curves.build_measure("ProductNuDelta", {"delta": 1.5}, resolution=1024)
 
 
 def test_circle_transform_matches_bessel(full_circle):
@@ -348,7 +349,8 @@ def test_product_measure_matches_closed_form_transform():
 
 
 def test_decay_fit_errors():
-    circle = curves.build_measure("ArcLengthOnCircle", {"radius": 1.0})
+    circle = curves.build_measure("ArcLengthOnCircle", {"radius": 1.0},
+                                  resolution=1024)
     with pytest.raises(ValueError):
         curves.fit_fourier_decay(circle, np.geomspace(1.0, 40.0, 16))
     point = curves.MeasureSpec("ArcLengthOnCircle", {}, np.zeros((4, 2)),

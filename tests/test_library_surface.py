@@ -1,8 +1,9 @@
 """The library holds only what the program runs: every top-level function
 and class in src/inghamlab is referenced by the code of src/ or
 perfbench/ outside its own definition, and every parameter with a
-default is set by some call in that code.  Reference code that only
-tests call lives in tests/_oracles.py."""
+default is set by some call in that code but not by every one, so each
+default has one home.  Reference code that only tests call lives in
+tests/_oracles.py."""
 
 import ast
 import pathlib
@@ -90,20 +91,72 @@ def _defaulted(func, method: bool) -> list:
     return out
 
 
-def _passes(call, name: str, position) -> bool:
-    """Whether call gives the parameter: by keyword, by position, or
-    through a * or ** argument."""
-    if any(kw.arg in (name, None) for kw in call.keywords):
-        return True
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    return position is not None and len(call.args) > position
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name
 
 
-def test_every_library_option_is_set_by_the_program():
+def _field_defaults(cls) -> list:
+    """(name, position) of each __init__ field of a dataclass that has a
+    default: a plain value, or field(default=...) or
+    field(default_factory=...).  field(init=False) is no parameter."""
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or _is_call_to(d, "dataclass") for d in cls.decorator_list):
+        return []
+    out, position = [], 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        if _is_call_to(stmt.value, "field"):
+            keywords = {kw.arg: kw.value for kw in stmt.value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            default = "default" in keywords or "default_factory" in keywords
+        else:
+            default = stmt.value is not None
+        if default:
+            out.append((stmt.target.id, position))
+        position += 1
+    return out
+
+
+def _options() -> list:
+    """(where, callee, name, position) of every parameter with a default
+    in src/inghamlab: of functions and methods, and the __init__ fields
+    of dataclasses, whose callee is the class."""
+    options = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for name, position in _field_defaults(cls):
+                    options.append((f"{path.stem}.{cls.name}.{name}",
+                                    cls.name, name, position))
+                for f in cls.body:
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owner[id(f)] = cls.name
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(func))
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in func.decorator_list)
+            where = ".".join(filter(None, (path.stem, cls, func.name)))
+            for name, position in _defaulted(func, method):
+                options.append((f"{where}.{name}", func.name, name, position))
     # The console entry point takes argv=None from the interpreter; tests
     # pass argv.
-    exempt = {("cli.main", "argv")}
+    return [o for o in options if o[0] != "cli.main.argv"]
+
+
+def _program_calls() -> dict:
+    """Every call in the program code, by the name it calls: a bare name
+    or the last attribute."""
     calls = {}
     for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -112,22 +165,49 @@ def test_every_library_option_is_set_by_the_program():
                 callee = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
                 calls.setdefault(callee, []).append(node)
-    options = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for f in cls.body
-                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                               for d in f.decorator_list)}
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for name, position in _defaulted(func, id(func) in methods):
-                if (f"{path.stem}.{func.name}", name) not in exempt:
-                    options.append((func.name, name, position))
+    return calls
+
+
+def _may_pass(call, name: str, position) -> bool:
+    """Whether call may give the parameter: by keyword, by position, or
+    through a * or ** argument."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _surely_passes(call, name: str, position) -> bool:
+    """Whether call gives the parameter by keyword, or by position in a
+    call with no * or ** argument, which might leave it out."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    if any(kw.arg is None for kw in call.keywords) \
+            or any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    return position is not None and len(call.args) > position
+
+
+def test_every_library_option_is_set_by_the_program():
+    calls = _program_calls()
+    options = _options()
     assert options
-    unset = [f"{func}.{name}" for func, name, position in options
-             if not any(_passes(call, name, position)
-                        for call in calls.get(func, ()))]
+    unset = [where for where, callee, name, position in options
+             if not any(_may_pass(call, name, position)
+                        for call in calls.get(callee, ()))]
     assert unset == [], f"options that no program call sets: {unset}"
+
+
+def test_no_library_default_is_set_by_every_program_call():
+    # A default that every caller overrides is a second copy of the
+    # caller's value; the parameter should be required instead.
+    calls = _program_calls()
+    options = _options()
+    assert options
+    shadowed = [where for where, callee, name, position in options
+                if calls.get(callee)
+                and all(_surely_passes(call, name, position)
+                        for call in calls[callee])]
+    assert shadowed == [], \
+        f"defaults that every program call overrides: {shadowed}"

@@ -29,7 +29,7 @@ def test_diagonal_pairs_integrate_exactly(mono2, mono3):
         s = float(rng.uniform(1.1, 3.0))
         T = float(rng.uniform(0.3, 5.0))
         for curve in (mono2, mono3):
-            res = oscint.oscillatory_integral(n, n, s, curve, T)
+            res = oscint.oscillatory_integral(n, n, s, curve, T, tol=1e-9)
             assert res.value == complex(T)
             assert res.abs_error_estimate == 0.0
             assert res.panels == 1
@@ -41,14 +41,14 @@ def test_pure_quadratic_phase_matches_fresnel(mono2):
     for T in (0.5, 1.0, 2.0):
         S, C = special.fresnel(2.0 * T)
         want = 0.5 * (C + 1j * S)
-        res = oscint.phase_integral(1.0, 0.0, mono2, T)
+        res = oscint.phase_integral(1.0, 0.0, mono2, T, tol=1e-9)
         assert abs(res.value - want) < 1e-9
         assert res.abs_error_estimate < 1e-9
 
 
 def test_conjugating_both_multipliers_conjugates_the_integral(mono3):
-    a = oscint.phase_integral(3.0, -7.7, mono3, 2.0)
-    b = oscint.phase_integral(-3.0, 7.7, mono3, 2.0)
+    a = oscint.phase_integral(3.0, -7.7, mono3, 2.0, tol=1e-9)
+    b = oscint.phase_integral(-3.0, 7.7, mono3, 2.0, tol=1e-9)
     assert abs(a.value - np.conj(b.value)) < 2e-9
 
 
@@ -59,7 +59,7 @@ def test_adaptive_matches_simpson_oracle(mono2, mono3):
     for curve in (mono2, mono3):
         for d, e, T in cases:
             want = _simpson_oracle(d, e, curve, T)
-            got = oscint.phase_integral(d, e, curve, T).value
+            got = oscint.phase_integral(d, e, curve, T, tol=1e-9).value
             assert abs(got - want) < 1e-7
 
 
@@ -93,14 +93,14 @@ def test_stationary_point_location(mono2):
     # phi'(t) = 1 + A p'(t) with signed A = (n - m) / (|n|^s - |m|^s):
     # the pair (0, -1) at s = 2 gives A = -1 and a root at t = 1/2.
     def roots(n, m):
-        return oscint.oscillatory_integral(n, m, 2.0, mono2, 2.0) \
+        return oscint.oscillatory_integral(n, m, 2.0, mono2, 2.0, tol=1e-9) \
             .stationary_points
 
     assert roots(0, -1) == pytest.approx([0.5], abs=1e-12)
     assert roots(0, 1) == []
     assert roots(-1, 0) == pytest.approx([0.5], abs=1e-12)
     with pytest.raises(ValueError):
-        oscint.oscillatory_integral(0, 1, 2.0, mono2, 0.0)
+        oscint.oscillatory_integral(0, 1, 2.0, mono2, 0.0, tol=1e-9)
 
 
 def test_tolerance_controls_the_error(mono2):
@@ -132,19 +132,29 @@ def test_exhausted_panel_budget_raises(mono2, monkeypatch):
 
 
 def test_weighted_integrals(mono2):
-    res = oscint.phase_integral(0.0, 0.0, mono2, 2.0, weight=lambda t: t)
+    res = oscint.phase_integral(0.0, 0.0, mono2, 2.0, tol=1e-9,
+                              weight=lambda t: t)
     assert abs(res.value - 2.0) < 1e-12
 
 
 def test_degenerate_arguments_raise(mono2):
     with pytest.raises(ValueError):
-        oscint.phase_integral(1.0, 0.0, mono2, 0.0)
+        oscint.phase_integral(1.0, 0.0, mono2, 0.0, tol=1e-9)
     with pytest.raises(ValueError):
-        oscint.phase_integral(1.0, 0.0, mono2, -1.0)
+        oscint.phase_integral(1.0, 0.0, mono2, -1.0, tol=1e-9)
     with pytest.raises(ValueError):
         oscint.phase_integral(1.0, 0.0, mono2, 1.0, tol=0.0)
     with pytest.raises(ValueError):
-        oscint.oscillatory_integral(2, 2, 2.0, mono2, 0.0)
+        oscint.oscillatory_integral(2, 2, 2.0, mono2, 0.0, tol=1e-9)
+
+
+def test_diagonal_pairs_check_tol_like_the_quadrature(mono2):
+    # The diagonal short-circuit computes nothing with tol, but rejects
+    # what phase_integral rejects.
+    for tol in (0.0, -1.0):
+        for n, m in ((3, 3), (3, -2)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                oscint.oscillatory_integral(n, m, 2.0, mono2, 1.0, tol=tol)
 
 
 def test_eta_admissible_range_and_checks():

@@ -352,15 +352,15 @@ def test_quadratic_form_closes_the_loop(mono2, mono3, full_circle):
 # ---------------------------------------------------------------------------
 
 def test_ingham_sweep_lambda_min_is_monotone(mono2):
-    sweep = riesz.ingham_sweep(mono2, 2.0, 4, [0.5, 1.0, 2.0])
+    sweep = riesz.ingham_sweep(mono2, 2.0, 4, [0.5, 1.0, 2.0], tol=1e-8)
     assert sweep.monotone
     assert sweep.lambda_min == sorted(sweep.lambda_min)
     assert sweep.lambda_min[-1] > 0.0
     assert sweep.empirical_T == 1.0
     with pytest.raises(ValueError):
-        riesz.ingham_sweep(mono2, 2.0, 80, [0.5, 1.0])
+        riesz.ingham_sweep(mono2, 2.0, 80, [0.5, 1.0], tol=1e-8)
     with pytest.raises(ValueError):
-        riesz.ingham_sweep(mono2, 2.0, 4, [1.0])
+        riesz.ingham_sweep(mono2, 2.0, 4, [1.0], tol=1e-8)
 
 
 def test_minimal_time_family_collapses(mono2):
@@ -412,7 +412,8 @@ def test_smooth_bump_decay_fit_is_rapid_on_the_benchmark_radii():
     # The first SmoothBump of the seed-1 measure-window pool, on the
     # benchmark's 8 radii over [1, 100]; delta_hat comes out -3.66.
     bump = curves.build_measure(
-        "SmoothBump", {"box": [0.0, 0.6395, 0.0, 0.6724], "order": 3})
+        "SmoothBump", {"box": [0.0, 0.6395, 0.0, 0.6724], "order": 3},
+        resolution=1024)
     fit = riesz._decay_fit(bump, np.geomspace(1.0, 100.0, 8))
     assert fit.delta_hat >= 2.0
 
@@ -454,7 +455,8 @@ def test_decay_too_weak_warns_on_every_call(quarter_circle, fit_calls):
 
 def test_insufficient_decay_raises_on_every_call(fit_calls):
     # A circle of radius 1e-5 keeps |mu_hat| above 0.99 out to |xi| = 200.
-    speck = curves.build_measure("ArcLengthOnCircle", {"radius": 1e-5})
+    speck = curves.build_measure("ArcLengthOnCircle", {"radius": 1e-5},
+                                 resolution=1024)
     for _ in range(2):
         with pytest.raises(InsufficientDecay):
             riesz.highfreq_bounds(speck, 2.5, [2], window=4)
@@ -466,16 +468,20 @@ def test_decay_fits_share_no_entry_across_documents_and_radii(mono2, mono3, fit_
     arc = {"radius": 1.0, "theta0": 0.0, "theta1": 1.5}
     arc_ulp = dict(arc, theta1=float(np.nextafter(1.5, 2.0)))
     base = np.geomspace(1.0, 100.0, 8)
+
+    def build(kind, params):
+        return curves.build_measure(kind, params, resolution=1024)
+
     fits = [
-        (curves.build_measure("ArcLengthOnCircle", arc), base),
-        (curves.build_measure("ArcLengthOnCircle", arc_ulp), base),
-        (curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 0.8}), base),
-        (curves.build_measure("ArcLengthOnGraph", {"curve": mono3, "T": 0.8}), base),
+        (build("ArcLengthOnCircle", arc), base),
+        (build("ArcLengthOnCircle", arc_ulp), base),
+        (build("ArcLengthOnGraph", {"curve": mono2, "T": 0.8}), base),
+        (build("ArcLengthOnGraph", {"curve": mono3, "T": 0.8}), base),
         # two radius grids with the same resolution ...
-        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(1.0, 100.0, 9)),
+        (build("ArcLengthOnCircle", arc), np.geomspace(1.0, 100.0, 9)),
         # ... and two resolutions: 16 * 300 and 16 * 400 nodes across radius 1
-        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(3.0, 300.0, 8)),
-        (curves.build_measure("ArcLengthOnCircle", arc), np.geomspace(4.0, 400.0, 8)),
+        (build("ArcLengthOnCircle", arc), np.geomspace(3.0, 300.0, 8)),
+        (build("ArcLengthOnCircle", arc), np.geomspace(4.0, 400.0, 8)),
     ]
     results = [riesz._decay_fit(m, radii) for m, radii in fits]
     assert len(fit_calls) == len(fits)
@@ -517,8 +523,10 @@ def test_sharpness_sum_grows_at_the_predicted_rate():
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [5, 5]), "N_grid"),
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [0, 5]), "N_grid"),
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [1, 2]), "N_grid"),
-    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=1), "N must"),
-    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=0), "N must"),
+    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=1,
+                                             tol=1e-8), "N must"),
+    (lambda c: riesz.merged_bound_experiment(c, 0.5, [2.0, 2.5], N=0,
+                                             tol=1e-8), "N must"),
 ], ids=["sharpness-empty", "sharpness-one-size", "sharpness-repeated-size",
         "sharpness-zero-size", "sharpness-size-one", "merged-N1", "merged-N0"])
 def test_degenerate_sizes_name_the_parameter(call, name, mono2):
@@ -527,10 +535,10 @@ def test_degenerate_sizes_name_the_parameter(call, name, mono2):
 
 
 def test_merged_bound_coupling_decays_in_s(mono2):
-    res = riesz.merged_bound_experiment(mono2, 0.5, [1.6, 2.0, 2.5], N=8)
+    res = riesz.merged_bound_experiment(mono2, 0.5, [1.6, 2.0, 2.5], N=8, tol=1e-8)
     assert res.coupling_decreasing
     assert res.coupling == sorted(res.coupling, reverse=True)
     assert all(v > 0 for v in res.lambda_min)
     assert len(res.product_bound_max) == 3
     with pytest.raises(ValueError):
-        riesz.merged_bound_experiment(mono2, 0.5, [2.0, 2.5], N=40)
+        riesz.merged_bound_experiment(mono2, 0.5, [2.0, 2.5], N=40, tol=1e-8)

@@ -203,7 +203,7 @@ def test_vandermonde_duplicate_frequency_not_invertible():
 
 def test_three_point_admissible_has_rank_three():
     points = [(0.0, 0.3), (1.0, 1.1), (2.2, 2.9)]
-    report = three_point_test(points)
+    report = three_point_test(points, c=None)
     assert report.admissible
     assert report.rank == 3
     assert len(report.singular_values) == 3
@@ -227,18 +227,18 @@ def test_three_point_residual_with_coefficients():
 def test_three_point_progression_violations_raise():
     with pytest.raises(InadmissiblePoints, match="pi-progression"):
         three_point_test([(0.1, 0.2), (0.9, 0.2 + np.pi),
-                          (1.7, 0.2 + 2.0 * np.pi)])
+                          (1.7, 0.2 + 2.0 * np.pi)], c=None)
     with pytest.raises(InadmissiblePoints, match="2 pi-progression"):
         three_point_test([(0.0, 0.4), (2.0 * np.pi - 0.7, 1.1),
-                          (6.0 * np.pi - 2.4, 2.8)])
+                          (6.0 * np.pi - 2.4, 2.8)], c=None)
     # identical points violate every progression condition at once
     with pytest.raises(InadmissiblePoints):
-        three_point_test([(0.5, 0.8)] * 3)
+        three_point_test([(0.5, 0.8)] * 3, c=None)
 
 
 def test_three_point_shape_guard():
     with pytest.raises(ValueError):
-        three_point_test([(0.0, 0.1), (1.0, 0.2)])
+        three_point_test([(0.0, 0.1), (1.0, 0.2)], c=None)
     with pytest.raises(ValueError, match="three coefficients"):
         three_point_test([(0.0, 0.3), (1.0, 1.1), (2.2, 2.9)], c=(1.0, 2.0))
 

@@ -1,5 +1,7 @@
 """Pair-weight suprema and certified tail sums."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -12,7 +14,7 @@ from inghamlab.errors import DivergentParameters
 def test_quadratic_pattern_sup_is_one():
     # (a + b) / |a^2 - b^2| = 1 / |a - b| <= 1, attained at adjacent
     # indices; (s - 1) * gamma = 1 puts this on the bounded side (<= 4).
-    scan = sums.sup_M(1.0, 2.0, 300)
+    scan = sums.sup_M(1.0, 2.0, 300, checkpoints=[100, 300])
     assert scan.sup_value == pytest.approx(1.0, abs=1e-12)
     assert scan.sup_value <= 4.0
     a, b = abs(scan.argmax[0]), abs(scan.argmax[1])
@@ -39,13 +41,42 @@ def test_sup_prefix_checkpoints_are_nested():
     assert vals[-1] == scan.sup_value
 
 
+def test_sup_row_blocks_do_not_change_any_bit(monkeypatch):
+    # One row, two rows and a few rows per block against the default
+    # budget: sup, argmax, prefix checkpoints and growth fit are the same
+    # bits, for gamma = 1 and for the power path.
+    cases = [(1.0, 2.0, 300, [10, 31, 100]), (0.5, 2.0, 300, [100, 300]),
+             (1.0, 1.5, 2000, [10, 100, 316, 1000]),
+             (0.7, 3.1, 2000, [100, 1000, 2000])]
+
+    def scans():
+        return [repr(dataclasses.astuple(sums.sup_M(*case)))
+                for case in cases]
+
+    want = scans()
+    for budget in (1, 700, 5000):
+        monkeypatch.setattr(sums, "_CELL_BUDGET", budget)
+        assert scans() == want
+
+
+def test_sup_rejects_a_scan_above_the_time_budget(monkeypatch):
+    # The cap is checked before any array exists: with numpy gone from
+    # the module, the call still raises the ValueError.
+    assert sums._MAX_N_TRUNC == 100_000
+    monkeypatch.setattr(sums, "np", None)
+    with pytest.raises(ValueError, match="N_trunc must be at most 100000"):
+        sums.sup_M(0.5, 2.0, 100_000_000, [10, 100])
+    with pytest.raises(ValueError, match="got 100001"):
+        sums.sup_M(0.5, 2.0, 100_001, [10, 100])
+
+
 def test_sup_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        sums.sup_M(0.0, 2.0, 100)
+        sums.sup_M(0.0, 2.0, 100, checkpoints=[100])
     with pytest.raises(ValueError):
-        sums.sup_M(1.0, 1.0, 100)
+        sums.sup_M(1.0, 1.0, 100, checkpoints=[100])
     with pytest.raises(ValueError):
-        sums.sup_M(1.0, 2.0, 5)
+        sums.sup_M(1.0, 2.0, 5, checkpoints=[5])
 
 
 def test_inf_witness_families_contract():
@@ -137,7 +168,8 @@ def test_tail_sum_guards():
     (0.0, 1.0, 2.0), (0.0, 0.5, 2.5), (0.25, 0.25, 5.0),
 ])
 def test_tail_decay_fit_meets_expected_exponent(gamma, delta, s):
-    fit = sums.tail_decay_fit(gamma, delta, s, [100, 316, 1000, 3163])
+    fit = sums.tail_decay_fit(gamma, delta, s, [100, 316, 1000, 3163],
+                              m_set=(0, 1, 7, 100, 1000))
     assert fit.passes
     assert fit.slope <= -fit.sigma_expected + 0.15
     assert np.all(np.diff(fit.max_per_N) < 0)
@@ -157,7 +189,7 @@ def test_tail_decay_fit_matches_each_tail_sum():
 
 def test_tail_decay_fit_guards_grid_span():
     with pytest.raises(ValueError):
-        sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 300])
+        sums.tail_decay_fit(0.0, 1.0, 2.0, [100, 300], m_set=(0, 1, 7, 100, 1000))
 
 
 def test_tail_vanishes_in_m():

@@ -58,10 +58,10 @@ def test_csv_structure_and_formatting(tmp_path):
 
 def test_csv_identical_modulo_generated_line(tmp_path):
     rows = [(3, 0.25), (1, 0.5)]
-    t1 = ResultTable("demo", ("a", "b"), rows, PROV)
+    t1 = ResultTable("demo", ("a", "b"), rows, PROV, meta={})
     t2 = ResultTable("demo", ("a", "b"), list(reversed(rows)),
                      Provenance("0.1.0", "abcdef0123456789",
-                                "2026-02-02T12:00:00+00:00"))
+                                "2026-02-02T12:00:00+00:00"), meta={})
     p1 = write_csv(t1, str(tmp_path / "one.csv"))
     p2 = write_csv(t2, str(tmp_path / "two.csv"))
 
@@ -157,7 +157,7 @@ def test_plot_loglog_fit_needs_positive_data(tmp_path):
 def test_region_svg_colors_and_size(tmp_path):
     rows = [(0, 0, "Diagonal", 0.0), (0, 1, "GoodPlus", 1.0),
             (1, 0, "GoodMinus", -9.0), (1, 1, "Bad", -0.5)]
-    t = ResultTable("grid", ("n", "m", "tag", "ratio"), rows, PROV)
+    t = ResultTable("grid", ("n", "m", "tag", "ratio"), rows, PROV, meta={})
     paths = emit_plot_data(t, "region-svg", str(tmp_path / "grid"))
     svg = open(paths[0]).read()
     assert 'width="12" height="12"' in svg            # 2x2 cells of 6 px
@@ -170,7 +170,7 @@ def test_region_svg_colors_and_size(tmp_path):
 
 def test_plot_curve_one_file_per_column(tmp_path):
     t = ResultTable("c", ("t", "u", "v"), [(0.0, 1.0, 2.0), (1.0, 3.0, 4.0)],
-                    PROV)
+                    PROV, meta={})
     paths = emit_plot_data(t, "curve", str(tmp_path / "c"))
     assert [p.rsplit("/", 1)[-1] for p in paths] == ["c.u.dat", "c.v.dat"]
 
