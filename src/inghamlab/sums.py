@@ -11,9 +11,11 @@ Two families of scalar quantities attached to the frequency pattern
     a_(n,m) = |n - m|^(-gamma) ||n|^s - |m|^s|^(-delta), summed over
     |n| >= N, |n| != |m|, which decay like N^(-sigma) uniformly in m.
 
-Tail sums are certified: the horizon truncation carries an
-Euler-Maclaurin remainder (integral + f/2 - f'/12) whose error bound is
-reported and kept below 1e-10 of the value.
+Tail sums are certified: the terms below the horizon H = 10 max(N, |m|)
+are added directly, and the rest is the binomial series of each weight
+summed term by term with the Hurwitz zeta function (DLMF 25.11).  The
+reported bound covers the series' truncation, zeta's measured accuracy
+and the rounding, and is kept below 1e-10 of the value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DivergentParameters, ToleranceNotMet
 
@@ -28,7 +31,13 @@ _CELL_BUDGET = 1 << 20   # float64 cells per row block of the sup scan
 # The sup scan takes about 15 ns per cell (sup_M(0.5, 2, 20000): 5.9 s),
 # so a 150 s budget caps N_trunc at sqrt(150 s / 15 ns) = 10^5.
 _MAX_N_TRUNC = round((150.0 / 15e-9) ** 0.5)
-_MIN_HORIZON = 10 ** 6
+_LEVELS = 24        # the zeta completion keeps the levels k + j <= _LEVELS
+# Relative error of scipy.special.zeta(p, H) for p up to each bound and
+# H >= 10.  Against 30-digit mpmath.zeta, for p up to zeta's underflow and
+# H from 10 to 2e6, the worst is 9.3e-16, 1.8e-10 and 3.2e-9 (scipy's
+# Euler-Maclaurin loses digits at moderate H); tests/test_sums.py pins it.
+_ZETA_REL_ERR = ((8.0, 2e-15), (12.0, 1e-9), (np.inf, 1e-8))
+_UNIT = 2.0 ** -53   # unit roundoff of float64
 _CRITICAL_LOSS = 0.1   # sigma's loss on the critical line gamma + delta = 1
 
 
@@ -56,8 +65,9 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
     (a + b) / |a^s - b^s|^gamma and representative pair (-a, b).
 
     growth_fit is the log-log slope of the prefix suprema at the
-    checkpoint truncations; it is the interesting output when
-    (s-1) gamma < 1 and the sup diverges.  N_trunc is capped at 10^5.
+    checkpoint truncations, each in 1..N_trunc; it is the interesting
+    output when (s-1) gamma < 1 and the sup diverges.  N_trunc is capped
+    at 10^5.
     """
     if gamma <= 0 or s <= 1:
         raise ValueError("need gamma > 0 and s > 1")
@@ -67,6 +77,9 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
         raise ValueError(f"N_trunc must be at most {_MAX_N_TRUNC} (a scan "
                          f"of about 150 s), got {N_trunc}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    for cp in checkpoints:
+        if not 1 <= cp <= N_trunc:
+            raise ValueError(f"checkpoint {cp} is outside 1..N_trunc = {N_trunc}")
 
     b = np.arange(N_trunc + 1, dtype=float)
     pow_b = b ** s
@@ -169,8 +182,8 @@ class TailSum:
     N: int
     value: float
     sigma_expected: float
-    horizon: int
-    remainder_bound: float
+    horizon: int             # terms below it are added directly, the rest by zeta
+    remainder_bound: float   # bound on |value - S_m(N)|
 
 
 def _rising_binom(alpha: float, count: int) -> np.ndarray:
@@ -184,105 +197,121 @@ def _rising_binom(alpha: float, count: int) -> np.ndarray:
     return coef
 
 
-def _power_integral(gamma, delta, s, c, b, start):
-    """integral from start to infinity of (x-c)^(-gamma) (x^s-b)^(-delta),
-    as (value, truncation_bound).  Expands both factors binomially in
-    c/x and b/x^s and integrates term by term; needs start to dominate
-    both scales (10x is plenty) so the double series is geometric.
+def _pairwise_rounding(count: int) -> float:
+    """Relative rounding bound, per unit of sum |x|, of numpy's pairwise sum
+    of count floats (8 interleaved runs of at most 16 below 128, halving
+    above), with the few operations that follow it."""
+    return _UNIT * (24.0 + np.log2(count + 1.0))
+
+
+def _zeta_completion(gamma, delta, s, m, horizon):
+    """Sum over integers n >= H = horizon of the two branches
+    ((n-m)^(-gamma) + (n+m)^(-gamma)) (n^s - |m|^s)^(-delta), as
+    (value, bound).
+
+    Each factor expands binomially in m/n and |m|^s/n^s.  Summed over
+    n >= H, the power n^(-p), p = q + k + s j with q = gamma + s delta,
+    gives coef * H^(p-q) zeta(p, H) (Hurwitz), where coef carries
+    (m/H)^k (|m|^s/H^s)^j; the levels k + j <= _LEVELS form one triangle.
+    The bound adds
+      * eps(p) |term| per term, eps from _ZETA_REL_ERR;
+      * |coef| H^(-q) (1 + H/(p-1)) >= |term| for each term whose zeta is
+        not a normal float, which is dropped (H^(p-q) would overflow);
+      * the rounding of the sum;
+      * the levels past _LEVELS, majorised by the geometric tail of
+        2 rising(|gamma| + delta, level) (|m|/H)^level H^(-q) (1 + H/(p-1)).
     """
+    H = float(horizon)
     q = gamma + s * delta
-    ratio = max(abs(c) / start, abs(b) / start ** s)
-    if ratio > 0.2:
-        raise ValueError("start does not dominate the shift scales")
-    levels = 64
-    cg = _rising_binom(gamma, levels) * (c / start) ** np.arange(levels)
-    cd = _rising_binom(delta, levels) * (b / start ** s) ** np.arange(levels)
-    scale = start ** (1.0 - q)
-    total, level_abs = 0.0, np.inf
-    for level in range(levels):
-        ks = np.arange(level + 1)
-        js = level - ks
-        terms = cg[ks] * cd[js] * scale / (q + ks + s * js - 1.0)
-        level_abs = float(np.abs(terms).sum())
-        total += float(terms.sum())
-        if level_abs <= 1e-18 * abs(total) and level >= 2:
-            break
-    return total, level_abs
+    r = abs(m) / H
+    lv = np.arange(_LEVELS + 1)
+    cg = _rising_binom(gamma, _LEVELS + 1) * ((m / H) ** lv + (-m / H) ** lv)
+    cd = _rising_binom(delta, _LEVELS + 1) * (r ** s) ** lv
+    coef = np.outer(cg, cd)
+    # Odd k cancel between the branches, and m = 0 or gamma = 0 leaves one
+    # row or one term: only the nonzero coefficients reach zeta.
+    keep = (lv[:, None] + lv[None, :] <= _LEVELS) & (coef != 0.0)
+    coef, p = coef[keep], (q + lv[:, None] + s * lv[None, :])[keep]
+    z = special.zeta(p, H)
+    normal = z >= np.finfo(float).tiny
+    terms = coef[normal] * (H ** (p[normal] - q) * z[normal])
+    tops, errs = np.array(_ZETA_REL_ERR).T
+    eps = errs[np.searchsorted(tops, p[normal])]
+    majorant = H ** -q * (1.0 + H / (p[~normal] - 1.0))
+    bound = float((eps * np.abs(terms)).sum()
+                  + _pairwise_rounding(terms.size) * np.abs(terms).sum()
+                  + (np.abs(coef[~normal]) * majorant).sum())
+    if r > 0.0:
+        alpha, top = abs(gamma) + delta, _LEVELS + 1
+        ratio = r * max(1.0, (alpha + top) / (top + 1.0))
+        tail = (2.0 * _rising_binom(alpha, top + 1)[top] * r ** top
+                * H ** -q * (1.0 + H / (q + _LEVELS)))
+        bound += tail / (1.0 - ratio) if ratio < 1.0 else np.inf
+    return float(terms.sum()), bound
 
 
-def _branch_remainder(gamma, delta, s, c, b, start):
-    """Sum over integer x >= start of (x-c)^(-gamma) (x^s - b)^(-delta),
-    certified: (value, error_bound).  Requires start > max(|c|, b^(1/s))
-    with room to spare so the summand is smooth, positive, convex.
-    """
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-gamma * np.log(x - c)
-                      - delta * (s * np.log(x) + np.log1p(-b * x ** (-s))))
-
-    def dg(x):
-        return float(g(x)) * (-gamma / (x - c)
-                              - delta * s / (x * (1.0 - b * x ** (-s))))
-
-    integral, trunc = _power_integral(gamma, delta, s, c, b, start)
-    ga, dga = float(g(start)), dg(start)
-    value = integral + 0.5 * ga - dga / 12.0
-    return value, trunc + abs(dga) / 6.0
-
-
-def _tail_horizon(gamma: float, delta: float, s: float, m: int, N: int) -> int:
-    """Check the arguments of S_m(N) and return its horizon,
-    max(10^6, 10*max(N, |m|))."""
+def _tail_horizon(gamma: float, delta: float, s: float, m: int, Ns) -> int:
+    """Check the arguments of S_m(N) for the ascending Ns and return their
+    one horizon, 10*max(max(Ns), |m|)."""
     if delta <= 0 or s <= 1:
         raise ValueError("need delta > 0 and s > 1")
-    if N < 1:
+    if Ns[0] < 1:
         raise ValueError("N must be a positive count")
     _check_convergence(gamma, delta, s)
-    return max(_MIN_HORIZON, 10 * max(N, abs(m)))
+    return 10 * max(Ns[-1], abs(m))
 
 
 def _tail_sums(gamma: float, delta: float, s: float, m: int, Ns,
                horizon: int) -> list:
-    """S_m(N) for each N of the ascending Ns, all summed directly up to
-    one horizon.  Every term is evaluated once: the segment [N_j, N_(j+1))
-    is summed pairwise (np.sum), and the segments are accumulated from the
-    top, S(N_j) = segment_j + S(N_(j+1)), so the rounding error does not
-    grow with the horizon as a running sum's would.  One Euler-Maclaurin
-    remainder, with its error bound, completes every N."""
+    """S_m(N) for each N of the ascending Ns, summed directly over
+    N <= n < horizon and completed past it by _zeta_completion.  Every
+    direct term is evaluated once: the segment [N_j, N_(j+1)) is summed
+    pairwise (np.sum), and the segments are accumulated from the top,
+    S(N_j) = segment_j + S(N_(j+1)), so the rounding error does not grow
+    with the horizon as a running sum's would.  Each bound adds the
+    completion's bound and the rounding of the direct part: per term,
+    unit roundoff times 6 + delta (1 + 2 (n^s + |m|^s) / |n^s - |m|^s|),
+    the conditioning of the difference, and the pairwise sum's rounding."""
+    if horizon < Ns[-1]:
+        raise ValueError("the horizon must be at least the largest N")
     am, bs = abs(m), float(abs(m)) ** s
-    n = np.arange(Ns[0], horizon + 1, dtype=float)
+    n = np.arange(Ns[0], horizon, dtype=float)
     n = n[n != am]
     pair = 2.0 if gamma == 0.0 else \
         np.abs(n - m) ** (-gamma) + np.abs(n + m) ** (-gamma)
-    terms = pair * np.abs(n ** s - bs) ** (-delta)
+    ns = n ** s
+    gap = np.abs(ns - bs)
+    terms = pair * gap ** (-delta)
+    term_errs = terms * (6.0 + delta * (1.0 + 2.0 * (ns + bs) / gap))
     cuts = np.append(np.searchsorted(n, Ns), n.size)
-    segments = [float(terms[lo:hi].sum()) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    partials = np.cumsum(segments[::-1])[::-1]
 
-    remainder, bound = 0.0, 0.0
-    for c in ((m, -m) if gamma != 0.0 else (0, 0)):
-        v, e = _branch_remainder(gamma, delta, s, float(c), bs, horizon + 1.0)
-        remainder += v
-        bound += e
+    def from_top(x):
+        segments = [float(x[lo:hi].sum()) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        return np.cumsum(segments[::-1])[::-1]
+
+    completion, bound = _zeta_completion(gamma, delta, s, m, horizon)
+    rounding = _pairwise_rounding(n.size) + len(Ns) * _UNIT
     out = []
-    for N, partial in zip(Ns, partials):
-        value = float(partial) + remainder
-        if not bound <= 1e-10 * value:
+    for N, partial, err in zip(Ns, from_top(terms), from_top(term_errs)):
+        value = float(partial) + completion
+        total = bound + _UNIT * float(err) + rounding * value
+        if not total <= 1e-10 * value:
             raise ToleranceNotMet(
-                f"remainder bound {bound:.3e} exceeds 1e-10 of value {value:.6e}; "
+                f"remainder bound {total:.3e} exceeds 1e-10 of value {value:.6e}; "
                 "raise the horizon")
         out.append(TailSum(gamma, delta, s, m, N, value,
-                           expected_sigma(gamma, delta, s), int(horizon), bound))
+                           expected_sigma(gamma, delta, s), int(horizon),
+                           float(total)))
     return out
 
 
 def tail_sum(gamma: float, delta: float, s: float, m: int, N: int) -> TailSum:
     """S_m(N) = sum over |n| >= N, |n| != |m| of
     |n-m|^(-gamma) ||n|^s - |m|^s|^(-delta), summed directly up to the
-    horizon and completed with an Euler-Maclaurin remainder whose error
-    bound must stay below 1e-10 of the value.
+    horizon 10*max(N, |m|) and completed past it with the Hurwitz zeta
+    series; the error bound must stay below 1e-10 of the value.
     """
-    horizon = _tail_horizon(gamma, delta, s, m, N)
+    horizon = _tail_horizon(gamma, delta, s, m, [N])
     return _tail_sums(gamma, delta, s, m, [N], horizon)[0]
 
 
@@ -316,11 +345,8 @@ def tail_decay_fit(gamma: float, delta: float, s: float, N_grid,
         raise ValueError("N grid must span at least 1.5 decades")
     vals = np.empty((len(m_set), len(N_grid)))
     for i, m in enumerate(m_set):
-        horizons = [_tail_horizon(gamma, delta, s, m, N) for N in N_grid]
-        for h in sorted(set(horizons)):
-            cols = [j for j, hj in enumerate(horizons) if hj == h]
-            tails = _tail_sums(gamma, delta, s, m, [N_grid[j] for j in cols], h)
-            vals[i, cols] = [t.value for t in tails]
+        horizon = _tail_horizon(gamma, delta, s, m, N_grid)
+        vals[i] = [t.value for t in _tail_sums(gamma, delta, s, m, N_grid, horizon)]
     max_per_N = vals.max(axis=0)
     slope = float(np.polyfit(np.log(N_grid), np.log(max_per_N), 1)[0])
     sigma = expected_sigma(gamma, delta, s)

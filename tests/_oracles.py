@@ -7,13 +7,15 @@ The reference computations share no code with what they check: the
 closed-form free flow and a Duhamel (Picard) iterate, with its own
 spectral padding, for the Strang stepper of inghamlab.schrodinger; a
 finite-difference determinant for the factorized Wronskian of
-inghamlab.rigidity; the pairwise tag rule for classify.region_grid; and
-the decay of S_m in |m| from single tail sums."""
+inghamlab.rigidity; the pairwise tag rule for classify.region_grid; the
+decay of S_m in |m| from single tail sums; and a 30-digit tail sum by
+Euler-Maclaurin, with neither Hurwitz zeta nor a binomial series."""
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
@@ -170,6 +172,27 @@ def tail_m_decay(gamma: float, delta: float, s: float) -> tuple:
     max_small = max_S(range(0, 101, 10))
     max_large = max_S(np.unique(np.geomspace(1000, 10000, 12).astype(int)))
     return max_small, max_large, bool(max_large < max_small)
+
+
+def tail_sum_mpmath(gamma: float, delta: float, s: float, m: int, N: int):
+    """S_m(N) of inghamlab.sums.tail_sum at 30 digits: the terms below
+    K = max(N, 2|m| + 1, 100) one by one, the rest by mpmath's
+    Euler-Maclaurin sum.  Its integral is taken after the change x = K u^(-a),
+    a = 1/(gamma + s delta - 1), which turns the x^(-q) decay into a
+    bounded integrand on (0, 1]; mpmath.quad loses digits on the plain
+    slowly decaying tail."""
+    with mpmath.workdps(30):
+        g, d, sp, am = mpmath.mpf(gamma), mpmath.mpf(delta), mpmath.mpf(s), abs(m)
+        b = mpmath.mpf(am) ** sp
+
+        def f(n):
+            return (abs(n - am) ** -g + (n + am) ** -g) * abs(n ** sp - b) ** -d
+
+        K = max(N, 2 * am + 1, 100)
+        direct = mpmath.fsum(f(mpmath.mpf(n)) for n in range(N, K) if n != am)
+        a = 1 / (g + sp * d - 1)
+        tail = mpmath.quad(lambda u: f(K * u ** -a) * a * K * u ** (-a - 1), [0, 1])
+        return direct + mpmath.sumem(f, [K, mpmath.inf], integral=tail)
 
 
 def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float) -> complex:

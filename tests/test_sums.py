@@ -1,14 +1,17 @@
 """Pair-weight suprema and certified tail sums."""
 
 import dataclasses
+import types
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import tail_m_decay
+from _oracles import tail_m_decay, tail_sum_mpmath
 from inghamlab import sums
-from inghamlab.errors import DivergentParameters
+from inghamlab.errors import DivergentParameters, ToleranceNotMet
 
 
 def test_quadratic_pattern_sup_is_one():
@@ -79,6 +82,13 @@ def test_sup_rejects_bad_arguments():
         sums.sup_M(1.0, 2.0, 5, checkpoints=[5])
 
 
+def test_sup_rejects_a_checkpoint_outside_the_scan():
+    with pytest.raises(ValueError, match="checkpoint 500 "):
+        sums.sup_M(1.0, 2.0, 100, [100, 500])
+    with pytest.raises(ValueError, match="checkpoint 0 "):
+        sums.sup_M(1.0, 2.0, 100, [0, 100])
+
+
 def test_inf_witness_families_contract():
     low = sums.inf_witness(0.5, 2.0, 2000)
     assert low.family == "n=m+1"
@@ -112,12 +122,101 @@ def test_divergent_parameters_are_rejected():
 
 def test_tail_sum_zeta_identity():
     # m = 0 collapses the weight to 2 |n|^(-(gamma + s delta)), whose tail
-    # is the Hurwitz zeta value 2 * zeta(q, N).
+    # is 2 zeta(2, 10) = 2 (pi^2/6 - sum_(k<10) k^(-2)); mpmath's Hurwitz
+    # zeta is the second reference, as the library uses scipy's.
+    with mpmath.workdps(30):
+        closed = mpmath.pi ** 2 / 6 - mpmath.fsum(mpmath.mpf(k) ** -2
+                                                  for k in range(1, 10))
+        assert abs(closed - mpmath.zeta(2, 10)) < 1e-28
+    want = 2.0 * float(closed)
     got = sums.tail_sum(1.0, 0.5, 2.0, 0, 10).value
-    assert got == pytest.approx(2.0 * special.zeta(2.0, 10), rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
     got = sums.tail_sum(0.0, 1.0, 2.0, 0, 10).value
-    assert got == pytest.approx(2.0 * special.zeta(2.0, 10), rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
     assert got == pytest.approx(0.2103, abs=5e-5)
+
+
+# Every (p, H) the zeta completion can reach: p = gamma + s delta + k + s j
+# above 1 and up to where zeta(p, H) underflows, H from 10 to 2e6, dense
+# where scipy's error peaks (p 8 to 16, H 150 to 5000).
+_ZETA_P = np.concatenate([np.arange(1.05, 16.0, 0.25), np.arange(16.0, 320.0, 7.5)])
+_ZETA_H = (10, 30, 70, 150, 300, 500, 700, 1000, 2000, 3000, 5000, 10 ** 4,
+           31630, 10 ** 5, 10 ** 6, 2 * 10 ** 6)
+
+
+def test_scipy_zeta_meets_the_error_table_of_the_bound():
+    assert sums._ZETA_REL_ERR == ((8.0, 2e-15), (12.0, 1e-9), (np.inf, 1e-8))
+    tops = [top for top, _ in sums._ZETA_REL_ERR]
+    worst = np.zeros(len(tops))
+    with mpmath.workdps(30):
+        for p in _ZETA_P:
+            for H in _ZETA_H:
+                got = special.zeta(p, float(H))
+                if got < np.finfo(float).tiny:
+                    continue
+                want = mpmath.zeta(mpmath.mpf(float(p)), H)
+                i = int(np.searchsorted(tops, p))
+                worst[i] = max(worst[i], float(abs(got - want) / want))
+    errs = np.array([err for _, err in sums._ZETA_REL_ERR])
+    assert np.all(worst <= errs)
+    # The table is not slack by more than a decade anywhere.
+    assert np.all(worst > errs / 10)
+
+
+# (gamma, delta, s, m, N, horizon): horizon None is tail_sum's own; N is
+# the completion alone; 3|m| puts the series' truncation in sight.  The
+# last two are nearly all direct terms, and those next to |m| lose about
+# 1e-14 of the value to the rounding of n^s - |m|^s.
+_REFERENCE_CASES = [
+    (1.0, 0.9, 2.0, 7, 100, None), (0.25, 0.25, 5.0, 1000, 100, None),
+    (-0.2, 0.7, 2.0, 3, 10, None), (0.0, 0.5, 2.5, 30, 316, None),
+    (0.0, 1.0, 2.0, 0, 10, None), (1.0, 0.9, 2.0, 7, 100, 100),
+    (0.25, 0.25, 5.0, 1000, 10_000, 10_000), (-0.2, 0.7, 2.0, 3, 30, 30),
+    (1.0, 0.9, 2.0, 30, 90, 90), (0.0, 3.0, 1.5, 300, 10, None),
+    (1.0, 2.5, 2.2, 1000, 10, None),
+]
+
+
+def _tail(gamma, delta, s, m, N, horizon):
+    if horizon is None:
+        return sums.tail_sum(gamma, delta, s, m, N)
+    return sums._tail_sums(gamma, delta, s, m, [N], horizon)[0]
+
+
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
+def test_remainder_bound_covers_the_mpmath_reference(case):
+    # s = 5, m = 1000 drives zeta(p, H) below the normal floats; that must
+    # pass without a warning of any kind.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _tail(*case)
+    want = tail_sum_mpmath(*case[:5])
+    assert abs(mpmath.mpf(res.value) - want) <= res.remainder_bound
+    assert res.remainder_bound <= 1e-10 * res.value
+
+
+def test_remainder_bound_carries_the_zeta_error_table(monkeypatch):
+    # Every zeta value off by its full table error, in one direction: the
+    # bound still covers the reference.  At horizon 5|m| the terms with
+    # 8 < p <= 12 carry about 1e-4 of the value.
+    tops, errs = np.array(sums._ZETA_REL_ERR).T
+    fake = types.SimpleNamespace(
+        zeta=lambda p, H: special.zeta(p, H)
+        * (1.0 + 0.99 * errs[np.searchsorted(tops, p)]))
+    monkeypatch.setattr(sums, "special", fake)
+    for case in [(1.5, 0.8, 2.0, 10, 50), (1.0, 0.9, 2.0, 20, 100)]:
+        res, = sums._tail_sums(*case[:4], [case[4]], case[4])
+        want = tail_sum_mpmath(*case)
+        assert abs(mpmath.mpf(res.value) - want) <= res.remainder_bound
+
+
+def test_a_horizon_too_near_m_is_refused():
+    # At horizon 2|m| the binomial series converges like 2^(-level): its
+    # truncation bound passes 1e-10 of the value.
+    with pytest.raises(ToleranceNotMet):
+        sums._tail_sums(1.0, 0.9, 2.0, 30, [60], 60)
+    with pytest.raises(ValueError):
+        sums._tail_sums(1.0, 0.9, 2.0, 3, [100], 50)
 
 
 def test_tail_sum_against_brute_bracket():
