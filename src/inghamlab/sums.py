@@ -34,8 +34,8 @@ _MAX_N_TRUNC = round((150.0 / 15e-9) ** 0.5)
 _LEVELS = 24        # the zeta completion keeps the levels k + j <= _LEVELS
 # Relative error of scipy.special.zeta(p, H) for p up to each bound and
 # H >= 10.  Against 30-digit mpmath.zeta, for p up to zeta's underflow and
-# H from 10 to 2e6, the worst is 9.3e-16, 1.8e-10 and 3.2e-9 (scipy's
-# Euler-Maclaurin loses digits at moderate H); tests/test_sums.py pins it.
+# H from 10 to 2e6, the worst is 9.3e-16, 1.8e-10 and 3.2e-9, so one
+# machine epsilon would not do; tests/test_sums.py pins the table.
 _ZETA_REL_ERR = ((8.0, 2e-15), (12.0, 1e-9), (np.inf, 1e-8))
 _UNIT = 2.0 ** -53   # unit roundoff of float64
 _CRITICAL_LOSS = 0.1   # sigma's loss on the critical line gamma + delta = 1
