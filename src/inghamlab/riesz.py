@@ -67,10 +67,6 @@ class ExpSystem:
             if self.weight not in ("lebesgue", "arclength"):
                 raise ValueError("weight must be lebesgue or arclength")
 
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
 
 def curve_system(indices, s: float, curve: CurveSpec, T: float,
                  weight: str = "lebesgue") -> ExpSystem:

@@ -3,10 +3,13 @@
 Convention: the free equation is normalized so that mode n rotates as
 exp(2 pi i |n|^s t); a real bounded potential V enters as the pointwise
 phase exp(-2 pi i V(x) dt).  Time stepping is Strang splitting between
-the exact spectral free flow and the potential phase, with the
-potential applied on a zero-padded physical grid (M = 4K + 4 points for
-spectral truncation K) so products do not alias back into the retained
-band.  The splitting is exactly unitary for real V, second order in dt,
+the exact spectral free flow and the potential phase.  A step of fixed
+length is linear in the 2K+1 retained modes, so it is one step matrix B,
+built once from one FFT of the half phase on M = 4K + 4 points, and
+each step is c <- c B.  Since |k - n| <= 2K < M / 2, each entry of B
+reads the DFT coefficient of its own signed frequency: B is the
+zero-padded FFT step exactly, and no product wraps around the grid into
+the retained band.  The splitting is exactly unitary for real V, second order in dt,
 and exact when V is constant.
 """
 
@@ -52,9 +55,6 @@ class TorusState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
-    def max_active_mode(self) -> int:
-        return _max_active_mode(self.coeffs)
-
 
 def _max_active_mode(coeffs: np.ndarray) -> int:
     """Largest |n| with a nonzero coefficient in any row of coeffs."""
@@ -62,18 +62,31 @@ def _max_active_mode(coeffs: np.ndarray) -> int:
     return int(np.abs(nz - coeffs.shape[-1] // 2).max()) if nz.size else 0
 
 
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _constant_potential(v0):
-    v0 = float(v0)
+    v0 = _finite(v0, "v0")
     return (lambda M: np.full(M, v0)), abs(v0)
 
 
 def _cosine_potential(params):
-    a, k = float(params["amplitude"]), int(params["mode"])
+    a, k = _finite(params["amplitude"], "amplitude"), float(params["mode"])
+    if not k.is_integer():
+        # Only an integer mode is periodic on the torus.
+        raise ValueError(f"mode must be an integer, got {params['mode']}")
     return (lambda M: a * np.cos(2.0 * np.pi * k * (np.arange(M) / M))), abs(a)
 
 
 def _tabulated_potential(params):
     samples = np.asarray(params["values"], dtype=float)
+    if samples.ndim != 1 or not samples.size or not np.isfinite(samples).all():
+        raise ValueError(f"values must be a nonempty list of finite numbers, "
+                         f"got {params['values']}")
     grid = np.concatenate([np.arange(samples.size) / samples.size, [1.0]])
     cyclic = np.concatenate([samples, samples[:1]])
     return (lambda M: np.interp(np.arange(M) / M, grid, cyclic)), \
@@ -113,13 +126,6 @@ class PotentialSpec:
 # evolution
 # ---------------------------------------------------------------------------
 
-def _pad_spectrum(coeffs: np.ndarray, K: int, M: int) -> np.ndarray:
-    f = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
-    f[..., : K + 1] = coeffs[..., K:]
-    f[..., M - K:] = coeffs[..., :K]
-    return f
-
-
 def _check_data(coeffs: np.ndarray, dt: float | None) -> None:
     """Every row of coeffs must leave the band K dealiasing headroom."""
     if coeffs.shape[-1] // 2 < 2 * _max_active_mode(coeffs):
@@ -144,47 +150,42 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _step_matrix(K: int, s: float, V: PotentialSpec, h: float) -> np.ndarray:
+    """The Strang step of length h on modes -K..K as the matrix B with
+    c <- c B: half potential phase, exact free flow, half potential phase.
+    A half phase is the Toeplitz matrix P[n, k] = w[(k - n) mod M], where
+    w is the DFT of exp(-i pi V(x_j) h) on x_j = j / M, M = 4K + 4, over M.
+    It is the M-point FFT half step on zero-padded coefficients, written
+    as a matrix: |k - n| <= 2K < M / 2, so each difference reads its own
+    signed frequency and no two differences share an entry."""
+    M = 4 * K + 4
+    modes = np.arange(-K, K + 1)
+    w = np.fft.fft(np.exp(-2j * np.pi * V.values(M) * (h / 2.0))) / M
+    half = w[(modes[None, :] - modes[:, None]) % M]
+    free = np.exp(2j * np.pi * abs_pow(modes, s) * h)
+    return (half * free) @ half
+
+
 def _strang_steps(coeffs: np.ndarray, s: float, V: PotentialSpec, h: float,
                   steps: int):
     """Yield the coefficients, and the share of their energy in the top
     tenth of the band, after each of `steps` Strang steps of length h
-    from coeffs: half potential phase on the zero-padded grid of
-    M = 4K + 4 points, exact free flow, half potential phase.  A share
-    above 1e-8 raises ResolutionExceeded naming the step.
+    from coeffs.  Every step multiplies by the one step matrix of
+    _step_matrix, built once per call from one FFT.  A share above 1e-8
+    raises ResolutionExceeded naming the step.
 
     coeffs is one state, shape (2K+1,), or a stack of states, shape
-    (R, 2K+1), that advance together: the FFTs run along the last axis
-    of the whole stack and the phases broadcast over its rows.  Each row
-    is checked on its own and has the bits of its run alone; the error
-    of a stack of several rows also names the row.  One zero-padded
-    buffer serves every step: its middle M - 2K - 1 columns stay zero,
-    and the retained band after the free flow is written straight into
-    it.  Each yielded array is new."""
+    (R, 2K+1), that advance together.  matmul takes each row's product
+    with B on its own, so each row is checked on its own and has the
+    bits of its run alone; the error of a stack of several rows also
+    names the row.  Each yielded array is new."""
     K = coeffs.shape[-1] // 2
-    M = 4 * K + 4
     modes = np.arange(-K, K + 1)
-    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
-    free = np.exp(2j * np.pi * abs_pow(modes, s) * h)
+    B = _step_matrix(K, s, V, h)
     top = np.flatnonzero(np.abs(modes) >= max(1, int(np.ceil(0.9 * K))))
-    f = _pad_spectrum(coeffs, K, M)
-    low, high = f[..., : K + 1], f[..., M - K:]   # views of the retained band
-
-    def potential_half_step(low_out, high_out):
-        vals = np.fft.ifft(f)
-        vals *= M
-        vals *= half
-        g = np.fft.fft(vals)
-        np.divide(g[..., : K + 1], M, out=low_out)
-        np.divide(g[..., M - K:], M, out=high_out)
-
+    c = coeffs
     for step in range(1, steps + 1):
-        potential_half_step(low, high)
-        low *= free[K:]
-        high *= free[:K]
-        c = np.empty(coeffs.shape, dtype=complex)
-        potential_half_step(c[..., K:], c[..., :K])
-        low[...] = c[..., K:]
-        high[...] = c[..., :K]
+        c = np.matmul(c[..., None, :], B)[..., 0, :]
         frac = ((np.abs(c.take(top, axis=-1)) ** 2).sum(-1)
                 / _row_dot(c.conj(), c).real)
         if frac.max() > 1e-8:

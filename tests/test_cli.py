@@ -313,6 +313,16 @@ def docs(tmp_path, mono2_file):
                    "coefficients_re": [0.0, 1.0, 1.0]},
         "cosine_no_amplitude": {"kind": "Cosine", "params": {"mode": 3}},
         "cosine": {"kind": "Cosine", "params": {"amplitude": 0.1, "mode": 1}},
+        "cosine_mode_fraction": {"kind": "Cosine",
+                                 "params": {"amplitude": 0.1, "mode": 1.5}},
+        "cosine_amplitude_nan": {"kind": "Cosine",
+                                 "params": {"amplitude": float("nan"),
+                                            "mode": 1}},
+        "constant_v0_inf": {"kind": "Constant",
+                            "params": {"v0": float("inf")}},
+        "tabulated_empty": {"kind": "Tabulated", "params": {"values": []}},
+        "tabulated_nan": {"kind": "Tabulated",
+                          "params": {"values": [0.0, float("nan")]}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
         "quarter": {"kind": "ArcLengthOnCircle",
                     "params": {"radius": 1.0, "theta0": 0.0,
@@ -424,6 +434,32 @@ _EXPLICIT_CASES = {
                                          "--V-file", "{cosine_no_amplitude}",
                                          "--T", "0.2", "--dry-run"],
                                         1, "'amplitude'"),
+    "schrodinger-cosine-mode-fraction": (["schrodinger", "--u0-file", "{u0}",
+                                          "--V-file", "{cosine_mode_fraction}",
+                                          "--T", "0.2"], 1,
+                                         "parameter 'potential': mode must be "
+                                         "an integer, got 1.5"),
+    "schrodinger-cosine-amplitude-nan": (["schrodinger", "--u0-file", "{u0}",
+                                          "--V-file", "{cosine_amplitude_nan}",
+                                          "--T", "0.2"], 1,
+                                         "parameter 'potential': amplitude "
+                                         "must be finite, got nan"),
+    "schrodinger-constant-v0-inf": (["schrodinger", "--u0-file", "{u0}",
+                                     "--V-file", "{constant_v0_inf}",
+                                     "--T", "0.2"], 1,
+                                    "parameter 'potential': v0 must be "
+                                    "finite, got inf"),
+    "schrodinger-tabulated-empty": (["schrodinger", "--u0-file", "{u0}",
+                                     "--V-file", "{tabulated_empty}",
+                                     "--T", "0.2"], 1,
+                                    "parameter 'potential': values must be a "
+                                    "nonempty list of finite numbers, got []"),
+    "schrodinger-tabulated-nan": (["schrodinger", "--u0-file", "{u0}",
+                                   "--V-file", "{tabulated_nan}",
+                                   "--T", "0.2"], 1,
+                                  "parameter 'potential': values must be a "
+                                  "nonempty list of finite numbers, "
+                                  "got [0.0, nan]"),
     "highfreq-sgrid-N-npc": (["highfreq", "--measure-file", "{quarter}",
                               "--sgrid", "2.5", "--N", "3", "--window", "4"],
                              0, lambda doc, out, sweeps:

@@ -19,7 +19,7 @@ from inghamlab.schrodinger import (
     EvolveDiagnostics,
     PotentialSpec,
     TorusState,
-    _pad_spectrum,
+    _step_matrix,
     _strang_steps,
     evolve,
     evolve_trace,
@@ -44,12 +44,12 @@ def test_state_shape_guard_and_accessors():
     with pytest.raises(ValueError):
         TorusState(np.ones(4), 0.0, 2.0, 2)
     state = _random_state(6, 3)
-    assert state.max_active_mode() == 3
+    assert schrodinger._max_active_mode(state.coeffs) == 3
     assert state.norm_sq() == pytest.approx(
         float((np.abs(state.coeffs) ** 2).sum()), rel=1e-15)
     np.testing.assert_array_equal(state.modes, np.arange(-6, 7))
     empty = TorusState(np.zeros(13, dtype=complex), 0.0, 2.0, 6)
-    assert empty.max_active_mode() == 0
+    assert schrodinger._max_active_mode(empty.coeffs) == 0
 
 
 def test_potential_values_and_sup_norm():
@@ -75,33 +75,94 @@ def test_potential_values_and_sup_norm():
 def test_pad_truncate_round_trip():
     rng = np.random.default_rng(5)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    assert np.array_equal(_pad_spectrum(c, 4, 20), pad_spectrum(c, 4, 20))
-    assert np.array_equal(truncate_spectrum(_pad_spectrum(c, 4, 20), 4), c)
+    assert np.array_equal(truncate_spectrum(pad_spectrum(c, 4, 20), 4), c)
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("Cosine", {"amplitude": 0.5, "mode": 1.5}, "mode"),
+    ("Cosine", {"amplitude": 0.5, "mode": float("nan")}, "mode"),
+    ("Cosine", {"amplitude": float("nan"), "mode": 1}, "amplitude"),
+    ("Constant", {"v0": float("inf")}, "v0"),
+    ("Constant", {"v0": float("nan")}, "v0"),
+    ("Tabulated", {"values": []}, "values"),
+    ("Tabulated", {"values": [0.0, float("nan"), 1.0]}, "values"),
+    ("Tabulated", {"values": [0.0, float("-inf")]}, "values"),
+], ids=["cosine-mode-fraction", "cosine-mode-nan", "cosine-amplitude-nan",
+        "constant-v0-inf", "constant-v0-nan", "tabulated-empty",
+        "tabulated-nan", "tabulated-inf"])
+def test_bad_potentials_name_the_parameter(kind, params, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        PotentialSpec(kind, params)
 
 
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
 
+def _fft_step_matrix(K, s, V, h):
+    """The identity rows pushed through one Strang step of zero-padded
+    FFT half steps, built from the oracle's pad and truncate."""
+    M = 4 * K + 4
+    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
+    free = np.exp(2j * np.pi * abs_pow(np.arange(-K, K + 1), s) * h)
+    c = np.eye(2 * K + 1, dtype=complex)
+    for kick in (free, 1.0):
+        vals = np.fft.ifft(pad_spectrum(c, K, M)) * M
+        c = truncate_spectrum(np.fft.fft(vals * half) / M, K) * kick
+    return c
+
+
+_COSINE = PotentialSpec("Cosine", {"amplitude": 0.1, "mode": 1})
+_STEP_POTENTIALS = [
+    PotentialSpec("Cosine", {"amplitude": 0.8, "mode": 3}),
+    PotentialSpec("Tabulated", {"values": [0.0, 1.0, 0.3, -1.0, -0.2]}),
+    PotentialSpec("Constant", {"v0": -0.4}),
+]
+
+
+@pytest.mark.parametrize("h", [1e-4, 5e-3])
+@pytest.mark.parametrize("V", _STEP_POTENTIALS, ids=lambda V: V.kind)
+def test_step_matrix_matches_the_fft_half_steps(V, h):
+    # The Toeplitz form of a half phase is exact, not an approximation:
+    # B must agree with the FFT step to rounding at every K.
+    for K in range(3, 33):
+        for s in (2.0, 1.5):
+            err = np.abs(_step_matrix(K, s, V, h)
+                         - _fft_step_matrix(K, s, V, h)).max()
+            assert err <= 1e-14, (K, s, err)
+
+
+def test_strang_steps_make_one_fft_per_call(monkeypatch):
+    # The step matrix is built from one FFT; no step makes another.
+    calls = []
+    for name in np.fft.__all__:
+        real = getattr(np.fft, name)
+        if callable(real):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=real, _n=name,
+                                **k: calls.append(_n) or _f(*a, **k))
+    u0 = _random_state(8, 3)
+    for coeffs in (u0.coeffs, np.stack([u0.coeffs, u0.coeffs[::-1]])):
+        calls.clear()
+        assert len(list(_strang_steps(coeffs, u0.s, _COSINE, 1e-4,
+                                      steps=50))) == 50
+        assert calls == ["fft"]
+
+
 def test_strang_steps_match_fresh_arrays_and_keep_each_yield():
-    # The stepper reuses one padded buffer.  Every yielded array must keep
-    # its value through later steps and equal, bit for bit, a step that
-    # pads and truncates into new arrays with the oracle's own helpers.
-    # A stack of states advances through batched FFTs: each of its rows
-    # must equal, bit for bit, the run of that state alone.
+    # Every yielded array must keep its value through later steps and
+    # equal, bit for bit, a step that multiplies a new array by the step
+    # matrix.  A stack of states advances through one product per row:
+    # each of its rows must equal, bit for bit, the run of that state
+    # alone.
     u0 = _random_state(8, 3)
     V = PotentialSpec("Cosine", {"amplitude": 0.8, "mode": 3})
-    K, M, h = 8, 36, 0.01
-    half = np.exp(-2j * np.pi * V.values(M) * (h / 2.0))
-    free = np.exp(2j * np.pi * abs_pow(u0.modes, u0.s) * h)
+    h = 0.01
+    B = _step_matrix(8, u0.s, V, h)
     kept = list(_strang_steps(u0.coeffs, u0.s, V, h, 6))
     top = np.abs(u0.modes) >= 8
     c = u0.coeffs
     for got, frac in kept:
-        for kick in (free, 1.0):
-            vals = np.fft.ifft(pad_spectrum(c, K, M)) * M
-            vals *= half
-            c = truncate_spectrum(np.fft.fft(vals) / M, K) * kick
+        c = c @ B
         assert np.array_equal(got, c)
         assert frac == (float((np.abs(c[top]) ** 2).sum())
                         / float(np.vdot(c, c).real))
@@ -289,9 +350,6 @@ def test_trace_argument_guards(mono2):
     narrow = _random_state(4, 3)
     with pytest.raises(ValueError):
         evolve_trace(narrow, PotentialSpec("Zero", {}), mono2, 1.0, dt=None)
-
-
-_COSINE = PotentialSpec("Cosine", {"amplitude": 0.1, "mode": 1})
 
 
 @pytest.mark.parametrize("call, name", [
