@@ -13,18 +13,20 @@ the total phase factors as lambda * phi(t) with
 and phi' is monotone whenever p' is, so the phase has at most one
 stationary point on (0, T).
 
-The integrator subdivides [0, T] so every panel holds at most one and a
-half oscillations (|delta psi| <= 3 pi), refines dyadically around
-stationary points down to width 1e-6 T, and certifies each panel with
-the embedded Gauss-Kronrod pair: the 21-point Kronrod value, and as its
-error estimate |K21 - G10| against the 10-point Gauss rule on the same
-nodes, floored at QUADPACK's rounding term 50 eps sum w_K |f|.  Every
-panel whose estimate is too large is halved.  The phase cap only sets
-where that refinement starts: K21 is at rounding for up to about 3
-oscillations per panel and G10 at 1e-13 for about 1.25, so the
-certificate, not the cap, decides where panels must be smaller.  All
-panel bookkeeping is vectorized; the only Python-level loops are
-O(log) splitting rounds.
+The integrator's only forced panel edges are the ends, the stationary
+points and the curve's knots.  It subdivides [0, T] so every panel holds
+at most one and a half oscillations (|delta psi| <= 3 pi), and
+certifies each panel with the embedded Gauss-Kronrod pair: the 21-point
+Kronrod value, and as its error estimate |K21 - G10| against the
+10-point Gauss rule on the same nodes, floored at QUADPACK's rounding
+term 50 eps sum w_K |f|.  Every panel whose estimate is too large is
+halved (QUADPACK's adaptive rule), which alone grades the panels near a
+stationary point.  The phase cap only sets where that refinement
+starts: K21 is at rounding for up to about 3 oscillations per panel and
+G10 at 1e-13 for about 1.25, so the certificate, not the cap, decides
+where panels must be smaller.  The result meets tol, or the call raises
+ToleranceNotMet.  All panel bookkeeping is vectorized; the only
+Python-level loops are O(log) splitting rounds.
 """
 
 from __future__ import annotations
@@ -39,9 +41,13 @@ from .errors import ToleranceNotMet
 from .quad import gauss_kronrod21, kronrod_panels
 
 _PANEL_PHASE = 3.0 * np.pi  # max phase change per panel: 1.5 oscillations
-_CLUSTER_WIDTH = 1e-6      # dyadic refinement floor around stationary points, rel. to T
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
 _PANEL_BUDGET = 2 ** 20    # most panels one integral may split into
+# Halving rounds before ToleranceNotMet.  Grading toward an endpoint
+# singularity halves the end panel once per round, so an end panel of
+# width T / 2^k takes k rounds: the Muntz sqrt(t) arc-length diagonal at
+# tol 1e-12 takes 70.  The panel budget bounds the work of one round.
+_ROUNDS = 96
 _ROUNDING = 50.0 * np.finfo(float).eps   # QUADPACK's rounding floor, per unit of sum w|f|
 _GRID = np.unique(np.concatenate([           # root-bracketing grid on (0, 1]
     np.geomspace(1e-9, 1.0, 200), np.linspace(0.0, 1.0, 257)[1:]]))
@@ -93,10 +99,10 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     The value is the 21-point Kronrod sum, and the returned
     abs_error_estimate is the summed per-panel max(|K21 - G10|,
     50 eps sum w_K |f|), the discrepancy against the embedded 10-point
-    Gauss rule floored at the panel's rounding level; panels are split
-    until it drops below tol or the panel budget is exhausted
-    (ToleranceNotMet).  The curve's knots are panel edges, so the
-    estimate never misses a tabulated curve's kinks.
+    Gauss rule floored at the panel's rounding level; panels are halved
+    until it is at most tol, or ToleranceNotMet is raised when the
+    halving rounds or the panel budget run out.  The curve's knots are
+    panel edges, so the estimate never misses a tabulated curve's kinks.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -115,18 +121,8 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     else:
         roots = _sign_change_roots(dpsi, T)
 
-    # breakpoints: ends, the curve's knots, and dyadic shells around every
-    # stationary point
-    pts = [0.0, T]
-    for r in roots:
-        w = T
-        while w > _CLUSTER_WIDTH * T:
-            w *= 0.5
-            for c in (r - w, r + w):
-                if 0.0 < c < T:
-                    pts.append(c)
     knots = curve.knots[(curve.knots > 0.0) & (curve.knots < T)]
-    edges = np.unique(np.concatenate([np.asarray(pts, dtype=float), knots]))
+    edges = np.unique(np.concatenate([[0.0, T], roots, knots]))
     a, b = edges[:-1], edges[1:]
     pa, pb = psi(a), psi(b)
 
@@ -161,10 +157,15 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
     # Panels are picked for halving by |K21 - G10| alone: halving cannot
     # lower an estimate that is its panel's rounding floor.
     vals, diffs, errs = panel_values(a, b)
-    for _ in range(48):
+    for rounds in range(_ROUNDS + 1):
         total_err = float(errs.sum())
         if total_err <= tol:
             break
+        if rounds == _ROUNDS:
+            raise ToleranceNotMet(
+                f"phase integral d={d:g}, e={e:g}, T={T:g}: error "
+                f"{total_err:.3e} on {a.size} panels exceeds tol {tol:.3e} "
+                f"after {_ROUNDS} halving rounds")
         bad = diffs > 0.5 * tol / max(1, errs.size)
         if not bad.any():
             bad = diffs >= diffs.max()

@@ -82,7 +82,7 @@ class GramMatrix:
     entries: np.ndarray
     indices: tuple
     T_or_mass: float
-    tol: float
+    tol: float | None      # None for a measure, whose Gram applies no tol
 
     @property
     def dim(self) -> int:
@@ -238,7 +238,7 @@ def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
     curve gives the product over the nodes (t, p(t)) on the panels of one
     adaptive integral of the fastest pair: the 21-point Kronrod product,
     accepted once it agrees with the 10-point Gauss product on the same
-    nodes to tol / dim."""
+    nodes to tol / dim.  A measure Gram applies no tol and records None."""
     phi = _phase_vectors(system)
     if system.measure is not None:
         meas = system.measure
@@ -248,7 +248,7 @@ def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
             (t, w_t), (x, w_x) = meas.axes
             G = _gram_product(t, np.zeros_like(t), w_t, phi) \
                 * _gram_product(np.zeros_like(x), x, w_x, phi)
-        return GramMatrix(G, system.indices, float(meas.weights.sum()), tol)
+        return GramMatrix(G, system.indices, float(meas.weights.sum()), None)
     G = _curve_gram(system, phi, tol)
     mass = system.T if system.weight == "lebesgue" else float(G[0, 0].real)
     return GramMatrix(G, system.indices, mass, tol)
@@ -323,20 +323,19 @@ def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED) -> RieszReport:
 
 
 def quadratic_form_quadrature(system: ExpSystem, coeffs) -> float:
-    """The quadratic form c^H G c realized directly as the integral of
-    |sum_n conj(c_n) e_n|^2 over the system's domain (order-10
-    Gauss-Legendre on equal panels along the curve, 30 nodes per cycle of
-    the fastest single wave, or a plain weighted sum over measure nodes)
-    without going through the Gram matrix.  Closes the loop matrix-form
-    vs integral-form; on a curve it is also the V = 0 Schrodinger trace."""
+    """The quadratic form c^H G c of a curve system realized directly as
+    the integral of |sum_n conj(c_n) e_n|^2 along the curve (order-10
+    Gauss-Legendre on equal panels, 30 nodes per cycle of the fastest
+    single wave) without going through the Gram matrix.  Closes the loop
+    matrix-form vs integral-form; it is also the V = 0 Schrodinger
+    trace."""
+    if system.measure is not None:
+        raise ValueError("quadratic_form_quadrature takes a curve system, "
+                         f"not the measure {system.measure.kind!r}")
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (len(system.indices),):
         raise ValueError("one coefficient per index")
     phi = _phase_vectors(system)
-    if system.measure is not None:
-        meas = system.measure
-        u = np.exp(-2j * np.pi * (meas.nodes @ phi.T)) @ c
-        return float((meas.weights * np.abs(u) ** 2).sum())
     curve, T = system.curve, system.T
     pmax = float(np.abs(curve.p(np.linspace(0.0, T, 512))).max())
     cycles = float(np.abs(phi[:, 1]).max() * pmax + np.abs(phi[:, 0]).max() * T)

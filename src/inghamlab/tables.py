@@ -1,11 +1,11 @@
 """Result tables with provenance, CSV/JSON emission, and plot data.
 
 Every experiment produces one or more ResultTable objects.  Emission is
-deterministic for a fixed table: rows are sorted by the leading columns
-before writing, reals are printed with 17 significant digits (lossless
-double round-trip), and the only line that varies between identical
-runs is the timestamp, which is a # comment so byte comparisons can
-drop it.
+deterministic for a fixed table: a table sorts its rows by the leading
+columns once, when it is built; reals are printed with 17 significant
+digits (lossless double round-trip); and the only line that varies
+between identical runs is the timestamp, which is a # comment so byte
+comparisons can drop it.
 """
 
 from __future__ import annotations
@@ -90,17 +90,15 @@ class ResultTable:
     def __post_init__(self):
         self.columns = tuple(self.columns)
         # Cell by cell: a call of plain() per row doubles the cost.
-        self.rows = [[v if isinstance(v, _PLAIN) else plain(v) for v in row]
-                     for row in self.rows]
+        rows = [tuple(v if isinstance(v, _PLAIN) else plain(v) for v in row)
+                for row in self.rows]
         self.meta = plain(dict(self.meta))
-        for row in self.rows:
+        for row in rows:
             if len(row) != len(self.columns):
                 raise ValueError(
                     f"table {self.name}: row width {len(row)} != "
                     f"{len(self.columns)} columns")
-
-    def sorted_rows(self) -> list:
-        return sorted((tuple(r) for r in self.rows), key=_sort_key)
+        self.rows = sorted(rows, key=_sort_key)
 
 
 def _header_lines(table: ResultTable) -> list:
@@ -118,7 +116,7 @@ def _header_lines(table: ResultTable) -> list:
 def write_csv(table: ResultTable, path: str) -> str:
     lines = _header_lines(table)
     lines.append(",".join(table.columns))
-    for row in table.sorted_rows():
+    for row in table.rows:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -141,7 +139,7 @@ def write_json(table: ResultTable, path: str) -> str:
         },
         "meta": {k: _json_cell(table.meta[k]) for k in sorted(table.meta)},
         "columns": list(table.columns),
-        "rows": [[_json_cell(v) for v in r] for r in table.sorted_rows()],
+        "rows": [[_json_cell(v) for v in r] for r in table.rows],
     }
     return dump_json(doc, path)
 
@@ -217,8 +215,7 @@ def emit_plot_data(table: ResultTable, kind: str, out_base: str) -> list:
     grids) for a table; x is its first column.  Kinds: xy and
     loglog-fit plot the second column, curve writes one file per later
     column, region-svg draws the first three (n, m, tag)."""
-    rows = table.sorted_rows()
-    columns = [[row[i] for row in rows] for i in range(len(table.columns))]
+    columns = [[row[i] for row in table.rows] for i in range(len(table.columns))]
     if kind == "xy":
         return [_write_xy(out_base + ".dat", columns[0], columns[1])]
     if kind == "loglog-fit":

@@ -131,8 +131,20 @@ def gram_from_dict(doc: dict) -> riesz.GramMatrix:
     """The Gram matrix of a riesz.gram_to_dict document."""
     entries = np.asarray(doc["entries_re"], dtype=float) \
         + 1j * np.asarray(doc["entries_im"], dtype=float)
-    return riesz.GramMatrix(entries, tuple(doc["indices"]),
-                            float(doc["T_or_mass"]), float(doc["tol"]))
+    tol = doc["tol"]
+    return riesz.GramMatrix(entries, tuple(doc["indices"]), float(doc["T_or_mass"]),
+                            None if tol is None else float(tol))
+
+
+def measure_quadratic_form(system: riesz.ExpSystem, c) -> float:
+    """c^H G c of a measure system as the weighted sum of
+    |sum_n conj(c_n) e_n|^2 over the measure's own nodes, without the
+    Gram matrix."""
+    idx = np.asarray(system.indices)
+    t, x = system.measure.nodes.T
+    u = np.exp(-2j * np.pi * (np.outer(t, abs_pow(idx, system.s))
+                              + np.outer(x, idx))) @ np.asarray(c, dtype=complex)
+    return float((system.measure.weights * np.abs(u) ** 2).sum())
 
 
 @dataclass(frozen=True)

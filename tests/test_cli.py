@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import curve_to_dict
+from _oracles import curve_to_dict, gram_from_dict
 from inghamlab import riesz
 from inghamlab.cli import (_PARAMS, _RUNNERS, DEFAULT_SEED, ExperimentConfig,
                            build_parser, main, run_batch)
@@ -364,6 +364,20 @@ def docs(tmp_path, mono2_file):
         path.write_text(json.dumps(doc))
         files[name] = str(path)
     return files
+
+
+def test_measure_gram_records_no_tol(docs, tmp_path, capsys):
+    # A measure Gram sums over the measure's own nodes and applies no tol,
+    # so gram.json must not carry the CLI's curve tolerance.
+    out = str(tmp_path / "res")
+    code = main(["gram", "--measure-file", docs["quarter"], "--s", "2",
+                 "--N", "2", "--out-dir", out])
+    assert code == 0
+    assert _out(capsys)["summary"]["dim"] == 5
+    with open(os.path.join(out, "gram.json")) as fh:
+        doc = json.load(fh)
+    assert doc["tol"] is None
+    assert gram_from_dict(doc).tol is None
 
 
 def _table(out, name):

@@ -1,9 +1,9 @@
 """The library holds only what the program runs: every top-level function
-and class in src/inghamlab is referenced by the code of src/ or
-perfbench/ outside its own definition, and every parameter with a
-default is set by some call in that code but not by every one, so each
-default has one home.  Reference code that only tests call lives in
-tests/_oracles.py."""
+and class in src/inghamlab, and every method and property of its
+classes, is referenced by the code of src/ or perfbench/ outside its own
+definition, and every parameter with a default is set by some call in
+that code but not by every one, so each default has one home.
+Reference code that only tests call lives in tests/_oracles.py."""
 
 import ast
 import pathlib
@@ -56,7 +56,10 @@ def _exempt(module: str, name: str) -> bool:
         (module == "cli" and name.startswith("run_"))
 
 
-def test_every_library_definition_is_used_by_the_program():
+def _unused(definitions_of) -> list:
+    """Where each definition that definitions_of(module, tree) yields as
+    (where, node) is referenced by no program code outside itself: the
+    program's references to its name are no more than its own."""
     used = Counter()
     definitions = []
     for path in _program_files():
@@ -65,15 +68,38 @@ def test_every_library_definition_is_used_by_the_program():
         used += _references(tree, docstrings)
         if path.parent != LIBRARY:
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and not _exempt(path.stem, node.name):
-                own = _references(node, docstrings)[node.name]
-                definitions.append((f"{path.stem}.{node.name}", node.name, own))
+        for where, node in definitions_of(path.stem, tree):
+            own = _references(node, docstrings)[node.name]
+            definitions.append((where, node.name, own))
     assert definitions
-    unused = [where for where, name, own in definitions if used[name] <= own]
+    return [where for where, name, own in definitions if used[name] <= own]
+
+
+def _top_level(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and not _exempt(module, node.name):
+            yield f"{module}.{node.name}", node
+
+
+def _members(module, tree):
+    """Methods and properties of every class, dunders exempt."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not _exempt(module, node.name):
+                    yield f"{module}.{cls.name}.{node.name}", node
+
+
+def test_every_library_definition_is_used_by_the_program():
+    unused = _unused(_top_level)
     assert unused == [], f"defined in src/ but used by no program code: {unused}"
+
+
+def test_every_class_member_is_used_by_the_program():
+    unused = _unused(_members)
+    assert unused == [], f"members that no program code uses: {unused}"
 
 
 def _defaulted(func, method: bool) -> list:

@@ -1,5 +1,6 @@
 """Adaptive oscillatory integrals and stationary-phase decay bounds."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -129,6 +130,43 @@ def test_exhausted_panel_budget_raises(mono2, monkeypatch):
     monkeypatch.setattr(oscint, "_PANEL_BUDGET", 4)
     with pytest.raises(ToleranceNotMet):
         oscint.phase_integral(5e4, 1.0, mono2, 2.0, tol=1e-13)
+
+
+def _muntz_sqrt_arclength():
+    # p = t^(1/2) + t^(5/2): the arc-length weight blows up like
+    # t^(-1/2) at 0, so the halving has to grade the first panel.
+    from inghamlab.curves import build_curve
+    curve = build_curve("Muntz", {"coefficients": [[1.0, 0.5], [1.0, 2.5]],
+                                  "t0": 0.0})
+    return curve, lambda t: np.sqrt(1.0 + curve.dp(t) ** 2)
+
+
+def test_graded_arclength_diagonal_meets_tol():
+    curve, weight = _muntz_sqrt_arclength()
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(
+            lambda t: mpmath.sqrt(1 + (t ** -0.5 / 2 + 5 * t ** 1.5 / 2) ** 2),
+            [0, 1.5]))
+    res = oscint.phase_integral(0.0, 0.0, curve, 1.5, tol=1e-12, weight=weight)
+    assert res.abs_error_estimate <= 1e-12
+    assert abs(res.value - exact) <= 1e-12
+
+
+def test_exhausted_halving_rounds_raise(monkeypatch):
+    curve, weight = _muntz_sqrt_arclength()
+    monkeypatch.setattr(oscint, "_ROUNDS", 2)
+    with pytest.raises(ToleranceNotMet,
+                       match=r"d=0, e=0, T=1\.5: error \S+ on 3 panels "
+                             r"exceeds tol 1\.000e-12"):
+        oscint.phase_integral(0.0, 0.0, curve, 1.5, tol=1e-12, weight=weight)
+
+
+def test_stationary_point_needs_no_extra_panels(mono2):
+    # The stationary point t = 1/2 of the pair (0, -1) is a panel edge;
+    # the certificate alone decides how to refine around it.
+    res = oscint.oscillatory_integral(0, -1, 2.0, mono2, 2.0, tol=1e-9)
+    assert res.abs_error_estimate <= 1e-9
+    assert res.panels <= 8
 
 
 def test_weighted_integrals(mono2):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import gram_from_dict
+from _oracles import gram_from_dict, measure_quadratic_form
 from test_curves import TENSOR_MEASURES
 from inghamlab import curves, oscint, quad, riesz
 from inghamlab.errors import (DecayTooWeak, InsufficientDecay, NotHermitian,
@@ -61,10 +61,6 @@ _GRAM_CURVES = {
 def test_curve_gram_structure(name, weight):
     curve = curves.build_curve(*_GRAM_CURVES[name])
     idx, T, tol = tuple(range(-3, 4)), 1.5, 1e-9
-    if name == "muntz-sqrt" and weight == "arclength":
-        # The weight blows up like t^(-1/2) at 0; the per-entry reference
-        # then stops about 1.5e-9 from the exact diagonal (mpmath).
-        tol = 1e-8
     system = riesz.curve_system(idx, 2.0, curve, T, weight=weight)
     G = riesz.gram_matrix(system, tol=tol)
     H = G.entries
@@ -340,11 +336,16 @@ def test_quadratic_form_closes_the_loop(mono2, mono3, full_circle):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         G = riesz.gram_matrix(system, tol=tol)
         want = float(np.real(c.conj() @ G.entries @ c))
-        got = riesz.quadratic_form_quadrature(system, c)
+        if system.measure is None:
+            got = riesz.quadratic_form_quadrature(system, c)
+        else:
+            got = measure_quadratic_form(system, c)
         assert got == pytest.approx(want, rel=rel)
         assert got >= 0.0
     with pytest.raises(ValueError):
         riesz.quadratic_form_quadrature(cases[0][0], np.ones(3))
+    with pytest.raises(ValueError, match="measure 'ArcLengthOnCircle'"):
+        riesz.quadratic_form_quadrature(cases[2][0], np.ones(4))
 
 
 # ---------------------------------------------------------------------------

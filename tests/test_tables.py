@@ -30,7 +30,7 @@ def test_row_width_guard():
 
 def test_sorted_rows_is_a_total_order_over_mixed_types():
     rows = [(2, "x"), (1.5, "y"), (True, "z"), ("label", "w"), (-3, "v")]
-    ordered = _table(rows).sorted_rows()
+    ordered = _table(rows).rows
     # numbers first (ascending), then strings, then booleans
     assert ordered == [(-3, "v"), (1.5, "y"), (2, "x"), ("label", "w"),
                        (True, "z")]
