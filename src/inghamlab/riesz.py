@@ -32,6 +32,9 @@ _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
 _NODES_PER_CYCLE = 16.0    # measure quadrature density of the high-frequency runs
 _FIT_CACHE_SIZE = 256      # decay fits a process keeps, least recently used dropped
+# sharpness_sum's N x N tables peak at about 32 N^2 bytes (tracemalloc: 32 MiB
+# at N = 1024), so its largest N is capped at 512 MiB of tables.
+_MAX_SHARPNESS_N = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +587,9 @@ def sharpness_sum(delta: float, s: float, N_grid) -> SharpnessResult:
     if N_grid[0] < 2:
         raise ValueError(f"N_grid sizes must be >= 2, got {N_grid}")
     Nmax = N_grid[-1]
+    if Nmax > _MAX_SHARPNESS_N:
+        raise ValueError(f"N_grid sizes must be at most {_MAX_SHARPNESS_N}, "
+                         f"got {Nmax}")
     n = np.arange(1, Nmax + 1, dtype=float) ** s
     M = product_nu_hat(delta, n[:, None] - n[None, :])
     P = M.cumsum(axis=0).cumsum(axis=1)

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .classify import abs_pow
 from .errors import DivergentParameters, ToleranceNotMet
 
-_CELL_BUDGET = 1 << 20   # float64 cells per row block of the sup scan
-# The sup scan takes about 15 ns per cell (sup_M(0.5, 2, 20000): 5.9 s),
-# so a 150 s budget caps N_trunc at sqrt(150 s / 15 ns) = 10^5.
-_MAX_N_TRUNC = round((150.0 / 15e-9) ** 0.5)
+_MAX_N_TRUNC = 100_000   # the range of N that lemma21 documents
 _LEVELS = 24        # the zeta completion keeps the levels k + j <= _LEVELS
 # Relative error of scipy.special.zeta(p, H) for p up to each bound and
 # H >= 10.  Against 30-digit mpmath.zeta, for p up to zeta's underflow and
@@ -61,8 +59,15 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
 
     The value depends on (n, m) only through (|n|, |m|) except for the
     numerator, which is maximized at opposite signs (|n - m| = |n| + |m|),
-    so the scan runs over the quadrant a = |n|, b = |m| with value
-    (a + b) / |a^s - b^s|^gamma and representative pair (-a, b).
+    so the quadrant a = |n|, b = |m| with value (a + b) / |a^s - b^s|^gamma
+    and representative pair (-a, b) holds the supremum.  Only its first
+    off-diagonal b = a + 1 is read: for a < b - 1 the pair (b - 1, b) has
+    the larger numerator 2b - 1 > a + b and the smaller denominator
+    b^s - (b - 1)^s < b^s - a^s, and both pairs lie in every prefix
+    square [0, n]^2 that holds b.  So the supremum over [0, n]^2 is the
+    largest of the first n ratios (2a + 1) / ((a + 1)^s - a^s)^gamma, and
+    the first maximal ratio, at a = k, is the square's first maximal cell
+    in row-major order, (k, k + 1).
 
     growth_fit is the log-log slope of the prefix suprema at the
     checkpoint truncations, each in 1..N_trunc; it is the interesting
@@ -74,45 +79,24 @@ def sup_M(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
     if N_trunc < 10:
         raise ValueError("N_trunc must be at least 10")
     if N_trunc > _MAX_N_TRUNC:
-        raise ValueError(f"N_trunc must be at most {_MAX_N_TRUNC} (a scan "
-                         f"of about 150 s), got {N_trunc}")
+        raise ValueError(f"N_trunc must be at most {_MAX_N_TRUNC}, got {N_trunc}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     for cp in checkpoints:
         if not 1 <= cp <= N_trunc:
             raise ValueError(f"checkpoint {cp} is outside 1..N_trunc = {N_trunc}")
 
-    b = np.arange(N_trunc + 1, dtype=float)
-    pow_b = b ** s
-    best_val, best_ab = -1.0, (0, 1)
-    col_best = np.zeros(N_trunc + 1)      # running max over processed a, per b
-    prefix: list = []
-
-    # Row blocks of about _CELL_BUDGET cells that also end at every
-    # checkpoint, so the prefix maxima are exact.
-    rows = max(1, _CELL_BUDGET // (N_trunc + 1))
-    cuts = sorted({*range(0, N_trunc + 1, rows), N_trunc + 1,
-                   *(cp + 1 for cp in checkpoints)})
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        a = b[lo:hi]
-        denom = np.abs(pow_b[lo:hi, None] - pow_b[None, :])
-        np.fill_diagonal(denom[:, lo:hi], np.inf)
-        vals = (a[:, None] + b[None, :]) / (denom if gamma == 1.0
-                                            else denom ** gamma)
-        flat = int(np.argmax(vals))
-        ia, ib = divmod(flat, N_trunc + 1)
-        if vals[ia, ib] > best_val:
-            best_val = float(vals[ia, ib])
-            best_ab = (lo + ia, ib)
-        np.maximum(col_best, vals.max(axis=0), out=col_best)
-        if hi - 1 in checkpoints:
-            prefix.append((hi - 1, float(col_best[:hi].max())))
+    a = np.arange(N_trunc + 1)
+    gap = np.diff(abs_pow(a, s))
+    ratios = (a[:-1] + a[1:]) / (gap if gamma == 1.0 else gap ** gamma)
+    k = int(np.argmax(ratios))
+    running = np.maximum.accumulate(ratios)
+    prefix = [(cp, float(running[cp - 1])) for cp in checkpoints]
 
     growth = None
     if len(prefix) >= 2:
         xs, ys = np.log(prefix).T
         growth = float(np.polyfit(xs, ys, 1)[0])
-    a_star, b_star = best_ab
-    return SupScan(gamma, s, N_trunc, best_val, (-a_star, b_star), growth, prefix)
+    return SupScan(gamma, s, N_trunc, float(ratios[k]), (-k, k + 1), growth, prefix)
 
 
 @dataclass

@@ -8,6 +8,7 @@ closed-form free flow and a Duhamel (Picard) iterate, with its own
 spectral padding, for the Strang stepper of inghamlab.schrodinger; a
 finite-difference determinant for the factorized Wronskian of
 inghamlab.rigidity; the pairwise tag rule for classify.region_grid; the
+full-square scan for the pair-weight supremum of sums.sup_M; the
 decay of S_m in |m| from single tail sums; and a 30-digit tail sum by
 Euler-Maclaurin, with neither Hurwitz zeta nor a binomial series."""
 
@@ -25,7 +26,7 @@ from inghamlab.curves import CurveSpec
 from inghamlab.errors import ArtifactError
 from inghamlab.rigidity import ObservationCurveGamma
 from inghamlab.schrodinger import PotentialSpec, TorusState
-from inghamlab.sums import tail_sum
+from inghamlab.sums import SupScan, tail_sum
 
 _TWO_PI = 2.0 * np.pi
 _PICARD_GRID = 2048            # tau intervals of the Picard quadrature
@@ -205,6 +206,48 @@ def tail_sum_mpmath(gamma: float, delta: float, s: float, m: int, N: int):
         a = 1 / (g + sp * d - 1)
         tail = mpmath.quad(lambda u: f(K * u ** -a) * a * K * u ** (-a - 1), [0, 1])
         return direct + mpmath.sumem(f, [K, mpmath.inf], integral=tail)
+
+
+_SQUARE_CELL_BUDGET = 1 << 20   # float64 cells per row block of sup_square_scan
+
+
+def sup_square_scan(gamma: float, s: float, N_trunc: int, checkpoints) -> SupScan:
+    """inghamlab.sums.sup_M by scanning every cell (a, b) of the quadrant
+    [0, N_trunc]^2 for (a + b) / |a^s - b^s|^gamma, in row blocks of about
+    _SQUARE_CELL_BUDGET cells that also end at every checkpoint, so the
+    prefix maxima are exact; the argmax is the first maximal cell in
+    row-major order."""
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    b = np.arange(N_trunc + 1, dtype=float)
+    pow_b = b ** s
+    best_val, best_ab = -1.0, (0, 1)
+    col_best = np.zeros(N_trunc + 1)      # running max over processed a, per b
+    prefix: list = []
+
+    rows = max(1, _SQUARE_CELL_BUDGET // (N_trunc + 1))
+    cuts = sorted({*range(0, N_trunc + 1, rows), N_trunc + 1,
+                   *(cp + 1 for cp in checkpoints)})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a = b[lo:hi]
+        denom = np.abs(pow_b[lo:hi, None] - pow_b[None, :])
+        np.fill_diagonal(denom[:, lo:hi], np.inf)
+        vals = (a[:, None] + b[None, :]) / (denom if gamma == 1.0
+                                            else denom ** gamma)
+        flat = int(np.argmax(vals))
+        ia, ib = divmod(flat, N_trunc + 1)
+        if vals[ia, ib] > best_val:
+            best_val = float(vals[ia, ib])
+            best_ab = (lo + ia, ib)
+        np.maximum(col_best, vals.max(axis=0), out=col_best)
+        if hi - 1 in checkpoints:
+            prefix.append((hi - 1, float(col_best[:hi].max())))
+
+    growth = None
+    if len(prefix) >= 2:
+        xs, ys = np.log(prefix).T
+        growth = float(np.polyfit(xs, ys, 1)[0])
+    a_star, b_star = best_ab
+    return SupScan(gamma, s, N_trunc, best_val, (-a_star, b_star), growth, prefix)
 
 
 def wronskian_n1_fd(gamma: ObservationCurveGamma, x: float) -> complex:

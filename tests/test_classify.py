@@ -27,6 +27,20 @@ def test_abs_pow_matches_definition():
     assert abs(got - 8.0 ** 1.5) <= math.ulp(8.0 ** 1.5)
 
 
+
+def test_abs_pow_names_s_and_the_largest_index_when_the_power_overflows():
+    # A RuntimeWarning is an error in this suite, so numpy's overflow
+    # warning would fail the test before the ValueError.
+    with pytest.raises(ValueError, match=r"s = 400.0 and \|n\| = 10$"):
+        classify.abs_pow(np.arange(-10, 11), 400.0)
+    with pytest.raises(ValueError, match=r"s = 400.0 and \|n\| = 10$"):
+        classify.abs_pow(np.asarray(-10), 400.0)
+    # Finite powers keep their bits, up to the edge of the float range.
+    for s, N in ((300.0, 10), (2.0, 100_000), (1.5, 1000)):
+        n = np.arange(-N, N + 1)
+        assert np.array_equal(classify.abs_pow(n, s),
+                              np.abs(n).astype(float) ** s)
+
 def test_pair_tags():
     pc = classify_pair(4, 4, 2.0, 8.0)
     assert pc.tag == "Diagonal" and pc.ratio is None

@@ -526,6 +526,26 @@ _EXPLICIT_CASES = {
                                 "--N", "10"], 1,
                                "table sup_scan: a log-log fit needs at least "
                                "two distinct x values"),
+    "classify-power-overflow": (["classify", "--s", "400", "--tau", "4",
+                                 "--N", "10"], 1,
+                                "|n|^s is not a finite float at s = 400.0 "
+                                "and |n| = 10"),
+    "lemma21-power-overflow": (["lemma21", "--gamma", "1", "--s", "400",
+                                "--N", "20"], 1,
+                               "|n|^s is not a finite float at s = 400.0 "
+                               "and |n| = 20"),
+    "integral-power-overflow": (["integral", "--n", "10", "--m", "9",
+                                 "--s", "400", "--curve-file", "{mono2}",
+                                 "--T", "1"], 1,
+                                "|n|^s is not a finite float at s = 400.0 "
+                                "and |n| = 10"),
+    "gram-power-overflow": (["gram", "--curve-file", "{mono2}", "--s", "400",
+                             "--N", "10", "--T", "1"], 1,
+                            "|n|^s is not a finite float at s = 400.0 "
+                            "and |n| = 10"),
+    "sharpness-N-above-cap": (["sharpness", "--Ngrid", "32,10000000"], 1,
+                              "N_grid sizes must be at most 4096, "
+                              "got 10000000"),
 }
 
 

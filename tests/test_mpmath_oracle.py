@@ -10,10 +10,6 @@ Each drawn case checks three things:
 - its abs_error_estimate bounds the true error, with no allowance for
   rounding: the estimate carries its own rounding term;
 - the matching entry of the two-index curve Gram is within tol / J.
-
-The Muntz curve t^(1/2) + t^(5/2) is drawn with the Lebesgue weight only:
-its arc-length weight blows up like t^(-1/2) at 0, where halving panels
-converges too slowly to meet a tight tol.
 """
 
 import mpmath
@@ -134,7 +130,7 @@ def _pairs(draw, name):
     m = draw(st.integers(-12, 12).filter(lambda k: k != n))
     s = draw(st.sampled_from((1.2, 1.5, 2.0, 2.5)))
     T = draw(st.floats(0.3, 2.0))
-    arclength = name != "muntz" and draw(st.booleans())
+    arclength = draw(st.booleans())
     return n, m, s, _capped_T(name, n - m, abs(n) ** s - abs(m) ** s, T), arclength
 
 

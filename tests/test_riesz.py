@@ -518,6 +518,17 @@ def test_sharpness_sum_grows_at_the_predicted_rate():
         riesz.sharpness_sum(0.9, 2.0, [32, 64])
 
 
+
+def test_sharpness_sum_caps_its_tables_before_allocating(monkeypatch):
+    # The cap is checked before any table exists: with numpy gone from the
+    # module, the call still raises the ValueError.
+    assert riesz._MAX_SHARPNESS_N == 4096
+    monkeypatch.setattr(riesz, "np", None)
+    with pytest.raises(ValueError, match="at most 4096, got 10000000"):
+        riesz.sharpness_sum(0.5, 1.5, [32, 10_000_000])
+    with pytest.raises(ValueError, match="at most 4096, got 4097"):
+        riesz.sharpness_sum(0.5, 1.5, [32, 4097])
+
 @pytest.mark.parametrize("call, name", [
     (lambda c: riesz.sharpness_sum(0.5, 1.5, []), "N_grid"),
     (lambda c: riesz.sharpness_sum(0.5, 1.5, [5]), "N_grid"),

@@ -1,6 +1,7 @@
 """Pair-weight suprema and certified tail sums."""
 
 import dataclasses
+import time
 import types
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import tail_m_decay, tail_sum_mpmath
+from _oracles import sup_square_scan, tail_m_decay, tail_sum_mpmath
 from inghamlab import sums
 from inghamlab.errors import DivergentParameters, ToleranceNotMet
 
@@ -44,22 +45,42 @@ def test_sup_prefix_checkpoints_are_nested():
     assert vals[-1] == scan.sup_value
 
 
-def test_sup_row_blocks_do_not_change_any_bit(monkeypatch):
-    # One row, two rows and a few rows per block against the default
-    # budget: sup, argmax, prefix checkpoints and growth fit are the same
-    # bits, for gamma = 1 and for the power path.
-    cases = [(1.0, 2.0, 300, [10, 31, 100]), (0.5, 2.0, 300, [100, 300]),
-             (1.0, 1.5, 2000, [10, 100, 316, 1000]),
-             (0.7, 3.1, 2000, [100, 1000, 2000])]
+def _lemma21_checkpoints(N):
+    # The checkpoints that cli.run_lemma21 passes for N.
+    return [n for n in (10, 31, 100, 316, 1000, 3162, 10000, 31623) if n < N]
 
-    def scans():
-        return [repr(dataclasses.astuple(sums.sup_M(*case)))
-                for case in cases]
 
-    want = scans()
-    for budget in (1, 700, 5000):
-        monkeypatch.setattr(sums, "_CELL_BUDGET", budget)
-        assert scans() == want
+_SQUARE_CASES = [
+    (1.0, 2.0, 300, [10, 31, 100]), (0.5, 2.0, 300, [100, 300]),
+    (1.0, 1.5, 2000, [10, 100, 316, 1000]), (0.7, 3.1, 2000, [100, 1000, 2000]),
+    # criterion 03
+    (1.0, 2.0, 10_000, [100, 1_000, 10_000]),
+    (1.0, 1.5, 10_000, [100, 1_000, 10_000]),
+    # the benchmark batch's lemma21 runs
+    *((gamma, s, N, _lemma21_checkpoints(N))
+      for gamma, s in [(0.5, 2.0), (0.5, 2.5), (1.0, 1.5), (1.0, 2.0), (1.0, 2.5)]
+      for N in (500, 1000, 2000)),
+    (0.5, 2.0, 10, [1, 2, 10]),
+    (0.01, 1.01, 1000, [1, 2, 10, 100, 1000]),
+    (10.0, 1.5, 1000, [1, 2, 10, 100, 1000]),
+    (0.05, 3.0, 1000, [1, 2, 10, 100, 1000]),
+]
+
+
+def test_sup_matches_the_square_scan_bit_for_bit():
+    # The first off-diagonal gives the full square's sup, argmax, prefix
+    # checkpoints and growth fit to the bit, for gamma = 1 and for the
+    # power path.
+    for case in _SQUARE_CASES:
+        assert repr(dataclasses.astuple(sums.sup_M(*case))) == \
+            repr(dataclasses.astuple(sup_square_scan(*case))), case
+
+
+def test_sup_at_the_cap_takes_under_a_second():
+    start = time.perf_counter()
+    scan = sums.sup_M(0.5, 2.0, 100_000, [10, 100, 100_000])
+    assert time.perf_counter() - start < 1.0
+    assert scan.checkpoints[-1] == (100_000, scan.sup_value)
 
 
 def test_sup_rejects_a_scan_above_the_time_budget(monkeypatch):
