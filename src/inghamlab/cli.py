@@ -410,7 +410,8 @@ class RunContext:
             name, columns, rows,
             tables.Provenance(__version__, self.config_hash, stamp),
             meta or {})
-        os.makedirs(self.out_dir, exist_ok=True)
+        if not self.written:        # the directory comes with the first file
+            os.makedirs(self.out_dir, exist_ok=True)
         base = os.path.join(self.out_dir, name)
         write = tables.write_json if self.fmt == "json" else tables.write_csv
         self.written.append(write(table, f"{base}.{self.fmt}"))
@@ -419,7 +420,8 @@ class RunContext:
 
     def emit_document(self, name, doc) -> str:
         """Write a JSON document to <out_dir>/<name>.json."""
-        os.makedirs(self.out_dir, exist_ok=True)
+        if not self.written:
+            os.makedirs(self.out_dir, exist_ok=True)
         path = tables.dump_json(tables.plain(doc),
                                 os.path.join(self.out_dir, f"{name}.json"))
         self.written.append(path)

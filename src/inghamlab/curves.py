@@ -227,6 +227,10 @@ def _user_tabulated(params):
     t = clean["t"]
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
         raise NonAdmissible("UserTabulated needs a strictly increasing t grid")
+    for key in ("p", "dp", "d2p"):
+        if clean[key].shape != t.shape or not np.all(np.isfinite(clean[key])):
+            raise NonAdmissible(f"UserTabulated {key} needs one finite value "
+                                f"per t: shape {clean[key].shape}, t {t.shape}")
     constants = tuple(float(params.get(key, default)) for key, default in
                       (("alpha", 2.0), ("c1", 1.0), ("c2", 1.0), ("c3", 1.0)))
     return clean, constants, tuple(

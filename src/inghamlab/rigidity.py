@@ -173,8 +173,7 @@ def n1_vanishing_classifier(gamma: ObservationCurveGamma,
             return _slope_report(+1.0, float(intercept))
         if abs(slope + 1.0) < _AFFINE_TOL:
             return _slope_report(-1.0, float(intercept))
-    wvals = np.array([abs(wronskian_n1(gamma, x)) for x in xs])
-    nonzero = int((wvals > 1e-8).sum())
+    nonzero = int((np.abs(wronskian_n1(gamma, xs)) > 1e-8).sum())
     return VanishingReport(
         "OnlyTrivial", "c = 0", None,
         {"wronskian_nonzero_samples": nonzero, "samples": int(xs.size)})

@@ -6,12 +6,20 @@ columns once, when it is built; reals are printed with 17 significant
 digits (lossless double round-trip); and the only line that varies
 between identical runs is the timestamp, which is a # comment so byte
 comparisons can drop it.
+
+A table is converted, sorted and written one column at a time: the
+types a column holds pick one conversion, one sort key and one format
+for all its cells, applied in C-level passes (map, zip).  After plain(),
+every cell must be a scalar (str, int, float, bool or None); a table
+with any other cell is refused.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ne
 
 __all__ = [
     "Provenance", "ResultTable", "plain", "write_csv", "write_json",
@@ -56,27 +64,35 @@ def plain(value):
     return value
 
 
+_G17 = "%.17g".__mod__     # 17 significant digits round-trip a double
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.17g" % value
+        return _G17(value)
     return str(value)
 
 
-def _sort_key(row):
-    # Total order over heterogeneous rows: compare per cell by
-    # (type rank, value) so ints/floats sort numerically and strings
-    # lexically without ever comparing across types.
-    key = []
-    for cell in row:
-        if isinstance(cell, bool):
-            key.append((2, "", float(cell)))
-        elif isinstance(cell, (int, float)):
-            key.append((0, "", float(cell)))
-        else:
-            key.append((1, str(cell), 0.0))
-    return key
+def _rank(cls) -> int:
+    # Total order over heterogeneous rows: cells compare by (type rank,
+    # value), so numbers sort numerically, then strings (and None)
+    # lexically, then booleans, without ever comparing across types.
+    return 2 if cls is bool else 0 if issubclass(cls, (int, float)) else 1
+
+
+def _cell_key(cell):
+    rank = _rank(type(cell))
+    return (rank, str(cell), 0.0) if rank == 1 else (rank, "", float(cell))
+
+
+def _sort_column(col):
+    """Sort keys of a column: a column of one rank is keyed by its values,
+    which compare as their (rank, value) keys do, NaN and identity too."""
+    ranks = set(map(_rank, set(map(type, col))))
+    return list(map(str if ranks == {1} else float if len(ranks) < 2 else
+                    _cell_key, col))
 
 
 @dataclass
@@ -89,16 +105,33 @@ class ResultTable:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
-        # Cell by cell: a call of plain() per row doubles the cost.
-        rows = [tuple(v if isinstance(v, _PLAIN) else plain(v) for v in row)
-                for row in self.rows]
         self.meta = plain(dict(self.meta))
-        for row in rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"table {self.name}: row width {len(row)} != "
-                    f"{len(self.columns)} columns")
-        self.rows = sorted(rows, key=_sort_key)
+        rows, width = list(self.rows), len(self.columns)
+        widths = set(map(len, rows))
+        if not width or widths - {width}:
+            raise ValueError(f"table {self.name}: {width} columns, rows of "
+                             f"width {sorted(widths)}")
+        cols = list(zip(*rows)) or [()] * width
+        for j, col in enumerate(cols):
+            if not all(issubclass(t, _PLAIN) for t in set(map(type, col))):
+                cols[j] = col = list(map(plain, col))
+                if not all(issubclass(t, _PLAIN) for t in set(map(type, col))):
+                    raise ValueError(f"table {self.name}: column "
+                                     f"{self.columns[j]!r} holds a non-scalar cell")
+        keys = list(zip(*map(_sort_column, cols)))
+        rows = list(zip(*cols))
+        self.rows = list(map(rows.__getitem__,
+                             sorted(range(len(rows)), key=keys.__getitem__)))
+
+
+def _columns(table: ResultTable) -> list:
+    return list(zip(*table.rows)) or [()] * len(table.columns)
+
+
+def _csv_column(col):
+    types = set(map(type, col))
+    return map(_G17 if all(issubclass(t, float) for t in types) else
+               str if types <= {int, str, type(None)} else _fmt, col)
 
 
 def _header_lines(table: ResultTable) -> list:
@@ -113,14 +146,17 @@ def _header_lines(table: ResultTable) -> list:
     return lines
 
 
-def write_csv(table: ResultTable, path: str) -> str:
-    lines = _header_lines(table)
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_lines(path: str, lines: list) -> str:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def write_csv(table: ResultTable, path: str) -> str:
+    lines = _header_lines(table)
+    lines.append(",".join(table.columns))
+    lines.extend(map(",".join, zip(*map(_csv_column, _columns(table)))))
+    return _write_lines(path, lines)
 
 
 def _json_cell(value):
@@ -129,19 +165,26 @@ def _json_cell(value):
     return value
 
 
+def _json_column(col):
+    # NaN is the one cell that differs from itself.
+    return list(map(_json_cell, col)) if any(map(ne, col, col)) else col
+
+
 def write_json(table: ResultTable, path: str) -> str:
-    doc = {
+    """dump_json's bytes, with the rows through the C encoder: its item
+    separator puts each cell on its own line, and the row seams, unique
+    since a scalar cell holds no raw newline, are rewritten to indent=1."""
+    head = json.dumps({
         "name": table.name,
-        "provenance": {
-            "version": table.provenance.version,
-            "config_hash": table.provenance.config_hash,
-            "timestamp": table.provenance.timestamp,
-        },
-        "meta": {k: _json_cell(table.meta[k]) for k in sorted(table.meta)},
+        "provenance": vars(table.provenance),
+        "meta": {k: _json_cell(v) for k, v in table.meta.items()},
         "columns": list(table.columns),
-        "rows": [[_json_cell(v) for v in r] for r in table.rows],
-    }
-    return dump_json(doc, path)
+    }, indent=1, sort_keys=True)
+    rows = list(zip(*map(_json_column, _columns(table))))
+    body = json.dumps(rows, separators=(",\n   ", ": "))[2:-2]
+    body = body.replace("],\n   [", "\n  ],\n  [\n   ")
+    body = f"[\n  [\n   {body}\n  ]\n ]" if rows else "[]"
+    return _write_lines(path, [f'{head[:-2]},\n "rows": {body}\n}}'])
 
 
 def dump_json(doc, path: str) -> str:
@@ -154,11 +197,9 @@ def dump_json(doc, path: str) -> str:
 
 def _write_xy(path: str, xs, ys, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
-    for x, y in zip(xs, ys):
-        lines.append(f"{_fmt(float(x))} {_fmt(float(y))}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    lines.extend(map(" ".join, zip(map(_G17, map(float, xs)),
+                                   map(_G17, map(float, ys)))))
+    return _write_lines(path, lines)
 
 
 def _plot_loglog_fit(name, out_base, xs, ys):
@@ -195,19 +236,12 @@ def _plot_region_svg(out_base, ns, ms, tags):
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for n, m, tag in zip(ns, ms, tags):
-        color = REGION_COLORS.get(str(tag), "#ff00ff")
-        if color == "#ffffff":
-            continue
-        px = (n - n_min) * cell
-        py = (m_max - m) * cell
-        parts.append(f'<rect x="{px}" y="{py}" width="{cell}" '
-                     f'height="{cell}" fill="{color}"/>')
+    rect = f'<rect x="%s" y="%s" width="{cell}" height="{cell}" fill="%s"/>'
+    colors = map(REGION_COLORS.get, map(str, tags), repeat("#ff00ff"))
+    parts.extend(rect % ((n - n_min) * cell, (m_max - m) * cell, color)
+                 for n, m, color in zip(ns, ms, colors) if color != "#ffffff")
     parts.append("</svg>")
-    path = out_base + ".svg"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return [path]
+    return [_write_lines(out_base + ".svg", parts)]
 
 
 def emit_plot_data(table: ResultTable, kind: str, out_base: str) -> list:
@@ -215,7 +249,7 @@ def emit_plot_data(table: ResultTable, kind: str, out_base: str) -> list:
     grids) for a table; x is its first column.  Kinds: xy and
     loglog-fit plot the second column, curve writes one file per later
     column, region-svg draws the first three (n, m, tag)."""
-    columns = [[row[i] for row in table.rows] for i in range(len(table.columns))]
+    columns = _columns(table)
     if kind == "xy":
         return [_write_xy(out_base + ".dat", columns[0], columns[1])]
     if kind == "loglog-fit":

@@ -9,9 +9,13 @@ spectral padding, for the Strang stepper of inghamlab.schrodinger; a
 finite-difference determinant for the factorized Wronskian of
 inghamlab.rigidity; the pairwise tag rule for classify.region_grid; the
 full-square scan for the pair-weight supremum of sums.sup_M; the
-decay of S_m in |m| from single tail sums; and a 30-digit tail sum by
-Euler-Maclaurin, with neither Hurwitz zeta nor a binomial series."""
+decay of S_m in |m| from single tail sums; a 30-digit tail sum by
+Euler-Maclaurin, with neither Hurwitz zeta nor a binomial series; and
+the cell-by-cell table writers (a (rank, str, float) sort key per cell,
+one format call per cell, json's indent=1 encoder) that the column
+writers of inghamlab.tables must match byte for byte."""
 
+import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -27,6 +31,7 @@ from inghamlab.errors import ArtifactError
 from inghamlab.rigidity import ObservationCurveGamma
 from inghamlab.schrodinger import PotentialSpec, TorusState
 from inghamlab.sums import SupScan, tail_sum
+from inghamlab.tables import REGION_COLORS, plain
 
 _TWO_PI = 2.0 * np.pi
 _PICARD_GRID = 2048            # tau intervals of the Picard quadrature
@@ -443,3 +448,168 @@ def vandermonde_rank(lambdas) -> VandermondeReport:
     distinct = bool(diff.size == 0 or diff.min() > 0.0)
     return VandermondeReport(magnitude, bool(distinct and not zero_freq),
                              zero_freq, K)
+
+
+# ---------------------------------------------------------------------------
+# reference table writers: one key, one format call and one encoder step
+# per cell
+# ---------------------------------------------------------------------------
+
+_PLAIN = (str, int, float, type(None))
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+def _sort_key(row):
+    # Total order over heterogeneous rows: compare per cell by
+    # (type rank, value) so ints/floats sort numerically and strings
+    # lexically without ever comparing across types.
+    key = []
+    for cell in row:
+        if isinstance(cell, bool):
+            key.append((2, "", float(cell)))
+        elif isinstance(cell, (int, float)):
+            key.append((0, "", float(cell)))
+        else:
+            key.append((1, str(cell), 0.0))
+    return key
+
+
+@dataclass
+class ReferenceTable:
+    """inghamlab.tables.ResultTable, plained and sorted row by row."""
+    name: str
+    columns: tuple
+    rows: list
+    provenance: object
+    meta: dict
+
+    def __post_init__(self):
+        self.columns = tuple(self.columns)
+        rows = [tuple(v if isinstance(v, _PLAIN) else plain(v) for v in row)
+                for row in self.rows]
+        self.meta = plain(dict(self.meta))
+        for row in rows:
+            if len(row) != len(self.columns):
+                raise ValueError(
+                    f"table {self.name}: row width {len(row)} != "
+                    f"{len(self.columns)} columns")
+        self.rows = sorted(rows, key=_sort_key)
+
+
+def _header_lines(table) -> list:
+    lines = [
+        f"# inghamlab {table.provenance.version}",
+        f"# config {table.provenance.config_hash}",
+        f"# generated {table.provenance.timestamp}",
+        f"# table {table.name}",
+    ]
+    for key in sorted(table.meta):
+        lines.append(f"# {key} {_fmt(table.meta[key])}")
+    return lines
+
+
+def reference_write_csv(table, path: str) -> str:
+    lines = _header_lines(table)
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _json_cell(value):
+    if isinstance(value, float) and value != value:
+        return None
+    return value
+
+
+def reference_write_json(table, path: str) -> str:
+    doc = {
+        "name": table.name,
+        "provenance": {
+            "version": table.provenance.version,
+            "config_hash": table.provenance.config_hash,
+            "timestamp": table.provenance.timestamp,
+        },
+        "meta": {k: _json_cell(table.meta[k]) for k in sorted(table.meta)},
+        "columns": list(table.columns),
+        "rows": [[_json_cell(v) for v in r] for r in table.rows],
+    }
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _write_xy(path: str, xs, ys, comments=()) -> str:
+    lines = [f"# {c}" for c in comments]
+    for x, y in zip(xs, ys):
+        lines.append(f"{_fmt(float(x))} {_fmt(float(y))}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _plot_loglog_fit(name, out_base, xs, ys):
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if np.unique(xs).size < 2:
+        raise ValueError(f"table {name}: a log-log fit needs at least two "
+                         "distinct x values")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("log-log plot needs positive data")
+    slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)
+    fitted = 10.0 ** (intercept + slope * np.log10(xs))
+    paths = [_write_xy(out_base + ".dat", xs, ys)]
+    paths.append(_write_xy(out_base + ".fit.dat", xs, fitted,
+                           comments=[f"slope {_fmt(float(slope))}",
+                                     f"intercept {_fmt(float(intercept))}"]))
+    return paths
+
+
+def _plot_region_svg(out_base, ns, ms, tags):
+    cell = 6   # pixels per side
+    n_min, n_max = min(ns), max(ns)
+    m_min, m_max = min(ms), max(ms)
+    width = (n_max - n_min + 1) * cell
+    height = (m_max - m_min + 1) * cell
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for n, m, tag in zip(ns, ms, tags):
+        color = REGION_COLORS.get(str(tag), "#ff00ff")
+        if color == "#ffffff":
+            continue
+        px = (n - n_min) * cell
+        py = (m_max - m) * cell
+        parts.append(f'<rect x="{px}" y="{py}" width="{cell}" '
+                     f'height="{cell}" fill="{color}"/>')
+    parts.append("</svg>")
+    path = out_base + ".svg"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+    return [path]
+
+
+def reference_emit_plot_data(table, kind: str, out_base: str) -> list:
+    columns = [[row[i] for row in table.rows] for i in range(len(table.columns))]
+    if kind == "xy":
+        return [_write_xy(out_base + ".dat", columns[0], columns[1])]
+    if kind == "loglog-fit":
+        return _plot_loglog_fit(table.name, out_base, columns[0], columns[1])
+    if kind == "region-svg":
+        return _plot_region_svg(out_base, *columns[:3])
+    if kind == "curve":
+        return [_write_xy(f"{out_base}.{name}.dat", columns[0], ys)
+                for name, ys in zip(table.columns[1:], columns[1:])]
+    raise ValueError(f"unknown plot kind {kind!r}")

@@ -4,8 +4,10 @@ The benchmark's check of a measure-window op reads the one Gram matrix
 the op built and compares it with the measure's nodes and weights, so a
 change to the measure Gram or to the measures must keep that check
 passing.  Decay fits are kept per process, so every block runs twice:
-once with an empty fit cache and once with a warm one.  The benchmark
-modules are imported from perfbench/ as they are.
+once with an empty fit cache and once with a warm one.  The check of a
+batch op lists, parses and re-runs every file the op wrote, so a batch
+block through it gates the table writers.  The benchmark modules are
+imported from perfbench/ as they are.
 """
 
 import copy
@@ -68,3 +70,22 @@ def test_batch_highfreq_rerun_matches_a_cold_run_byte_for_byte(tmp_path):
         assert wl.check(state, op, wl.run(state, op)) is None
         assert IH.riesz._fit_document.cache_info().hits >= 1
     IH.riesz._fit_document.cache_clear()
+
+
+def test_batch_block_passes_its_checks_in_both_formats(tmp_path):
+    # Every subcommand, each in csv and json, re-run and compared line by
+    # line: the written files must be the listed tables, parse, and come
+    # back the same apart from the timestamp.
+    wl = WORKLOADS["batch"]
+    ops = list(itertools.islice(wl.ops(1), wl.block_len))
+    assert len({op["subcommand"] for op in ops}) == 17
+    state = wl.setup(IH, 1, str(tmp_path))
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IH.errors.DecayTooWeak)
+        for op, fmt in itertools.product(ops, ("csv", "json")):
+            op = dict(copy.deepcopy(op), format=fmt, rerun=True)
+            failure = wl.check(state, op, wl.run(state, op))
+            if failure is not None:
+                failures.append((op["subcommand"], fmt, failure))
+    assert failures == []

@@ -320,6 +320,11 @@ def docs(tmp_path, mono2_file):
                                             "mode": 1}},
         "constant_v0_inf": {"kind": "Constant",
                             "params": {"v0": float("inf")}},
+        "user_tabulated_short": {"kind": "UserTabulated",
+                                 "params": {"t": [0.0, 0.5, 1.0],
+                                            "p": [0.0, 0.25],
+                                            "dp": [0.0, 1.0, 2.0],
+                                            "d2p": [2.0, 2.0, 2.0]}},
         "tabulated_empty": {"kind": "Tabulated", "params": {"values": []}},
         "tabulated_nan": {"kind": "Tabulated",
                           "params": {"values": [0.0, float("nan")]}},
@@ -613,6 +618,9 @@ _MODE_CASES = {
                                        "{nanTgrid}"],
                                       "parameter 'Tgrid': expected a finite "
                                       "number, got 'nan'"),
+    "validate-curve-user-tabulated-short": (
+        ["validate-curve", "--curve-file", "{user_tabulated_short}"],
+        "UserTabulated p needs one finite value per t: shape (2,), t (3,)"),
     "gram-no-curve": (["gram", "--s", "2"], _missing("curve")),
     "gram-curve-no-T": (["gram", "--curve-file", "{mono2}", "--s", "2"],
                         _missing("T")),

@@ -1,6 +1,7 @@
 """Curve admissibility checks and planar measure construction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,24 @@ def test_user_tabulated_requires_increasing_grid():
         curves.build_curve("UserTabulated", {
             "t": t, "p": t, "dp": t, "d2p": t,
         })
+
+
+@pytest.mark.parametrize("key", ["p", "dp", "d2p"])
+@pytest.mark.parametrize("bad, shape", [
+    (lambda t: t[:-1], "(4,)"),
+    (lambda t: t[:, None], "(5, 1)"),
+    (lambda t: np.where(t == t[2], np.nan, t), "(5,)"),
+    (lambda t: np.where(t == t[-1], np.inf, t), "(5,)"),
+], ids=["short", "2-D", "nan", "inf"])
+def test_user_tabulated_rejects_a_bad_table(key, bad, shape):
+    # Before the check, a short p failed inside np.interp and a NaN p
+    # built a curve whose p(0.3) was nan.
+    t = np.linspace(0.0, 1.0, 5)
+    params = {"t": t, "p": t ** 2, "dp": 2.0 * t, "d2p": np.full_like(t, 2.0)}
+    params[key] = bad(params[key])
+    message = f"UserTabulated {key} needs one finite value per t: shape {shape}, t (5,)"
+    with pytest.raises(NonAdmissible, match=re.escape(message)):
+        curves.build_curve("UserTabulated", params)
 
 
 def test_curve_round_trips_through_json(mono2, arctan3):

@@ -1,11 +1,21 @@
 """Tests for deterministic table emission: row ordering, lossless float
-formatting, CSV/JSON structure, and the plot-data writers."""
+formatting, CSV/JSON structure, and the plot-data writers, which must
+write the bytes of the cell-by-cell reference writers of _oracles."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import (
+    ReferenceTable,
+    reference_emit_plot_data,
+    reference_write_csv,
+    reference_write_json,
+)
 from inghamlab.tables import (
     REGION_COLORS,
     Provenance,
@@ -24,8 +34,10 @@ def _table(rows, columns=("a", "b"), name="demo", meta=None):
 
 
 def test_row_width_guard():
-    with pytest.raises(ValueError):
-        _table([(1, 2, 3)])
+    with pytest.raises(ValueError, match=r"2 columns, rows of width \[2, 3\]"):
+        _table([(1, 2), (1, 2, 3)])
+    with pytest.raises(ValueError, match=r"table demo: 0 columns"):
+        _table([(), ()], columns=())
 
 
 def test_sorted_rows_is_a_total_order_over_mixed_types():
@@ -179,3 +191,82 @@ def test_plot_argument_guards(tmp_path):
     t = _table([(1.0, 2.0)])
     with pytest.raises(ValueError):
         emit_plot_data(t, "histogram", str(tmp_path / "p"))
+
+
+def test_non_scalar_cells_name_the_table_and_column():
+    # A tuple becomes a list and a complex a dict: neither is a cell.
+    for rows, column in (([(1, (2, 3))], "b"), ([(1j, 0.5)], "a")):
+        with pytest.raises(ValueError, match=f"table demo: column '{column}' "
+                                             "holds a non-scalar cell"):
+            _table(rows)
+
+
+# Cells of every scalar type a table takes.  Small pools make ties, so
+# later columns decide the order; _NAN is one object, so two of its cells
+# are identical, while other NaNs are not.
+_NAN = float("nan")
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, float("inf"), float("-inf"), _NAN]),
+    st.just(float("nan")), st.floats(allow_nan=True, allow_infinity=True))
+_INTS = st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70),
+                  st.sampled_from([2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1]))
+_STRS = st.one_of(
+    st.sampled_from(["", "a", '"q"', "x,y", "],", "]],", "\n", "],\n   [",
+                     "NaN", "null", "true", "1.5", "-0", "inf", "é", "日本"]),
+    st.text(max_size=6))
+_NUMPY = st.one_of(_FLOATS.map(np.float64), st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+                   st.booleans().map(np.bool_), st.floats(width=32).map(np.float32))
+_CELLS = {"float": _FLOATS, "int": _INTS, "bool": st.booleans(), "str": _STRS,
+          "none": st.none(), "numpy": _NUMPY}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _raw_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    columns = draw(st.lists(st.text('ab,"é ', min_size=1, max_size=3), min_size=len(kinds),
+                            max_size=len(kinds)))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=12))
+    meta = draw(st.dictionaries(st.text(max_size=3), _CELLS["mixed"], max_size=3))
+    return columns, rows, meta
+
+
+def _fails(write, table, path) -> bool:
+    # Which cell fails first may differ (a column writer formats one
+    # column at a time), so only failing at all is compared.
+    try:
+        write(table, path)
+    except Exception:           # noqa: BLE001 -- any failure, on both sides
+        return True
+    return False
+
+
+def _plotter(emit, kind):
+    return lambda table, out_base: emit(table, kind, out_base)
+
+
+def _written(root):
+    out = {}
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_raw_tables())
+def test_column_writers_match_the_cell_by_cell_reference(raw):
+    columns, rows, meta = raw
+    new = ResultTable("demo", columns, rows, PROV, meta)
+    ref = ReferenceTable("demo", columns, rows, PROV, meta)
+    assert repr(new.rows) == repr(ref.rows)
+    writers = [(write_csv, reference_write_csv, "t.csv"),
+               (write_json, reference_write_json, "t.json")]
+    writers += [(_plotter(emit_plot_data, kind),
+                 _plotter(reference_emit_plot_data, kind), f"plot-{kind}")
+                for kind in ("xy", "curve", "region-svg", "loglog-fit")]
+    for write, reference, name in writers:
+        with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+            fails = _fails(write, new, os.path.join(a, name))
+            assert fails == _fails(reference, ref, os.path.join(b, name)), name
+            assert _written(a) == _written(b), name
