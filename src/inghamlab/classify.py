@@ -69,9 +69,11 @@ class RegionGrid:
     counts: dict
 
     def rows(self):
-        for i, n in enumerate(self.ns):
-            for j, m in enumerate(self.ns):
-                yield int(n), int(m), TAGS[self.tags[i, j]], self.ratios[i, j]
+        """(n, m, tag, ratio) per cell as plain Python values, row-major."""
+        ns = self.ns.tolist()
+        for n, tags, ratios in zip(ns, self.tags.tolist(), self.ratios.tolist()):
+            for m, tag, ratio in zip(ns, tags, ratios):
+                yield n, m, TAGS[tag], ratio
 
 
 def region_grid(s: float, tau: float, N: int) -> RegionGrid:

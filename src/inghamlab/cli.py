@@ -76,6 +76,10 @@ def _int(value) -> int:
     return int(out)
 
 
+def _trial_K(value) -> int:
+    return lab.schrodinger.check_trial_K(_int(value))
+
+
 def _ints(value) -> list:
     return [_int(x) for x in _floats(value)]
 
@@ -283,9 +287,10 @@ _PARAMS = {
         ("s", _real, None, "dispersion exponent"),
         ("curve", CURVE, None, "curve JSON document"),
         ("T", _real, REQUIRED, "final time"),
-        ("dt", _real, None, "time step override"),
+        ("dt", _real, None,
+         "Strang step of evolve (evolve mode); the trace takes no steps"),
         ("trials", _int, 8, "trace-ratio trial count (trial mode)"),
-        ("K", _int, 8, "mode cutoff for trial mode"),
+        ("K", _trial_K, 8, "mode cutoff for trial mode"),
     ],
 }
 
@@ -661,8 +666,8 @@ def run_schrodinger(p, ctx):
         uT, diag = lab.schrodinger.evolve(u0, V, T, dt=p["dt"])
         summary = {**_pick(diag, "steps", "norm_drift")}
         if p["curve"] is not None:
-            summary["trace"] = lab.schrodinger.evolve_trace(
-                u0, V, p["curve"], T, dt=p["dt"])
+            summary["trace"], summary["trace_err"] = \
+                lab.schrodinger.evolve_trace(u0, V, p["curve"], T)
         ctx.emit("evolution", ("n", "re", "im", "mass"),
                  [(n, c.real, c.imag, abs(c) ** 2)
                   for n, c in zip(uT.modes, uT.coeffs)],
@@ -678,8 +683,8 @@ def run_schrodinger(p, ctx):
     ctx.emit("trace_ratios", ("trial", "ratio"),
              zip(res.trial_names, res.ratios),
              meta={"T": T, "s": s,
-                   **_pick(res, "V_sup", "max_ratio", "min_ratio")})
-    return {**_pick(res, "max_ratio", "min_ratio"),
+                   **_pick(res, "V_sup", "max_ratio", "min_ratio", "trace_err")})
+    return {**_pick(res, "max_ratio", "min_ratio", "trace_err"),
             "trials": len(res.ratios)}, True
 
 

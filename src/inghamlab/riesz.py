@@ -26,7 +26,6 @@ from .quad import gauss_kronrod21, gl_grid, kronrod_panels
 _HERMITIAN_TOL = 1e-12
 _SANDWICH_SLACK = 1e-8
 _RANDOM_VECTORS = 64       # unit vectors of the Riesz sandwich check
-_POINTS_PER_CYCLE = 30.0   # quadrature density of quadratic_form_quadrature
 _EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the empirical T
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
@@ -323,33 +322,6 @@ def riesz_bounds(G: GramMatrix, seed: int = DEFAULT_SEED) -> RieszReport:
                                   & (q <= lmax + _SANDWICH_SLACK)))
     diag = G.T_or_mass
     return RieszReport(lmin, lmax, (lmin / diag, lmax / diag), passed)
-
-
-def quadratic_form_quadrature(system: ExpSystem, coeffs) -> float:
-    """The quadratic form c^H G c of a curve system realized directly as
-    the integral of |sum_n conj(c_n) e_n|^2 along the curve (order-10
-    Gauss-Legendre on equal panels, 30 nodes per cycle of the fastest
-    single wave) without going through the Gram matrix.  Closes the loop
-    matrix-form vs integral-form; it is also the V = 0 Schrodinger
-    trace."""
-    if system.measure is not None:
-        raise ValueError("quadratic_form_quadrature takes a curve system, "
-                         f"not the measure {system.measure.kind!r}")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (len(system.indices),):
-        raise ValueError("one coefficient per index")
-    phi = _phase_vectors(system)
-    curve, T = system.curve, system.T
-    pmax = float(np.abs(curve.p(np.linspace(0.0, T, 512))).max())
-    cycles = float(np.abs(phi[:, 1]).max() * pmax + np.abs(phi[:, 0]).max() * T)
-    panels = max(64, int(_POINTS_PER_CYCLE / 10.0 * cycles) + 1)
-    t, wts = gl_grid(0.0, T, panels)
-    ph = np.outer(curve.p(t), phi[:, 1]) + np.outer(t, phi[:, 0])
-    u = np.exp(-2j * np.pi * ph) @ c
-    vals = np.abs(u) ** 2
-    if system.weight == "arclength":
-        vals = vals * np.sqrt(1.0 + curve.dp(t) ** 2)
-    return float((vals * wts).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,25 @@
 
 Convention: the free equation is normalized so that mode n rotates as
 exp(2 pi i |n|^s t); a real bounded potential V enters as the pointwise
-phase exp(-2 pi i V(x) dt).  Time stepping is Strang splitting between
-the exact spectral free flow and the potential phase.  A step of fixed
-length is linear in the 2K+1 retained modes, so it is one step matrix B,
-built once from one FFT of the half phase on M = 4K + 4 points, and
-each step is c <- c B.  Since |k - n| <= 2K < M / 2, each entry of B
-reads the DFT coefficient of its own signed frequency: B is the
-zero-padded FFT step exactly, and no product wraps around the grid into
-the retained band.  The splitting is exactly unitary for real V, second order in dt,
-and exact when V is constant.
+phase exp(-2 pi i V(x) dt).  On the 2K+1 retained modes the flow is
+c(t) = c expm(2 pi i t L), in the row convention c <- c B, with the
+Hermitian generator L = diag(|n|^s) - Vhat, Vhat[n, k] = vhat(k - n).
+vhat is the DFT of V on M = 4K + 4 points: since |k - n| <= 2K < M / 2,
+each entry reads the coefficient of its own signed frequency, and no
+product wraps around the grid into the retained band.
+
+evolve steps this flow by Strang splitting between the exact spectral
+free flow and the potential phase.  A step of fixed length is one step
+matrix B, built once from one FFT of the half phase on the same M
+points, and each step is c <- c B.  The splitting is exactly unitary for
+real V, second order in dt, and exact when V is constant.
+
+A curve trace integral_0^T |u(t, p(t))|^2 dt takes no time steps.  One
+eigh gives L = Q diag(lam) Q^H, so u(t, p(t)) is the exponential sum
+sum_j (c Q)_j e^{2 pi i t lam_j} (E(t) conj(Q))_j with E(t)_n =
+e^{2 pi i n p(t)}, integrated by 21-point Gauss-Kronrod panels.  Each
+trace reports its error bound: the summed |K21 - G10| of its panels
+plus the measured defect ||Q^H Q - I||_F ||c||^2 T of the eigenbasis.
 """
 
 from __future__ import annotations
@@ -18,15 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .classify import abs_pow
 from .curves import CurveSpec
-from .errors import ResolutionExceeded
-from .riesz import curve_system, gram_matrix, quadratic_form_quadrature
+from .errors import ResolutionExceeded, ToleranceNotMet
+from .quad import gauss_kronrod21, kronrod_panels
+from .riesz import curve_system, gram_matrix
 
 _MAX_DT_BASE = 0.01
-_TRACE_POINTS_PER_CYCLE = 48.0  # trace steps per cycle of the fastest mode
+# Largest band K of a state; a trial run steps at band 2K.  The step
+# matrix and the generator are (2K+1)^2, and eigh grows as K^3.
+_MAX_BAND = 64
+_TRACE_TOL = 1e-10         # quadrature error allowed per trace, times ||c||^2 T
+_CYCLES_PER_PANEL = 2.0    # first panel width, in cycles of the fastest phase of |u|^2
+_MAX_HALVINGS = 4          # panel halvings allowed to meet _TRACE_TOL
+_BLOCK = 1 << 18           # entries of the (rows, nodes, modes) products at once
+_BAND_LIMIT = 1e-8         # largest energy share allowed in the top tenth of the band
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +143,20 @@ class PotentialSpec:
 # evolution
 # ---------------------------------------------------------------------------
 
-def _check_data(coeffs: np.ndarray, dt: float | None) -> None:
-    """Every row of coeffs must leave the band K dealiasing headroom."""
-    if coeffs.shape[-1] // 2 < 2 * _max_active_mode(coeffs):
+def _check_data(coeffs: np.ndarray) -> None:
+    """The band K of coeffs must be at most _MAX_BAND, and every row
+    must leave it dealiasing headroom."""
+    K = coeffs.shape[-1] // 2
+    if K > _MAX_BAND:
+        raise ValueError(f"K must be at most {_MAX_BAND}, got {K}")
+    if K < 2 * _max_active_mode(coeffs):
         raise ValueError("need K >= 2 * max active mode of the data")
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
 
 
-def _step_dt(dt: float | None, cap: float, cap_text: str) -> float:
-    """The cap when dt is None, else dt, which must not exceed the cap."""
-    if dt is None:
-        return cap
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt must be at most {cap_text} = {cap:.3e}")
-    return dt
+def _top_band(K: int) -> np.ndarray:
+    """Indices of the modes -K..K in the top tenth of the band."""
+    return np.flatnonzero(np.abs(np.arange(-K, K + 1))
+                          >= max(1, int(np.ceil(0.9 * K))))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,16 +196,15 @@ def _strang_steps(coeffs: np.ndarray, s: float, V: PotentialSpec, h: float,
     bits of its run alone; the error of a stack of several rows also
     names the row.  Each yielded array is new."""
     K = coeffs.shape[-1] // 2
-    modes = np.arange(-K, K + 1)
     B = _step_matrix(K, s, V, h)
-    top = np.flatnonzero(np.abs(modes) >= max(1, int(np.ceil(0.9 * K))))
+    top = _top_band(K)
     c = coeffs
     for step in range(1, steps + 1):
         c = np.matmul(c[..., None, :], B)[..., 0, :]
         frac = ((np.abs(c.take(top, axis=-1)) ** 2).sum(-1)
                 / _row_dot(c.conj(), c).real)
-        if frac.max() > 1e-8:
-            row = int(np.argmax(frac > 1e-8))
+        if frac.max() > _BAND_LIMIT:
+            row = int(np.argmax(frac > _BAND_LIMIT))
             where = f"step {step}" + (f", row {row}" if frac.size > 1 else "")
             raise ResolutionExceeded(
                 f"{where}: energy fraction {np.ravel(frac)[row]:.2e} in the "
@@ -216,14 +231,20 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    _check_data(u0.coeffs, dt)
-    dt = _step_dt(dt, _MAX_DT_BASE / (1.0 + V.sup_norm), "0.01/(1+|V|)")
+    _check_data(u0.coeffs)
+    cap = _MAX_DT_BASE / (1.0 + V.sup_norm)
+    if dt is None:
+        dt = cap
+    elif not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    elif dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt must be at most 0.01/(1+|V|) = {cap:.3e}")
     if t_final == 0:
         return TorusState(u0.coeffs.copy(), u0.time, u0.s, u0.K), \
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
     steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / steps
-    norm0 = float(np.vdot(u0.coeffs, u0.coeffs).real)
+    norm0 = u0.norm_sq()
     drift = 0.0
     top_frac = 0.0
     for c, frac in _strang_steps(u0.coeffs, u0.s, V, dt, steps):
@@ -237,60 +258,134 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
 # traces along curves
 # ---------------------------------------------------------------------------
 
-def trace_along_curve(u0: TorusState, curve: CurveSpec, T: float) -> float:
-    """integral_0^T |u(t, p(t))|^2 dt for the V = 0 solution from u0: the
-    Gram quadratic form of the curve system at conj(c), integrated by
-    quadratic_form_quadrature."""
-    return quadratic_form_quadrature(curve_system(u0.modes, u0.s, curve, T),
-                                     np.conj(u0.coeffs))
+def _generator(K: int, s: float, V: PotentialSpec) -> np.ndarray:
+    """L = diag(|n|^s) - Vhat on modes -K..K, Vhat[n, k] = vhat(k - n),
+    read from the DFT of V on the M = 4K + 4 points of _step_matrix:
+    the flow that the Strang steps approximate is c expm(2 pi i t L)."""
+    M = 4 * K + 4
+    modes = np.arange(-K, K + 1)
+    vhat = np.fft.fft(V.values(M)) / M
+    return np.diag(abs_pow(modes, s)) - vhat[(modes[None, :] - modes[:, None]) % M]
+
+
+def _pad(coeffs: np.ndarray, K: int) -> np.ndarray:
+    """Rows of modes -K..K as rows of band 2K, zero for |n| > K."""
+    padded = np.zeros(coeffs.shape[:-1] + (4 * K + 1,), dtype=complex)
+    padded[..., K:3 * K + 1] = coeffs
+    return padded
+
+
+def _panel_sums(a: np.ndarray, lam: np.ndarray, Q: np.ndarray, mass: np.ndarray,
+                curve: CurveSpec, edges: np.ndarray, rows) -> tuple:
+    """K21 and G10 integrals of |u(t, p(t))|^2 over each panel between
+    edges, two arrays of shape (R, P), for the flows c(t) = (a
+    e^{2 pi i t lam}) Q^H of the R rows of a = c Q, of masses ||c||^2.
+    A node where a flow holds more than _BAND_LIMIT of its mass in the
+    top tenth of the band raises ResolutionExceeded naming the earliest
+    such t, and with it the stack row rows[r] unless rows is None.
+    matmul takes each row's products on their own, so every row has the
+    bits of its run alone."""
+    x, wk, wg = gauss_kronrod21()
+    K = lam.size // 2
+    modes = np.arange(-K, K + 1)
+    top = Q[_top_band(K)].conj().T
+    k21, g10 = [], []
+    block = max(1, _BLOCK // (len(a) * lam.size * x.size))  # panels
+    for lo in range(0, edges.size - 1, block):
+        hi = min(lo + block, edges.size - 1)
+        _, half, t = kronrod_panels(edges[lo:hi], edges[lo + 1:hi + 1])
+        t = t.ravel()
+        flow = np.exp(2j * np.pi * np.outer(t, lam))
+        waves = np.exp(2j * np.pi * np.outer(np.mod(curve.p(t), 1.0), modes))
+        u = np.matmul(flow * (waves @ Q.conj()), a[:, :, None])[..., 0]
+        vals = (u.real ** 2 + u.imag ** 2).reshape(len(a), -1, x.size)
+        k21.append(_row_dot(vals, wk) * half)
+        g10.append(_row_dot(vals[..., :wg.size], wg) * half)
+        tops = np.matmul(a[:, None, :] * flow, top)
+        share = (tops.real ** 2 + tops.imag ** 2).sum(-1) / mass[:, None]
+        if share.max() > _BAND_LIMIT:
+            r, i = np.unravel_index(
+                np.argmin(np.where(share > _BAND_LIMIT, t, np.inf)), share.shape)
+            where = f"t {t[i]:.6g}" + ("" if rows is None else f", row {rows[r]}")
+            raise ResolutionExceeded(f"{where}: energy fraction {share[r, i]:.2e} "
+                                     f"in the top mode band; raise K")
+    return np.concatenate(k21, axis=-1), np.concatenate(g10, axis=-1)
 
 
 def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
-                  curve: CurveSpec, T: float, dt: float | None = None) -> list:
-    """The trace along the curve of the potential-perturbed solution from
-    each row of coeffs, shape (R, 2K+1): one pass of _strang_steps
-    advances every row, and each row's samples |u(t_k, p(t_k))|^2 at
-    the step times are integrated with composite Simpson.  Each trace
-    has the bits of its row run alone."""
+                  curve: CurveSpec, T: float) -> tuple:
+    """The traces along the curve of the potential-perturbed flows from
+    the rows of coeffs, shape (R, 2K+1), and their error bounds: two
+    lists.  One eigh of the generator gives every flow exactly; its
+    |u|^2 has phase speed at most lam_max - lam_min + 2K max|p'|, and
+    [0, T], with the curve's knots as edges, starts at _CYCLES_PER_PANEL
+    cycles of it per panel.  A row whose summed |K21 - G10| exceeds
+    _TRACE_TOL ||c||^2 T is taken again on halved panels, on its own,
+    up to _MAX_HALVINGS times, else ToleranceNotMet.  Each trace has the
+    bits of its row run alone."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    _check_data(coeffs, dt)
+    _check_data(coeffs)
     K = coeffs.shape[-1] // 2
-    tt = np.linspace(0.0, T, 512)
-    dpmax = float(np.abs(np.gradient(curve.p(tt), tt)).max())
-    modes = np.arange(-K, K + 1)
-    omega = float((abs_pow(modes, s) + np.abs(modes) * dpmax).max()) + 1.0
-    cap = min(_MAX_DT_BASE / (1.0 + V.sup_norm),
-              1.0 / (_TRACE_POINTS_PER_CYCLE * omega))
-    dt = _step_dt(dt, cap, f"min(0.01/(1+|V|), "
-                           f"1/({_TRACE_POINTS_PER_CYCLE:g}*omega))")
-    steps = max(2, int(np.ceil(T / dt)))
-    times = np.linspace(0.0, T, steps + 1)
-    xs = np.mod(curve.p(times), 1.0)
-    phases = np.exp(2j * np.pi * np.outer(xs, modes))
-    u = np.empty((coeffs.shape[0], steps + 1), dtype=complex)
-    u[:, 0] = _row_dot(phases[0], coeffs)
-    for k, (c, _) in enumerate(_strang_steps(coeffs, s, V, times[1] - times[0],
-                                             steps), 1):
-        u[:, k] = _row_dot(phases[k], c)
-    # hypot and float_power round as the scalar abs(u) ** 2 does; np.abs
-    # of a complex array and array ** 2 do not always.
-    samples = np.float_power(np.hypot(u.real, u.imag), 2)
-    return [float(simpson(row, x=times)) for row in samples]
+    lam, Q = np.linalg.eigh(_generator(K, s, V))
+    a = np.matmul(coeffs[:, None, :], Q)[:, 0, :]
+    mass = _row_dot(coeffs.conj(), coeffs).real
+    dpmax = float(np.abs(curve.dp(np.linspace(0.0, T, 512))).max())
+    speed = lam[-1] - lam[0] + 2 * K * dpmax
+    panels = max(1, int(np.ceil(speed * T / _CYCLES_PER_PANEL)))
+    knots = curve.knots[(curve.knots > 0.0) & (curve.knots < T)]
+    traces = np.empty(len(coeffs))
+    errs = np.empty(len(coeffs))
+    rows = np.arange(len(coeffs))
+    for _ in range(_MAX_HALVINGS + 1):
+        edges = np.union1d(np.linspace(0.0, T, panels + 1), knots)
+        k21, g10 = _panel_sums(a[rows], lam, Q, mass[rows], curve, edges,
+                               rows if len(coeffs) > 1 else None)
+        quad_err = np.abs(k21 - g10).sum(-1)
+        met = quad_err <= _TRACE_TOL * mass[rows] * T
+        traces[rows[met]] = k21[met].sum(-1)
+        errs[rows[met]] = quad_err[met]
+        rows = rows[~met]
+        if not rows.size:
+            break
+        panels *= 2
+    else:
+        raise ToleranceNotMet(
+            f"trace at T = {T}, K = {K}: quadrature error {quad_err.max():.3e} "
+            f"above {_TRACE_TOL:g} ||c||^2 T after {_MAX_HALVINGS} panel halvings")
+    defect = float(np.linalg.norm(Q.conj().T @ Q - np.eye(lam.size)))
+    return traces.tolist(), (errs + defect * mass * T).tolist()
 
 
-def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec, T: float,
-                 dt: float | None) -> float:
-    """Trace of the potential-perturbed solution along the curve:
-    steps the solver with a dt fine enough for both stability and
-    quadrature, sampling |u(t_k, p(t_k))|^2 at every step time and
-    integrating with composite Simpson.  The step is capped at
-    min(0.01/(1+|V|), 1/(48 omega)), omega = max |n|^s + |n| max|p'| + 1;
-    T must be positive, a given dt above the cap raises ValueError, and
-    energy reaching the top of the band raises ResolutionExceeded, as in
-    evolve.  This is the one-row case of the stacked trace that
+def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec,
+                 T: float) -> tuple:
+    """(trace, error bound): integral_0^T |u(t, p(t))|^2 dt of the
+    potential-perturbed solution from u0, exact in time (see the module
+    docstring).  T must be positive; u0 must leave dealiasing headroom,
+    and energy reaching the top of the band raises ResolutionExceeded,
+    as in evolve.  This is the one-row case of the stacked trace that
     trace_bound_experiment runs over all its trials at once."""
-    return _curve_traces(u0.coeffs[None], u0.s, V, curve, T, dt)[0]
+    (trace,), (err,) = _curve_traces(u0.coeffs[None], u0.s, V, curve, T)
+    return trace, err
+
+
+def trace_along_curve(u0: TorusState, curve: CurveSpec, T: float) -> tuple:
+    """evolve_trace for V = 0, with u0 padded to band 2K: the free flow
+    couples no modes, so data filling the band has headroom too."""
+    return evolve_trace(TorusState(_pad(u0.coeffs, u0.K), u0.time, u0.s, 2 * u0.K),
+                        PotentialSpec("Zero", {}), curve, T)
+
+
+def check_trial_K(K: int) -> int:
+    """K, once trace_bound_experiment can run it: at least 2 for the
+    two-mode trials, with the trial band 2K at most _MAX_BAND."""
+    if K < 2:
+        raise ValueError(f"K must be at least 2 for the two-mode trials, "
+                         f"got {K}")
+    if 2 * K > _MAX_BAND:
+        raise ValueError(f"K must be at most {_MAX_BAND // 2}: the trials run "
+                         f"at band 2K, capped at {_MAX_BAND}; got {K}")
+    return K
 
 
 @dataclass
@@ -302,6 +397,7 @@ class TraceBoundResult:
     ratios: list
     max_ratio: float
     min_ratio: float
+    trace_err: float   # the largest error bound of any ratio
 
 
 def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
@@ -311,12 +407,10 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     the two-mode short-time vectors c_0 = 1, c_j = -exp(-2 pi i j p(0)),
     the minimal Gram eigenvector (the V = 0 worst case), and random
     data.  The max ratio probes the upper trace bound, the min ratio is
-    the empirical observability constant.  With V != 0 every trial,
-    padded to band 2K, advances in one stack through one Strang pass;
-    each ratio has the bits of evolve_trace run on that trial alone."""
-    if K < 2:
-        raise ValueError(f"K must be at least 2 for the two-mode trials, "
-                         f"got {K}")
+    the empirical observability constant.  Every trial, padded to band
+    2K, runs in one stack through _curve_traces; each ratio has the bits
+    of evolve_trace run on that trial alone."""
+    check_trial_K(K)
     if n_random < 0:
         raise ValueError(f"n_random must be a nonnegative count of random "
                          f"trials, got {n_random}")
@@ -339,18 +433,10 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     for r in range(n_random):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         trials[f"random_{r}"] = c
-    names = list(trials)
-    if V.sup_norm == 0.0:
-        states = [TorusState(np.asarray(c, dtype=complex), 0.0, s, K)
-                  for c in trials.values()]
-        traces = [trace_along_curve(u0, curve, T) for u0 in states]
-    else:
-        # Give the evolved runs dealiasing headroom: band 2K with the
-        # data confined to |n| <= K.
-        padded = np.zeros((len(names), 4 * K + 1), dtype=complex)
-        padded[:, K:3 * K + 1] = list(trials.values())
-        states = [TorusState(c, 0.0, s, 2 * K) for c in padded]
-        traces = _curve_traces(padded, s, V, curve, T)
-    ratios = [tr / u0.norm_sq() for tr, u0 in zip(traces, states)]
-    return TraceBoundResult(T, s, V.sup_norm, names, ratios,
-                            float(max(ratios)), float(min(ratios)))
+    padded = _pad(np.array(list(trials.values())), K)
+    traces, errs = _curve_traces(padded, s, V, curve, T)
+    masses = [float(np.vdot(c, c).real) for c in padded]
+    ratios = [tr / m for tr, m in zip(traces, masses)]
+    return TraceBoundResult(T, s, V.sup_norm, list(trials), ratios,
+                            float(max(ratios)), float(min(ratios)),
+                            max(e / m for e, m in zip(errs, masses)))

@@ -212,6 +212,8 @@ def _plot_loglog_fit(name, out_base, xs, ys):
     if np.unique(xs).size < 2:
         raise ValueError(f"table {name}: a log-log fit needs at least two "
                          "distinct x values")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"table {name}: a log-log fit needs finite data")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log plot needs positive data")
     slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)

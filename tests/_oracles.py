@@ -13,7 +13,9 @@ decay of S_m in |m| from single tail sums; a 30-digit tail sum by
 Euler-Maclaurin, with neither Hurwitz zeta nor a binomial series; and
 the cell-by-cell table writers (a (rank, str, float) sort key per cell,
 one format call per cell, json's indent=1 encoder) that the column
-writers of inghamlab.tables must match byte for byte."""
+writers of inghamlab.tables must match byte for byte; and a curve
+system's quadratic form integrated along the curve by numpy's
+Gauss-Legendre rule, for curve Grams and the V = 0 trace."""
 
 import json
 import math
@@ -56,8 +58,15 @@ def normalize_pair(d: int, a: int, b: int):
     return d, a, b, False
 
 
+# Grid points per chunk of simpson_pair_oracle: each np.vdot then stays
+# at or below OpenBLAS's 10,000-element threshold and runs on one thread,
+# so the values do not depend on the BLAS thread count, and two oracle
+# runs in threads do not contend for the BLAS pool.
+_SIMPSON_CHUNK = 1 << 13
+
+
 def simpson_pair_oracle(p, s_values, T: float, pairs, n_points=1_000_001,
-                        chunk=1 << 17):
+                        chunk=_SIMPSON_CHUNK):
     """Simpson values of integral_0^T exp(2 pi i (d p(t) + e t)) dt, with
     d = n - m and e = |n|^s - |m|^s, for every s in s_values and every
     (n, m) in pairs, computed on a shared n_points grid.
@@ -140,6 +149,40 @@ def gram_from_dict(doc: dict) -> riesz.GramMatrix:
     tol = doc["tol"]
     return riesz.GramMatrix(entries, tuple(doc["indices"]), float(doc["T_or_mass"]),
                             None if tol is None else float(tol))
+
+
+_QF_POINTS_PER_CYCLE = 30.0   # nodes per cycle of the fastest single wave
+
+
+def quadratic_form_quadrature(system: riesz.ExpSystem, coeffs) -> float:
+    """The quadratic form c^H G c of a curve system realized directly as
+    the integral of |sum_n conj(c_n) e_n|^2 along the curve (numpy's
+    order-10 Gauss-Legendre on equal panels, 30 nodes per cycle of the
+    fastest single wave) without going through the Gram matrix.  Closes
+    the loop matrix-form vs integral-form; it is also the V = 0
+    Schrodinger trace."""
+    if system.measure is not None:
+        raise ValueError("quadratic_form_quadrature takes a curve system, "
+                         f"not the measure {system.measure.kind!r}")
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (len(system.indices),):
+        raise ValueError("one coefficient per index")
+    n = np.asarray(system.indices, dtype=float)
+    freq = np.abs(n) ** system.s
+    curve, T = system.curve, system.T
+    pmax = float(np.abs(curve.p(np.linspace(0.0, T, 512))).max())
+    cycles = float(np.abs(n).max() * pmax + freq.max() * T)
+    panels = max(64, int(_QF_POINTS_PER_CYCLE / 10.0 * cycles) + 1)
+    x, w = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(0.0, T, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    wts = (half * w).ravel()
+    u = np.exp(-2j * np.pi * (np.outer(curve.p(t), n) + np.outer(t, freq))) @ c
+    vals = np.abs(u) ** 2
+    if system.weight == "arclength":
+        vals = vals * np.sqrt(1.0 + curve.dp(t) ** 2)
+    return float((vals * wts).sum())
 
 
 def measure_quadratic_form(system: riesz.ExpSystem, c) -> float:
@@ -564,6 +607,8 @@ def _plot_loglog_fit(name, out_base, xs, ys):
     if np.unique(xs).size < 2:
         raise ValueError(f"table {name}: a log-log fit needs at least two "
                          "distinct x values")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"table {name}: a log-log fit needs finite data")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log plot needs positive data")
     slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)

@@ -76,6 +76,14 @@ def test_region_grid_matches_pairwise_classification(s, tau, N):
     assert sum(grid.counts.values()) == (2 * N + 1) ** 2
 
 
+def test_region_grid_rows_hold_plain_python_values():
+    grid = classify.region_grid(2.0, 8.0, 5)
+    rows = list(grid.rows())
+    assert {tuple(map(type, row)) for row in rows} == {(int, int, str, float)}
+    assert [row[:2] for row in rows] == [(n, m) for n in range(-5, 6)
+                                         for m in range(-5, 6)]
+
+
 def test_region_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         classify.region_grid(2.0, 0.0, 5)

@@ -190,6 +190,25 @@ def test_schrodinger_evolve_mode(mono2_file, tmp_path, capsys):
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
+def test_schrodinger_reports_each_trace_error(mono2_file, tmp_path, capsys):
+    u0 = {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]}
+    u0_path = tmp_path / "u0.json"
+    u0_path.write_text(json.dumps(u0))
+    assert main(["schrodinger", "--u0-file", str(u0_path), "--T", "0.2",
+                 "--curve-file", mono2_file, "--out-dir",
+                 str(tmp_path / "evolve")]) == 0
+    summary = _out(capsys)["summary"]
+    assert 0.0 <= summary["trace_err"] <= 1e-12 * summary["trace"]
+    out = str(tmp_path / "trials")
+    assert main(["schrodinger", "--curve-file", mono2_file, "--s", "2",
+                 "--T", "0.5", "--K", "3", "--trials", "1", "--out-dir", out,
+                 "--format", "json"]) == 0
+    summary = _out(capsys)["summary"]
+    meta = _table(out, "trace_ratios")["meta"]
+    assert meta["trace_err"] == summary["trace_err"]
+    assert 0.0 <= summary["trace_err"] <= 1e-12 * summary["min_ratio"]
+
+
 def test_dry_run_validates_without_writing(tmp_path, capsys):
     out = str(tmp_path / "res")
     code = main(["classify", "--s", "2", "--tau", "8", "--N", "4",
@@ -423,9 +442,13 @@ _EXPLICIT_CASES = {
                          "--dt", "0"], 1, "dt"),
     "schrodinger-trace-dt-above-cap": (["schrodinger", "--u0-file", "{u0}",
                                         "--curve-file", "{mono2}", "--T", "0.2",
-                                        "--dt", "0.009"], 1,
-                                       "dt must be at most min(0.01/(1+|V|), "
-                                       "1/(48*omega)) = 1.120e-03"),
+                                        "--dt", "0.02"], 1,
+                                       "dt must be at most 0.01/(1+|V|) = "
+                                       "1.000e-02"),
+    "schrodinger-K-above-cap": (["schrodinger", "--curve-file", "{mono2}",
+                                 "--s", "2", "--T", "0.5", "--K", "33"], 1,
+                                "parameter 'K': K must be at most 32: the "
+                                "trials run at band 2K, capped at 64; got 33"),
     "schrodinger-trace-T0": (["schrodinger", "--u0-file", "{u0}",
                               "--curve-file", "{mono2}", "--T", "0"], 1,
                              "T must be positive, got 0.0"),

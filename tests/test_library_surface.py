@@ -3,10 +3,14 @@ and class in src/inghamlab, and every method and property of its
 classes, is referenced by the code of src/ or perfbench/ outside its own
 definition, and every parameter with a default is set by some call in
 that code but not by every one, so each default has one home.
-Reference code that only tests call lives in tests/_oracles.py."""
+Reference code that only tests call lives in tests/_oracles.py.  And
+importing every module of the package leaves scipy.integrate unloaded."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -242,3 +246,18 @@ def test_no_library_default_is_set_by_every_program_call():
                         for call in calls[callee])]
     assert shadowed == [], \
         f"defaults that every program call overrides: {shadowed}"
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds about 0.13 s to every process start; no module
+    # of the package may pull it in again.
+    code = ("import sys, inghamlab\n"
+            "for name in inghamlab._SUBMODULES:\n"
+            "    getattr(inghamlab, name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy.integrate' or m.startswith('scipy.integrate.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

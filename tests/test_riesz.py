@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from _oracles import gram_from_dict, measure_quadratic_form
+from _oracles import gram_from_dict, measure_quadratic_form, quadratic_form_quadrature
 from test_curves import TENSOR_MEASURES
 from inghamlab import curves, oscint, quad, riesz
 from inghamlab.errors import (DecayTooWeak, InsufficientDecay, NotHermitian,
@@ -337,15 +337,15 @@ def test_quadratic_form_closes_the_loop(mono2, mono3, full_circle):
         G = riesz.gram_matrix(system, tol=tol)
         want = float(np.real(c.conj() @ G.entries @ c))
         if system.measure is None:
-            got = riesz.quadratic_form_quadrature(system, c)
+            got = quadratic_form_quadrature(system, c)
         else:
             got = measure_quadratic_form(system, c)
         assert got == pytest.approx(want, rel=rel)
         assert got >= 0.0
     with pytest.raises(ValueError):
-        riesz.quadratic_form_quadrature(cases[0][0], np.ones(3))
+        quadratic_form_quadrature(cases[0][0], np.ones(3))
     with pytest.raises(ValueError, match="measure 'ArcLengthOnCircle'"):
-        riesz.quadratic_form_quadrature(cases[2][0], np.ones(4))
+        quadratic_form_quadrature(cases[2][0], np.ones(4))
 
 
 # ---------------------------------------------------------------------------

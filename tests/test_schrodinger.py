@@ -1,19 +1,21 @@
 """Tests for the fractional split-step solver and curve-trace tools:
 state plumbing, potential evaluation, exactness for V = 0 and constant
-V, unitarity, second-order self-convergence, the Duhamel cross-check,
-and the trace identities against the Gram quadratic form."""
+V, unitarity, second-order self-convergence, the Duhamel cross-check;
+and the exact trace against expm at every node, against the Strang
+trace as dt halves, and against the Gram quadratic form."""
 
 import re
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.linalg import expm
 
-from _oracles import free_evolution, pad_spectrum, picard_iterate, truncate_spectrum
+from _oracles import (free_evolution, pad_spectrum, picard_iterate,
+                      quadratic_form_quadrature, simpson_weights, truncate_spectrum)
 from inghamlab import DEFAULT_SEED, schrodinger
 from inghamlab.classify import abs_pow
 from inghamlab.curves import build_curve
-from inghamlab.errors import ResolutionExceeded
+from inghamlab.errors import ResolutionExceeded, ToleranceNotMet
 from inghamlab.riesz import curve_system, gram_matrix
 from inghamlab.schrodinger import (
     EvolveDiagnostics,
@@ -246,11 +248,10 @@ def test_band_saturation_raises(mono2):
     c[2:7] = 1.0  # active modes |n| <= 2 with K = 4: no spectral headroom
     u0 = TorusState(c, 0.0, 2.0, 4)
     V = PotentialSpec("Cosine", {"amplitude": 2.0, "mode": 3})
-    for run in (lambda: evolve(u0, V, 1.0, dt=None),
-                lambda: evolve_trace(u0, V, mono2, 1.0, dt=None)):
-        with pytest.raises(ResolutionExceeded,
-                           match=r"^step \d+: .*top mode band"):
-            run()
+    with pytest.raises(ResolutionExceeded, match=r"^step \d+: .*top mode band"):
+        evolve(u0, V, 1.0, dt=None)
+    with pytest.raises(ResolutionExceeded, match=r"^t [\d.e-]+: .*top mode band"):
+        evolve_trace(u0, V, mono2, 1.0)
     # Of a stack, only the row without headroom saturates, and the error
     # names it with the step at which its run alone crossed 1e-8.
     weak = PotentialSpec("Cosine", {"amplitude": 0.05, "mode": 3})
@@ -265,6 +266,13 @@ def test_band_saturation_raises(mono2):
                        match=rf"^step {step}, row 1: .*top mode band"):
         for _ in _strang_steps(np.stack([calm, c]), 2.0, weak, 2e-4, 100):
             pass
+    # The trace names the earliest node time instead of a step.
+    with pytest.raises(ResolutionExceeded) as alone:
+        evolve_trace(u0, weak, mono2, 1.0)
+    t = re.match(r"t ([\d.e-]+):", str(alone.value)).group(1)
+    with pytest.raises(ResolutionExceeded,
+                       match=rf"^t {re.escape(t)}, row 1: .*top mode band"):
+        schrodinger._curve_traces(np.stack([calm, c]), 2.0, weak, mono2, 1.0)
 
 
 def test_picard_cross_checks_strang():
@@ -282,16 +290,118 @@ def test_picard_cross_checks_strang():
 # traces along curves
 # ---------------------------------------------------------------------------
 
+_ZERO = PotentialSpec("Zero", {})
+# Asymmetric samples: vhat is complex, so a transposed Vhat is a
+# different generator.
+_TILTED = PotentialSpec("Tabulated", {"values": [0.0, 0.1, 0.03, -0.1, -0.02]})
+
+
+def _galerkin_generator(K, s, V):
+    """L of the flow c(t) = c expm(2 pi i t L) on modes -K..K, row k the
+    coefficients of |n|^s e_k - V e_k: each product is taken on the
+    M = 4K + 4 grid through the oracle's pad and truncate, not read off
+    a Toeplitz table."""
+    M = 4 * K + 4
+    vals = np.fft.ifft(pad_spectrum(np.eye(2 * K + 1), K, M)) * M
+    vhat = truncate_spectrum(np.fft.fft(vals * V.values(M)) / M, K)
+    return np.diag(abs_pow(np.arange(-K, K + 1), s)) - vhat
+
+
+def _expm_trace(c, s, V, curve, edges):
+    """integral |u(t, p(t))|^2 dt from edges[0] to edges[-1] with c(t) =
+    c expm(2 pi i t L) at every node of numpy's 20-point Gauss-Legendre
+    rule on the panels between edges."""
+    K = c.size // 2
+    L = _galerkin_generator(K, s, V)
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(edges)
+    total = 0.0
+    for mid, h in zip(0.5 * (edges[:-1] + edges[1:]), half):
+        for xj, wj in zip(x, w):
+            t = mid + h * xj
+            u = (c @ expm(2j * np.pi * t * L)) @ np.exp(
+                2j * np.pi * np.arange(-K, K + 1) * float(curve.p(t)))
+            total += h * wj * abs(u) ** 2
+    return total
+
+
+def _strang_simpson_trace(c, s, V, curve, T, steps):
+    """The trace sampled at the Strang step times and integrated by
+    composite Simpson, as the stepper alone would give it."""
+    K = c.size // 2
+    times = np.linspace(0.0, T, steps + 1)
+    waves = np.exp(2j * np.pi * np.outer(np.mod(curve.p(times), 1.0),
+                                         np.arange(-K, K + 1)))
+    states = [c] + [ck for ck, _ in _strang_steps(c, s, V, T / steps, steps)]
+    samples = [abs(waves[k] @ states[k]) ** 2 for k in range(steps + 1)]
+    return float(simpson_weights(steps + 1, T / steps) @ samples)
+
+
+@pytest.mark.parametrize("V", [_TILTED, PotentialSpec("Cosine", {"amplitude": 0.3,
+                                                                 "mode": 1})],
+                         ids=lambda V: V.kind)
+def test_exact_trace_matches_expm_at_every_node(mono2, V):
+    # The oracle builds its generator from FFT products and takes expm at
+    # each node of its own rule: no eigh, no panels, no Kronrod.
+    u0 = _random_state(8, 2)
+    T = 0.4
+    trace, err = evolve_trace(u0, V, mono2, T)
+    want = _expm_trace(u0.coeffs, u0.s, V, mono2, np.linspace(0.0, T, 41))
+    assert abs(trace - want) <= 1e-12 * want
+    assert 0.0 <= err <= 1e-12 * u0.norm_sq() * T
+
+
+def test_trace_along_a_tabulated_curve_breaks_panels_at_its_knots():
+    # p is piecewise linear between the samples: |u|^2 has a kink at
+    # each knot, which a panel must not straddle.
+    t = np.linspace(0.0, 1.0, 11)
+    curve = build_curve("UserTabulated", {"t": list(t), "p": list(t ** 2),
+                                          "dp": list(2 * t), "d2p": [2.0] * 11})
+    u0 = _random_state(8, 2)
+    V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
+    T = 0.75
+    trace, _ = evolve_trace(u0, V, curve, T)
+    edges = np.union1d(np.linspace(0.0, T, 31), t[t < T])
+    want = _expm_trace(u0.coeffs, u0.s, V, curve, edges)
+    assert abs(trace - want) <= 1e-12 * want
+
+
+def test_panels_taken_in_blocks_give_the_same_trace(mono2, monkeypatch):
+    u0 = _random_state(8, 2)
+    whole, _ = evolve_trace(u0, _TILTED, mono2, 0.4)
+    monkeypatch.setattr(schrodinger, "_BLOCK", 1)     # one panel per block
+    split, _ = evolve_trace(u0, _TILTED, mono2, 0.4)
+    assert abs(split - whole) <= 1e-14 * whole
+
+
+def test_strang_trace_converges_to_the_exact_trace_at_second_order(mono2):
+    # The step-sampled Simpson trace carries the O(dt^2) Strang error of
+    # its states; as dt halves it must close on the exact trace at that
+    # order.
+    u0 = _random_state(6, 3)
+    V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
+    T = 0.5
+    exact, _ = evolve_trace(u0, V, mono2, T)
+    errs = [abs(_strang_simpson_trace(u0.coeffs, u0.s, V, mono2, T, steps) - exact)
+            for steps in (200, 400, 800, 1600)]
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
+    assert errs[0] <= 1e-5 * exact
+    assert all(1.9 <= o <= 2.1 for o in orders), orders
+
+
 def test_free_trace_equals_gram_quadratic_form(mono2):
     rng = np.random.default_rng(3)
     K, s, T = 3, 2.0, 1.5
     c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
     u0 = TorusState(c, 0.0, s, K)
-    G = gram_matrix(curve_system(range(-K, K + 1), s, mono2, T), tol=1e-10)
+    system = curve_system(range(-K, K + 1), s, mono2, T)
+    G = gram_matrix(system, tol=1e-10)
     # the Gram quadratic form at conj(c) synthesizes exactly this trace
     qf = float(np.real(c @ (G.entries @ np.conj(c))))
-    tr = trace_along_curve(u0, mono2, T)
+    tr, err = trace_along_curve(u0, mono2, T)
     assert abs(tr - qf) <= 1e-6 * qf
+    assert abs(tr - quadratic_form_quadrature(system, np.conj(c))) <= 1e-12 * tr
+    assert 0.0 <= err <= 1e-12 * u0.norm_sq() * T
 
 
 def test_evolve_trace_zero_potential_matches_free_trace(mono2):
@@ -300,9 +410,19 @@ def test_evolve_trace_zero_potential_matches_free_trace(mono2):
     c = np.zeros(2 * K + 1, dtype=complex)
     c[K - 3:K + 4] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     u0 = TorusState(c, 0.0, s, K)
-    free_tr = trace_along_curve(u0, mono2, T)
-    split_tr = evolve_trace(u0, PotentialSpec("Zero", {}), mono2, T, dt=None)
+    free_tr, _ = trace_along_curve(u0, mono2, T)
+    split_tr, _ = evolve_trace(u0, _ZERO, mono2, T)
     assert abs(split_tr - free_tr) <= 1e-8 * free_tr
+
+
+def test_constant_potential_leaves_the_trace_unchanged(mono2):
+    # A constant V only turns the phase of the whole state.
+    u0 = _random_state(8, 4)
+    T = 0.7
+    free_tr, _ = evolve_trace(u0, _ZERO, mono2, T)
+    const_tr, _ = evolve_trace(u0, PotentialSpec("Constant", {"v0": 0.4}),
+                               mono2, T)
+    assert abs(const_tr - free_tr) <= 1e-13 * free_tr
 
 
 def test_translated_curve_matches_modulated_data(mono2):
@@ -312,69 +432,103 @@ def test_translated_curve_matches_modulated_data(mono2):
     u0 = TorusState(c, 0.0, s, K)
     shifted = TorusState(c * np.exp(2j * np.pi * u0.modes * a), 0.0, s, K)
     raised = build_curve("Monomial", {"a": a, "b": 1.0, "alpha": 2.0})
-    tr_path = trace_along_curve(u0, raised, T)
-    tr_data = trace_along_curve(shifted, mono2, T)
+    tr_path, _ = trace_along_curve(u0, raised, T)
+    tr_data, _ = trace_along_curve(shifted, mono2, T)
     assert abs(tr_path - tr_data) <= 1e-12 * tr_data
 
 
-def test_stacked_trace_samples_match_a_scalar_loop(mono2):
-    # The trace samples every row of its stack at once; each trace must
-    # keep the bits of the scalar abs(phases[k] @ c) ** 2 per row and
-    # step, integrated row by row.  Two steps keep each sample's last bit
-    # visible in the Simpson sum, and 4,000 rows let a rounding that
-    # differs in one sample of a thousand show.
+def test_stacked_trace_samples_match_a_scalar_loop(mono2, monkeypatch):
+    # Each row of a stack must keep the bits, trace and error, of
+    # evolve_trace run on it alone.  The tolerance is set at the median
+    # of the rows' first-pass errors, so some rows finish on the first
+    # panels and the rest on halved ones, taken as a smaller stack.
     rng = np.random.default_rng(2)
-    K, R = 6, 4000
+    K, R, T = 6, 200, 0.3
     stack = np.zeros((R, 2 * K + 1), dtype=complex)
     stack[:, K - 3:K + 4] = (rng.standard_normal((R, 7))
                              + 1j * rng.standard_normal((R, 7)))
     V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
-    T, steps = 0.001, 2
-    times = np.linspace(0.0, T, steps + 1)
-    phases = np.exp(2j * np.pi * np.outer(np.mod(mono2.p(times), 1.0),
-                                          np.arange(-K, K + 1)))
-    states = [stack] + [c for c, _ in _strang_steps(
-        stack, 2.0, V, times[1] - times[0], steps)]
-    want = [float(simpson([abs(phases[k] @ states[k][r]) ** 2
-                           for k in range(steps + 1)], x=times))
-            for r in range(R)]
-    got = schrodinger._curve_traces(stack, 2.0, V, mono2, T, dt=T / steps)
-    assert got == want
+    monkeypatch.setattr(schrodinger, "_CYCLES_PER_PANEL", 6.0)
+    monkeypatch.setattr(schrodinger, "_TRACE_TOL", 1.0)
+    _, first = schrodinger._curve_traces(stack, 2.0, V, mono2, T)
+    mass = (np.abs(stack) ** 2).sum(axis=1)
+    monkeypatch.setattr(schrodinger, "_TRACE_TOL",
+                        float(np.median(np.array(first) / (mass * T))))
+    passes = []
+    real = schrodinger._panel_sums
+
+    def spy(a, *args):
+        passes.append(len(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(schrodinger, "_panel_sums", spy)
+    traces, errs = schrodinger._curve_traces(stack, 2.0, V, mono2, T)
+    assert passes[0] == R and 0 < passes[1] < R
+    passes.clear()
+    alone = [evolve_trace(TorusState(row, 0.0, 2.0, K), V, mono2, T)
+             for row in stack]
+    assert set(passes) == {1}
+    assert traces == [tr for tr, _ in alone]
+    assert errs == [err for _, err in alone]
+
+
+def test_trace_error_counts_every_panel(mono2, monkeypatch):
+    # Below the tolerance on every pass, the trace raises and names T, K
+    # and the error it reached.
+    monkeypatch.setattr(schrodinger, "_TRACE_TOL", 0.0)
+    with pytest.raises(ToleranceNotMet,
+                       match=r"^trace at T = 0\.3, K = 8: quadrature error "):
+        evolve_trace(_random_state(8, 3), _COSINE, mono2, 0.3)
 
 
 def test_trace_argument_guards(mono2):
     u0 = _random_state(6, 3)
     for T in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="T > 0"):
+        with pytest.raises(ValueError, match="^T must be positive"):
             trace_along_curve(u0, mono2, T)
     narrow = _random_state(4, 3)
     with pytest.raises(ValueError):
-        evolve_trace(narrow, PotentialSpec("Zero", {}), mono2, 1.0, dt=None)
+        evolve_trace(narrow, _ZERO, mono2, 1.0)
+
+
+def test_band_cap_is_checked_before_anything_is_built(mono2, monkeypatch):
+    # No step matrix, generator, eigh or Gram may run past the cap.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built past the band cap")
+
+    for name in ("_step_matrix", "_generator", "gram_matrix"):
+        monkeypatch.setattr(schrodinger, name, forbidden)
+    monkeypatch.setattr(schrodinger.np.linalg, "eigh", forbidden)
+    cap = schrodinger._MAX_BAND
+    wide = TorusState(np.zeros(2 * cap + 3, dtype=complex), 0.0, 2.0, cap + 1)
+    for run in (lambda: evolve(wide, _COSINE, 0.1, dt=None),
+                lambda: evolve_trace(wide, _COSINE, mono2, 0.1)):
+        with pytest.raises(ValueError, match=rf"^K must be at most {cap}, "
+                                             rf"got {cap + 1}$"):
+            run()
+    with pytest.raises(ValueError, match=rf"^K must be at most {cap // 2}: "
+                                         rf".* capped at {cap}; got {cap // 2 + 1}$"):
+        trace_bound_experiment(mono2, 2.0, _COSINE, 0.5, K=cap // 2 + 1,
+                               n_random=0, seed=DEFAULT_SEED)
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda c: evolve(_random_state(8, 4), PotentialSpec("Zero", {}), 0.1,
-                      dt=0.0), "dt"),
-    (lambda c: evolve_trace(_random_state(8, 4), PotentialSpec("Zero", {}),
-                            c, 0.1, dt=0.0), "dt"),
-    (lambda c: evolve_trace(_random_state(8, 4), PotentialSpec("Zero", {}),
-                            c, 0.1, dt=0.009), "dt"),
-    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, 0.0, dt=None), "T"),
-    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, -0.5, dt=None), "T"),
-    (lambda c: trace_bound_experiment(c, 2.0, PotentialSpec("Zero", {}), 0.5,
+    (lambda c: evolve(_random_state(8, 4), _ZERO, 0.1, dt=0.0), "dt"),
+    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, 0.0), "T"),
+    (lambda c: evolve_trace(_random_state(8, 0), _COSINE, c, -0.5), "T"),
+    (lambda c: trace_bound_experiment(c, 2.0, _ZERO, 0.5,
                                       K=1, n_random=1, seed=DEFAULT_SEED), "K"),
     (lambda c: trace_bound_experiment(c, 2.0, _COSINE, 0.5, K=3,
                                       n_random=-3, seed=DEFAULT_SEED), "n_random"),
-], ids=["evolve-dt0", "evolve_trace-dt0", "evolve_trace-dt-above-cap",
-        "evolve_trace-T0", "evolve_trace-T-negative", "trace_bound-K1",
-        "trace_bound-n_random-negative"])
+], ids=["evolve-dt0", "evolve_trace-T0", "evolve_trace-T-negative",
+        "trace_bound-K1", "trace_bound-n_random-negative"])
 def test_degenerate_arguments_name_the_parameter(mono2, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
         call(mono2)
 
 
 def test_trace_bound_experiment_free_case(mono2):
-    result = trace_bound_experiment(mono2, 2.0, PotentialSpec("Zero", {}), 1.0,
+    result = trace_bound_experiment(mono2, 2.0, _ZERO, 1.0,
                                     K=4, n_random=2, seed=7)
     assert result.trial_names == ["mode_0", "mode_3", "mode_4", "two_mode_j2",
                                   "two_mode_j4", "gram_min_vec", "random_0",
@@ -383,11 +537,15 @@ def test_trace_bound_experiment_free_case(mono2):
     assert result.min_ratio <= result.max_ratio
     assert result.max_ratio == max(result.ratios)
     assert result.V_sup == 0.0
+    # a single mode has |u|^2 = 1 along any curve
+    assert abs(result.ratios[0] - 1.0) <= 1e-14
+    assert 0.0 <= result.trace_err <= 1e-12
 
 
 def test_trace_bound_experiment_with_potential(mono2, monkeypatch):
-    # The trials advance together in one stack; each ratio must keep the
-    # bits of evolve_trace run alone on that trial's padded state.
+    # The trials advance together in one stack; each ratio and its error
+    # must keep the bits of evolve_trace run alone on that trial's padded
+    # state.
     stacks = []
     real = schrodinger._curve_traces
 
@@ -403,6 +561,10 @@ def test_trace_bound_experiment_with_potential(mono2, monkeypatch):
     assert all(r > 0 for r in result.ratios)
     assert result.min_ratio <= result.max_ratio
     assert stacks[0].shape == (len(result.ratios), 13)
+    errs = []
     for row, ratio in zip(stacks[0], result.ratios):
         u0 = TorusState(row, 0.0, 2.0, 6)
-        assert ratio == evolve_trace(u0, V, mono2, 0.5, dt=None) / u0.norm_sq()
+        trace, err = evolve_trace(u0, V, mono2, 0.5)
+        assert ratio == trace / u0.norm_sq()
+        errs.append(err / u0.norm_sq())
+    assert result.trace_err == max(errs)

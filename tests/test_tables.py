@@ -166,6 +166,18 @@ def test_plot_loglog_fit_needs_positive_data(tmp_path):
         emit_plot_data(t, "loglog-fit", str(tmp_path / "p"))
 
 
+@pytest.mark.parametrize("rows", [[(1.0, float("inf")), (2.0, 3.0)],
+                                  [(1.0, 2.0), (float("inf"), 3.0)]],
+                         ids=["inf-y", "inf-x"])
+def test_plot_loglog_fit_rejects_non_finite_data(rows, tmp_path, capfd):
+    # An infinite y would fit slope nan; an infinite x would make LAPACK
+    # print to standard output, where the CLI writes its JSON.
+    with pytest.raises(ValueError, match="^table demo: .* finite data"):
+        emit_plot_data(_table(rows), "loglog-fit", str(tmp_path / "p"))
+    assert capfd.readouterr().out == ""
+    assert not (tmp_path / "p.fit.dat").exists()
+
+
 def test_region_svg_colors_and_size(tmp_path):
     rows = [(0, 0, "Diagonal", 0.0), (0, 1, "GoodPlus", 1.0),
             (1, 0, "GoodMinus", -9.0), (1, 1, "Bad", -0.5)]
