@@ -32,20 +32,17 @@ TAGS = ("Diagonal", "AntiDiagonal", "GoodPlus", "GoodMinus", "Bad")
 BRANCHES = ("EllipseUV", "EllipseVU", "MixedXPos", "MixedYPos")
 
 
-def abs_pow(n, s: float):
-    """|n|^s from the power function, which is within an ulp where
-    exp(s log |n|) is not; exactly 0 for n = 0.  A power that is not a
-    finite float raises a ValueError naming s and the largest |n|."""
-    n = np.asarray(n)
-    out = np.zeros(np.shape(n), dtype=float)
+def abs_pow(n: np.ndarray, s: float) -> np.ndarray:
+    """|n|^s elementwise from the power function, which is within an ulp
+    where exp(s log |n|) is not; exactly 0 for n = 0.  A power that is not
+    a finite float raises a ValueError naming s and the largest |n|."""
+    out = np.zeros(n.shape, dtype=float)
     nz = n != 0
     with np.errstate(over="ignore"):
         out[nz] = np.abs(n[nz]).astype(float) ** s
     if not np.isfinite(out).all():
         raise ValueError(f"|n|^s is not a finite float at s = {s} and "
                          f"|n| = {np.abs(n).max()}")
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

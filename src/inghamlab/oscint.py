@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quad
 from .classify import abs_pow
 from .curves import CurveSpec
 from .errors import ToleranceNotMet
@@ -42,11 +43,10 @@ from .quad import gauss_kronrod21, kronrod_panels
 
 _PANEL_PHASE = 3.0 * np.pi  # max phase change per panel: 1.5 oscillations
 _BISECT_TOL = 1e-13        # stationary-point bisection tolerance in t
-_PANEL_BUDGET = 2 ** 20    # most panels one integral may split into
 # Halving rounds before ToleranceNotMet.  Grading toward an endpoint
 # singularity halves the end panel once per round, so an end panel of
 # width T / 2^k takes k rounds: the Muntz sqrt(t) arc-length diagonal at
-# tol 1e-12 takes 70.  The panel budget bounds the work of one round.
+# tol 1e-12 takes 70.  quad.PANEL_BUDGET bounds the work of one round.
 _ROUNDS = 96
 _ROUNDING = 50.0 * np.finfo(float).eps   # QUADPACK's rounding floor, per unit of sum w|f|
 _GRID = np.unique(np.concatenate([           # root-bracketing grid on (0, 1]
@@ -132,9 +132,9 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         bad = np.abs(pb - pa) > _PANEL_PHASE
         if not bad.any():
             break
-        if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:
+        if a.size + np.count_nonzero(bad) > quad.PANEL_BUDGET:
             raise ToleranceNotMet(
-                f"panel budget {_PANEL_BUDGET} exhausted while splitting phase")
+                f"panel budget {quad.PANEL_BUDGET} exhausted while splitting phase")
         mid = 0.5 * (a[bad] + b[bad])
         pm = psi(mid)
         keep = ~bad
@@ -169,9 +169,9 @@ def phase_integral(d: float, e: float, curve: CurveSpec, T: float,
         bad = diffs > 0.5 * tol / max(1, errs.size)
         if not bad.any():
             bad = diffs >= diffs.max()
-        if a.size + np.count_nonzero(bad) > _PANEL_BUDGET:
+        if a.size + np.count_nonzero(bad) > quad.PANEL_BUDGET:
             raise ToleranceNotMet(
-                f"panel budget {_PANEL_BUDGET} exhausted at error {total_err:.3e}")
+                f"panel budget {quad.PANEL_BUDGET} exhausted at error {total_err:.3e}")
         mid = 0.5 * (a[bad] + b[bad])
         lo = np.concatenate([a[bad], mid])
         hi = np.concatenate([mid, b[bad]])
@@ -200,6 +200,7 @@ def oscillatory_integral(n: int, m: int, s: float, curve: CurveSpec, T: float,
             raise ValueError("tol must be positive")
         return QuadResult(complex(T), 0.0, 1, [], np.array([0.0, T]))
     d = float(n - m)
-    e = float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s))
+    pn, pm = abs_pow(np.array([n, m]), s)
+    e = float(pn - pm)
     return phase_integral(d, e, curve, T, tol)
 

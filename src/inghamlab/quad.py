@@ -10,6 +10,9 @@ from functools import lru_cache
 import numpy as np
 
 _GAUSS = 10   # Gauss-Legendre order that the Kronrod rule extends
+# Most panels one adaptive curve quadrature may split [0, T] into: the
+# phase integrals and the Schrodinger traces read it when they split.
+PANEL_BUDGET = 2 ** 20
 
 
 def _frozen(*arrays):

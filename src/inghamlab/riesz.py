@@ -94,21 +94,23 @@ class GramMatrix:
 def _phase_vectors(system: ExpSystem) -> np.ndarray:
     """Rows phi(n) = (|n|^s, n), one per index."""
     idx = np.asarray(system.indices)
-    return np.stack([np.atleast_1d(abs_pow(idx, system.s)),
-                     idx.astype(float)], axis=1)
+    return np.stack([abs_pow(idx, system.s), idx.astype(float)], axis=1)
 
 
 def _gram_product(t: np.ndarray, x: np.ndarray, wts: np.ndarray, phi: np.ndarray,
-                  panels=None, gauss=None):
+                  panels=None):
     """G = E^H W E with E[k, n] = exp(-2 pi i <z_k, phi(n)>) over nodes
     z_k = (t_k, x_k) with weights w_k >= 0, summed over blocks of whole
     panels.
 
     Without `panels` every node is its own panel: t, x and wts are the
-    node coordinates and weights, as for a measure's cloud.  With
-    panels = (halves, offsets), t holds the P panel midpoints, panel p
-    has the R nodes at times t_p + halves_p offsets_j, and x and wts have
-    shape (P, R).
+    node coordinates and weights, as for a measure's cloud, and G is
+    returned.  With panels = (halves, offsets, gauss), t holds the P
+    panel midpoints, panel p has the R nodes at times t_p + halves_p
+    offsets_j, and x and wts have shape (P, R); then (G, G_sub) is
+    returned, where G_sub is the Gram over the first k offsets of every
+    panel, k the size of gauss, with the weight of offset j scaled by
+    gauss_j^2, taken from the same exponentials.
 
     Each entry factors as E[k, n] = a_k(tau_n) b_k(lambda_n), with
     a_k(tau) = exp(-2 pi i t_k tau) and b_k(lambda) = exp(-2 pi i x_k lambda).
@@ -122,11 +124,7 @@ def _gram_product(t: np.ndarray, x: np.ndarray, wts: np.ndarray, phi: np.ndarray
     and equally spaced lambdas take two exps per node.  The block of
     sqrt(W) E is built as a (J, block) array, offset by offset, whose
     transpose BLAS zherk reads without a copy and adds to the upper
-    triangle of G.
-
-    With `gauss`, a vector of k scales, the Gram over the first k offsets
-    of every panel, with the weight of offset j scaled by gauss_j^2, comes
-    from the same exponentials and is returned after G."""
+    triangle of G."""
     if wts.min() < 0.0:
         k = int(np.argmin(wts))
         raise ValueError(f"weights must be nonnegative; weight {k} is {wts.flat[k]:.3e}")
@@ -143,14 +141,14 @@ def _gram_product(t: np.ndarray, x: np.ndarray, wts: np.ndarray, phi: np.ndarray
     P = t.shape[0]
     x, wts = x.reshape(P, -1), wts.reshape(P, -1)
     if panels is not None:
-        halves, offsets = panels
+        halves, offsets, gauss = panels
         widths, width_of = np.unique(halves, return_inverse=True)
         # shift[u, j, h] = exp(-2 pi i tau_u widths_h offsets_j)
         shift = np.multiply.outer(-2j * np.pi * taus, np.outer(offsets, widths))
         np.exp(shift, out=shift)
     J, R = len(lams), x.shape[1]
     G = np.zeros((J, J), dtype=complex, order="F")
-    G_sub = None if gauss is None else np.zeros_like(G)
+    G_sub = None if panels is None else np.zeros_like(G)
     block = max(1, _BLOCK // R)
     for lo in range(0, P, block):
         # columns offset by offset: column j * (panels in the block) + p
@@ -173,10 +171,10 @@ def _gram_product(t: np.ndarray, x: np.ndarray, wts: np.ndarray, phi: np.ndarray
         for row, u in zip(E, tau_of):
             row *= a[u]
         G = zherk(1.0, E.T, beta=1.0, c=G, trans=2, overwrite_c=1)
-        if gauss is not None:
+        if panels is not None:
             E_sub = (E.reshape(J, R, -1)[:, :gauss.size] * gauss[:, None]).reshape(J, -1)
             G_sub = zherk(1.0, E_sub.T, beta=1.0, c=G_sub, trans=2, overwrite_c=1)
-    if gauss is None:
+    if panels is None:
         return _hermitian(G)
     return _hermitian(G), _hermitian(G_sub)
 
@@ -216,7 +214,7 @@ def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
         t = t.ravel()
         gw = (half[:, None] * wk).ravel()
         gw = gw if w is None else gw * w(t)
-        G, G10 = _gram_product(mid, curve.p(t), gw, phi, panels=(half, r), gauss=gauss)
+        G, G10 = _gram_product(mid, curve.p(t), gw, phi, panels=(half, r, gauss))
         err = float(np.abs(G - G10).max())
         if err <= bound:
             break
@@ -609,7 +607,7 @@ def merged_bound_experiment(curve: CurveSpec, T: float, s_grid, N: int,
         low = [i for i, n in enumerate(idx) if abs(n) <= 1]
         high = [i for i, n in enumerate(idx) if abs(n) >= 2]
         couplings.append(float(A[np.ix_(low, high)].sum(axis=1).max()))
-        temp = np.atleast_1d(abs_pow(np.asarray(idx), s))
+        temp = abs_pow(np.asarray(idx), s)
         scale = temp[high] - 1.0
         prods.append(float((A[np.ix_(low, high)] * scale[None, :]).max()))
     decreasing = bool(np.all(np.diff(couplings) < 0))

@@ -100,18 +100,11 @@ class ObservationCurveGamma:
 # Wronskian criterion
 # ---------------------------------------------------------------------------
 
-def wronskian_n1(gamma: ObservationCurveGamma, x):
-    """Factorized Wronskian of (f_-, 1, f_+) at x (scalar or array):
+def wronskian_n1(gamma: ObservationCurveGamma, x: np.ndarray) -> np.ndarray:
+    """Factorized Wronskian of (f_-, 1, f_+) at the points x:
     -8 pi^2 (gamma''(x) - 2 pi i (gamma'(x)^2 - 1)) f_+(x) f_-(x)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    g = gamma.gamma(xv)
-    dg = gamma.dgamma(xv)
-    d2g = gamma.d2gamma(xv)
-    bracket = d2g - _TWO_PI * 1j * (dg ** 2 - 1.0)
-    w = -2.0 * _TWO_PI ** 2 * bracket * np.exp(2j * _TWO_PI * g)
-    if np.ndim(x) == 0:
-        return complex(w[0])
-    return w
+    bracket = gamma.d2gamma(x) - _TWO_PI * 1j * (gamma.dgamma(x) ** 2 - 1.0)
+    return -2.0 * _TWO_PI ** 2 * bracket * np.exp(2j * _TWO_PI * gamma.gamma(x))
 
 
 @dataclass
@@ -267,7 +260,7 @@ class LowFreqSystem:
     def evaluate_on_curve(self, gamma: ObservationCurveGamma, t):
         t = np.asarray(t, dtype=float)
         lam = np.asarray(self.lambdas)
-        temp = np.atleast_1d(abs_pow(np.arange(-self.N, self.N + 1), self.s))
+        temp = abs_pow(np.arange(-self.N, self.N + 1), self.s)
         c = np.asarray(self.coefficients)
         phase = np.outer(gamma.gamma(t), lam) + np.outer(t, temp)
         return np.exp(2j * np.pi * phase) @ c
@@ -306,7 +299,7 @@ def zero_set_probe(system: LowFreqSystem, gamma: ObservationCurveGamma,
                           & (av[1:-1] < 1e-2 * c_norm))[0] + 1
 
     lam = np.asarray(system.lambdas)
-    temp = np.atleast_1d(abs_pow(np.arange(-system.N, system.N + 1), system.s))
+    temp = abs_pow(np.arange(-system.N, system.N + 1), system.s)
     cvec = np.asarray(system.coefficients)
 
     def f_and_df(t):

@@ -10,10 +10,11 @@ each entry reads the coefficient of its own signed frequency, and no
 product wraps around the grid into the retained band.
 
 evolve steps this flow by Strang splitting between the exact spectral
-free flow and the potential phase.  A step of fixed length is one step
-matrix B, built once from one FFT of the half phase on the same M
-points, and each step is c <- c B.  The splitting is exactly unitary for
-real V, second order in dt, and exact when V is constant.
+free flow and the potential phase; its loop is the one Strang stepper.
+A step of fixed length is one step matrix B, built once from one FFT of
+the half phase on the same M points, and each step is c <- c B.  The
+splitting is exactly unitary for real V, second order in dt, and exact
+when V is constant.
 
 A curve trace integral_0^T |u(t, p(t))|^2 dt takes no time steps.  One
 eigh gives L = Q diag(lam) Q^H, so u(t, p(t)) is the exponential sum
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quad
 from .classify import abs_pow
 from .curves import CurveSpec
 from .errors import ResolutionExceeded, ToleranceNotMet
@@ -145,10 +147,15 @@ class PotentialSpec:
 
 def _check_data(coeffs: np.ndarray) -> None:
     """The band K of coeffs must be at most _MAX_BAND, and every row
-    must leave it dealiasing headroom."""
+    must be nonzero and leave it dealiasing headroom."""
     K = coeffs.shape[-1] // 2
     if K > _MAX_BAND:
         raise ValueError(f"K must be at most {_MAX_BAND}, got {K}")
+    zero = np.flatnonzero(~np.atleast_2d(coeffs).any(-1))
+    if zero.size:
+        where = f"row {zero[0]} of the initial states" \
+            if coeffs.size > coeffs.shape[-1] else "the initial state"
+        raise ValueError(f"{where} is zero; the flow needs nonzero data")
     if K < 2 * _max_active_mode(coeffs):
         raise ValueError("need K >= 2 * max active mode of the data")
 
@@ -166,50 +173,26 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _toeplitz(K: int, samples) -> np.ndarray:
+    """The Toeplitz matrix A[n, k] = w[(k - n) mod M] on modes -K..K,
+    where w is the DFT over M of samples(M), a function sampled on
+    x_j = j / M, M = 4K + 4.  |k - n| <= 2K < M / 2, so each difference
+    reads the coefficient of its own signed frequency and no two
+    differences share an entry."""
+    M = 4 * K + 4
+    modes = np.arange(-K, K + 1)
+    w = np.fft.fft(samples(M)) / M
+    return w[(modes[None, :] - modes[:, None]) % M]
+
+
 def _step_matrix(K: int, s: float, V: PotentialSpec, h: float) -> np.ndarray:
     """The Strang step of length h on modes -K..K as the matrix B with
     c <- c B: half potential phase, exact free flow, half potential phase.
-    A half phase is the Toeplitz matrix P[n, k] = w[(k - n) mod M], where
-    w is the DFT of exp(-i pi V(x_j) h) on x_j = j / M, M = 4K + 4, over M.
-    It is the M-point FFT half step on zero-padded coefficients, written
-    as a matrix: |k - n| <= 2K < M / 2, so each difference reads its own
-    signed frequency and no two differences share an entry."""
-    M = 4 * K + 4
-    modes = np.arange(-K, K + 1)
-    w = np.fft.fft(np.exp(-2j * np.pi * V.values(M) * (h / 2.0))) / M
-    half = w[(modes[None, :] - modes[:, None]) % M]
-    free = np.exp(2j * np.pi * abs_pow(modes, s) * h)
+    A half phase is the Toeplitz matrix of exp(-i pi V h): the M-point
+    FFT half step on zero-padded coefficients, written as a matrix."""
+    half = _toeplitz(K, lambda M: np.exp(-2j * np.pi * V.values(M) * (h / 2.0)))
+    free = np.exp(2j * np.pi * abs_pow(np.arange(-K, K + 1), s) * h)
     return (half * free) @ half
-
-
-def _strang_steps(coeffs: np.ndarray, s: float, V: PotentialSpec, h: float,
-                  steps: int):
-    """Yield the coefficients, and the share of their energy in the top
-    tenth of the band, after each of `steps` Strang steps of length h
-    from coeffs.  Every step multiplies by the one step matrix of
-    _step_matrix, built once per call from one FFT.  A share above 1e-8
-    raises ResolutionExceeded naming the step.
-
-    coeffs is one state, shape (2K+1,), or a stack of states, shape
-    (R, 2K+1), that advance together.  matmul takes each row's product
-    with B on its own, so each row is checked on its own and has the
-    bits of its run alone; the error of a stack of several rows also
-    names the row.  Each yielded array is new."""
-    K = coeffs.shape[-1] // 2
-    B = _step_matrix(K, s, V, h)
-    top = _top_band(K)
-    c = coeffs
-    for step in range(1, steps + 1):
-        c = np.matmul(c[..., None, :], B)[..., 0, :]
-        frac = ((np.abs(c.take(top, axis=-1)) ** 2).sum(-1)
-                / _row_dot(c.conj(), c).real)
-        if frac.max() > _BAND_LIMIT:
-            row = int(np.argmax(frac > _BAND_LIMIT))
-            where = f"step {step}" + (f", row {row}" if frac.size > 1 else "")
-            raise ResolutionExceeded(
-                f"{where}: energy fraction {np.ravel(frac)[row]:.2e} in the "
-                f"top mode band; raise K")
-        yield c, frac
 
 
 @dataclass
@@ -225,9 +208,10 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     """Strang split-step evolution by t_final; returns (state, diagnostics).
 
     dt is capped at 0.01 / (1 + sup|V|) (None takes the cap) and rounded
-    so whole steps land exactly on t_final.  The truncation K must dominate
-    the data (K >= 2 * max active mode); energy reaching the top tenth
-    of the band beyond 1e-8 of the total raises ResolutionExceeded.
+    so whole steps land exactly on t_final.  u0 must be nonzero, and the
+    truncation K must dominate it (K >= 2 * max active mode); energy
+    reaching the top tenth of the band beyond 1e-8 of the total raises
+    ResolutionExceeded naming the step.
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
@@ -244,12 +228,20 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
     steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / steps
+    B = _step_matrix(u0.K, u0.s, V, dt)
+    top = _top_band(u0.K)
     norm0 = u0.norm_sq()
-    drift = 0.0
-    top_frac = 0.0
-    for c, frac in _strang_steps(u0.coeffs, u0.s, V, dt, steps):
-        drift = max(drift, abs(float(np.vdot(c, c).real) - norm0))
-        top_frac = max(top_frac, float(frac))
+    drift = top_frac = 0.0
+    c = u0.coeffs
+    for step in range(1, steps + 1):
+        c = c @ B
+        norm = float(np.vdot(c, c).real)
+        frac = float((np.abs(c[top]) ** 2).sum()) / norm
+        if frac > _BAND_LIMIT:
+            raise ResolutionExceeded(f"step {step}: energy fraction {frac:.2e} "
+                                     f"in the top mode band; raise K")
+        drift = max(drift, abs(norm - norm0))
+        top_frac = max(top_frac, frac)
     return TorusState(c, u0.time + t_final, u0.s, u0.K), \
         EvolveDiagnostics(steps, dt, drift, top_frac)
 
@@ -259,13 +251,10 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
 # ---------------------------------------------------------------------------
 
 def _generator(K: int, s: float, V: PotentialSpec) -> np.ndarray:
-    """L = diag(|n|^s) - Vhat on modes -K..K, Vhat[n, k] = vhat(k - n),
-    read from the DFT of V on the M = 4K + 4 points of _step_matrix:
-    the flow that the Strang steps approximate is c expm(2 pi i t L)."""
-    M = 4 * K + 4
-    modes = np.arange(-K, K + 1)
-    vhat = np.fft.fft(V.values(M)) / M
-    return np.diag(abs_pow(modes, s)) - vhat[(modes[None, :] - modes[:, None]) % M]
+    """L = diag(|n|^s) - Vhat on modes -K..K, Vhat the Toeplitz matrix of
+    V on the grid of _step_matrix: the flow that the Strang steps
+    approximate is c expm(2 pi i t L)."""
+    return np.diag(abs_pow(np.arange(-K, K + 1), s)) - _toeplitz(K, V.values)
 
 
 def _pad(coeffs: np.ndarray, K: int) -> np.ndarray:
@@ -312,6 +301,20 @@ def _panel_sums(a: np.ndarray, lam: np.ndarray, Q: np.ndarray, mass: np.ndarray,
     return np.concatenate(k21, axis=-1), np.concatenate(g10, axis=-1)
 
 
+def _max_slope(curve: CurveSpec, T: float) -> float:
+    """max |p'| over 512 points of [0, T], for T > 0.  A p' that is not
+    finite there raises ValueError, since no panel count then bounds the
+    phase speed of a trace."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dpmax = float(np.abs(curve.dp(np.linspace(0.0, T, 512))).max())
+    if not np.isfinite(dpmax):
+        raise ValueError(f"a trace needs a finite p' on [0, T]; the "
+                         f"{curve.kind} curve's p' is not finite on [0, {T}]")
+    return dpmax
+
+
 def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
                   curve: CurveSpec, T: float) -> tuple:
     """The traces along the curve of the potential-perturbed flows from
@@ -321,16 +324,15 @@ def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
     [0, T], with the curve's knots as edges, starts at _CYCLES_PER_PANEL
     cycles of it per panel.  A row whose summed |K21 - G10| exceeds
     _TRACE_TOL ||c||^2 T is taken again on halved panels, on its own,
-    up to _MAX_HALVINGS times, else ToleranceNotMet.  Each trace has the
-    bits of its row run alone."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    up to _MAX_HALVINGS times, else ToleranceNotMet; so is a pass of more
+    than quad.PANEL_BUDGET panels, before its edges are made.  Each trace
+    has the bits of its row run alone."""
+    dpmax = _max_slope(curve, T)
     _check_data(coeffs)
     K = coeffs.shape[-1] // 2
     lam, Q = np.linalg.eigh(_generator(K, s, V))
     a = np.matmul(coeffs[:, None, :], Q)[:, 0, :]
     mass = _row_dot(coeffs.conj(), coeffs).real
-    dpmax = float(np.abs(curve.dp(np.linspace(0.0, T, 512))).max())
     speed = lam[-1] - lam[0] + 2 * K * dpmax
     panels = max(1, int(np.ceil(speed * T / _CYCLES_PER_PANEL)))
     knots = curve.knots[(curve.knots > 0.0) & (curve.knots < T)]
@@ -338,6 +340,10 @@ def _curve_traces(coeffs: np.ndarray, s: float, V: PotentialSpec,
     errs = np.empty(len(coeffs))
     rows = np.arange(len(coeffs))
     for _ in range(_MAX_HALVINGS + 1):
+        if panels + knots.size > quad.PANEL_BUDGET:
+            raise ToleranceNotMet(
+                f"trace at T = {T}, K = {K}: {panels + knots.size} panels "
+                f"exceed the panel budget {quad.PANEL_BUDGET}")
         edges = np.union1d(np.linspace(0.0, T, panels + 1), knots)
         k21, g10 = _panel_sums(a[rows], lam, Q, mass[rows], curve, edges,
                                rows if len(coeffs) > 1 else None)
@@ -361,9 +367,9 @@ def evolve_trace(u0: TorusState, V: PotentialSpec, curve: CurveSpec,
                  T: float) -> tuple:
     """(trace, error bound): integral_0^T |u(t, p(t))|^2 dt of the
     potential-perturbed solution from u0, exact in time (see the module
-    docstring).  T must be positive; u0 must leave dealiasing headroom,
-    and energy reaching the top of the band raises ResolutionExceeded,
-    as in evolve.  This is the one-row case of the stacked trace that
+    docstring).  T must be positive and p' finite on [0, T]; u0 must be
+    nonzero and leave dealiasing headroom, and energy reaching the top
+    of the band raises ResolutionExceeded, as in evolve.  This is the one-row case of the stacked trace that
     trace_bound_experiment runs over all its trials at once."""
     (trace,), (err,) = _curve_traces(u0.coeffs[None], u0.s, V, curve, T)
     return trace, err
@@ -411,6 +417,7 @@ def trace_bound_experiment(curve: CurveSpec, s: float, V: PotentialSpec,
     2K, runs in one stack through _curve_traces; each ratio has the bits
     of evolve_trace run on that trial alone."""
     check_trial_K(K)
+    _max_slope(curve, T)
     if n_random < 0:
         raise ValueError(f"n_random must be a nonnegative count of random "
                          f"trials, got {n_random}")

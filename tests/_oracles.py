@@ -212,8 +212,8 @@ def classify_pair(n: int, m: int, s: float, tau: float) -> PairClass:
         return PairClass("Diagonal", None, tau)
     if n == -m:
         return PairClass("AntiDiagonal", 0.0, tau)
-    ratio = (abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)) / (n - m)
-    ratio = float(ratio)
+    pn, pm = abs_pow(np.array([n, m]), s)
+    ratio = float((pn - pm) / (n - m))
     if ratio > 0:
         tag = "GoodPlus"
     elif ratio <= -tau:
@@ -420,7 +420,8 @@ def vdc_theoretical_bound(n: int, m: int, s: float, curve: CurveSpec, T: float,
         return None
     if pc.tag == "AntiDiagonal":
         return abs(n) ** (-1.0 / curve.alpha)
-    e = abs(float(abs_pow(np.asarray(n), s) - abs_pow(np.asarray(m), s)))
+    pn, pm = abs_pow(np.array([n, m]), s)
+    e = abs(float(pn - pm))
     if pc.tag in ("GoodPlus", "GoodMinus"):
         return 1.0 / e
     if eta is None:

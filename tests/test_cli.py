@@ -348,6 +348,10 @@ def docs(tmp_path, mono2_file):
         "tabulated_nan": {"kind": "Tabulated",
                           "params": {"values": [0.0, float("nan")]}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
+        "u0_zero": {"K": 4, "s": 2.0, "coeffs_re": [0] * 9},
+        "muntz_steep": {"kind": "Muntz",
+                        "params": {"coefficients": [[1, 0.5], [1, 2.5]],
+                                   "t0": 0}},
         "quarter": {"kind": "ArcLengthOnCircle",
                     "params": {"radius": 1.0, "theta0": 0.0,
                                "theta1": float(np.pi / 2)},
@@ -449,6 +453,19 @@ _EXPLICIT_CASES = {
                                  "--s", "2", "--T", "0.5", "--K", "33"], 1,
                                 "parameter 'K': K must be at most 32: the "
                                 "trials run at band 2K, capped at 64; got 33"),
+    "schrodinger-u0-zero": (["schrodinger", "--u0-file", "{u0_zero}",
+                             "--T", "0.2"], 1,
+                            "error: the initial state is zero"),
+    "schrodinger-trace-u0-zero": (["schrodinger", "--u0-file", "{u0_zero}",
+                                   "--curve-file", "{mono2}", "--T", "0.2"], 1,
+                                  "error: the initial state is zero"),
+    "schrodinger-curve-slope-infinite": (["schrodinger", "--curve-file",
+                                          "{muntz_steep}", "--s", "2",
+                                          "--T", "0.5", "--K", "3",
+                                          "--trials", "1"], 1,
+                                         "error: a trace needs a finite p' on "
+                                         "[0, T]; the Muntz curve's p' is not "
+                                         "finite on [0, 0.5]"),
     "schrodinger-trace-T0": (["schrodinger", "--u0-file", "{u0}",
                               "--curve-file", "{mono2}", "--T", "0"], 1,
                              "T must be positive, got 0.0"),

@@ -7,7 +7,7 @@ from scipy import special
 
 from _oracles import (InadmissibleEta, antidiagonal_t0, check_eta, default_eta,
                       eta_admissible_range, vdc_ratio_scan, vdc_theoretical_bound)
-from inghamlab import oscint
+from inghamlab import oscint, quad
 from inghamlab.errors import ToleranceNotMet
 
 TWO_PI = 2.0 * np.pi
@@ -127,8 +127,8 @@ def test_smooth_phase_panels_hold_more_than_half_an_oscillation(mono2):
 
 
 def test_exhausted_panel_budget_raises(mono2, monkeypatch):
-    monkeypatch.setattr(oscint, "_PANEL_BUDGET", 4)
-    with pytest.raises(ToleranceNotMet):
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 4)
+    with pytest.raises(ToleranceNotMet, match="^panel budget 4 exhausted"):
         oscint.phase_integral(5e4, 1.0, mono2, 2.0, tol=1e-13)
 
 

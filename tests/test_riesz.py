@@ -255,7 +255,7 @@ def test_gram_product_panels_match_direct_exponentials(halves, taus, lams):
     wts = halves[:, None] * wk * rng.uniform(0.5, 1.5, t.shape)
     phi = np.column_stack([taus, lams]).astype(float)
     scale = np.sqrt(wg / wk[:10])
-    G, G_sub = riesz._gram_product(mids, x, wts, phi, panels=(halves, r), gauss=scale)
+    G, G_sub = riesz._gram_product(mids, x, wts, phi, panels=(halves, r, scale))
     nodes = np.column_stack([t.ravel(), x.ravel()])
     want = _direct_gram(nodes, wts.ravel(), phi[:, 0], phi[:, 1])
     assert np.abs(G - want).max() <= 1e-12 * wts.sum()
@@ -265,8 +265,6 @@ def test_gram_product_panels_match_direct_exponentials(halves, taus, lams):
     want = _direct_gram(sub, sub_w, phi[:, 0], phi[:, 1])
     assert np.abs(G_sub - want).max() <= 1e-12 * sub_w.sum()
     assert np.array_equal(G_sub, G_sub.conj().T)
-    alone = riesz._gram_product(mids, x, wts, phi, panels=(halves, r))
-    assert np.array_equal(alone, G)
 
 
 def test_gram_product_rejects_a_negative_weight():

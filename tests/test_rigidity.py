@@ -96,8 +96,7 @@ def test_wronskian_closed_form_slope_two_line():
     expected = 48.0 * np.pi ** 3 * 1j * np.exp(8j * np.pi * xs)
     got = wronskian_n1(gamma, xs)
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
-    one = wronskian_n1(gamma, 0.25)
-    assert isinstance(one, complex)
+    (one,) = wronskian_n1(gamma, np.array([0.25]))
     assert one == expected[0] * np.exp(8j * np.pi * (0.25 - xs[0]))
 
 
@@ -115,7 +114,7 @@ def test_wronskian_matches_finite_difference_determinant():
                 {"num": list(rng.uniform(-1.5, 1.5, 3)),
                  "den": [1.0, 0.0, float(rng.uniform(0.1, 0.5))]})
         x = float(rng.uniform(-2.0, 2.0))
-        exact = wronskian_n1(gamma, x)
+        (exact,) = wronskian_n1(gamma, np.array([x]))
         approx = wronskian_n1_fd(gamma, x)
         worst = max(worst, abs(approx - exact) / max(abs(exact), 1e-30))
     assert worst <= 1e-4

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from _oracles import (free_evolution, pad_spectrum, picard_iterate,
                       quadratic_form_quadrature, simpson_weights, truncate_spectrum)
-from inghamlab import DEFAULT_SEED, schrodinger
+from inghamlab import DEFAULT_SEED, quad, schrodinger
 from inghamlab.classify import abs_pow
 from inghamlab.curves import build_curve
 from inghamlab.errors import ResolutionExceeded, ToleranceNotMet
@@ -22,7 +22,6 @@ from inghamlab.schrodinger import (
     PotentialSpec,
     TorusState,
     _step_matrix,
-    _strang_steps,
     evolve,
     evolve_trace,
     trace_along_curve,
@@ -142,39 +141,30 @@ def test_strang_steps_make_one_fft_per_call(monkeypatch):
         if callable(real):
             monkeypatch.setattr(np.fft, name, lambda *a, _f=real, _n=name,
                                 **k: calls.append(_n) or _f(*a, **k))
-    u0 = _random_state(8, 3)
-    for coeffs in (u0.coeffs, np.stack([u0.coeffs, u0.coeffs[::-1]])):
-        calls.clear()
-        assert len(list(_strang_steps(coeffs, u0.s, _COSINE, 1e-4,
-                                      steps=50))) == 50
-        assert calls == ["fft"]
+    _, diag = evolve(_random_state(8, 3), _COSINE, 50e-4, dt=1e-4)
+    assert diag.steps == 50
+    assert calls == ["fft"]
 
 
-def test_strang_steps_match_fresh_arrays_and_keep_each_yield():
-    # Every yielded array must keep its value through later steps and
-    # equal, bit for bit, a step that multiplies a new array by the step
-    # matrix.  A stack of states advances through one product per row:
-    # each of its rows must equal, bit for bit, the run of that state
-    # alone.
+def test_evolve_steps_are_products_with_the_step_matrix():
+    # k steps of h must equal, bit for bit, k products of the state with
+    # the step matrix, and the top-band share must be the largest of
+    # energy in the top tenth over energy after each of them.
     u0 = _random_state(8, 3)
-    V = PotentialSpec("Cosine", {"amplitude": 0.8, "mode": 3})
-    h = 0.01
+    V = PotentialSpec("Cosine", {"amplitude": 0.3, "mode": 1})
+    h = 2.0 ** -8     # k h / k == h exactly, and h is below the dt cap
     B = _step_matrix(8, u0.s, V, h)
-    kept = list(_strang_steps(u0.coeffs, u0.s, V, h, 6))
     top = np.abs(u0.modes) >= 8
-    c = u0.coeffs
-    for got, frac in kept:
-        c = c @ B
-        assert np.array_equal(got, c)
-        assert frac == (float((np.abs(c[top]) ** 2).sum())
-                        / float(np.vdot(c, c).real))
-    other = _random_state(8, 4, seed=12)
-    stack = np.stack([other.coeffs, u0.coeffs])
-    alone = [list(_strang_steps(row, u0.s, V, h, 6)) for row in stack]
-    for k, (rows, fracs) in enumerate(_strang_steps(stack, u0.s, V, h, 6)):
-        for r in range(2):
-            assert np.array_equal(rows[r], alone[r][k][0])
-            assert fracs[r] == alone[r][k][1]
+    for k in range(1, 7):
+        final, diag = evolve(u0, V, k * h, dt=h)
+        assert diag.steps == k and diag.dt == h
+        c, frac = u0.coeffs, 0.0
+        for _ in range(k):
+            c = c @ B
+            frac = max(frac, float((np.abs(c[top]) ** 2).sum())
+                       / float(np.vdot(c, c).real))
+        assert np.array_equal(final.coeffs, c)
+        assert diag.top_band_fraction == frac
 
 
 def test_free_evolution_phases_and_norm():
@@ -253,26 +243,31 @@ def test_band_saturation_raises(mono2):
     with pytest.raises(ResolutionExceeded, match=r"^t [\d.e-]+: .*top mode band"):
         evolve_trace(u0, V, mono2, 1.0)
     # Of a stack, only the row without headroom saturates, and the error
-    # names it with the step at which its run alone crossed 1e-8.
+    # names it with the earliest node time at which its run alone
+    # crossed 1e-8.
     weak = PotentialSpec("Cosine", {"amplitude": 0.05, "mode": 3})
-    with pytest.raises(ResolutionExceeded) as alone:
-        for _ in _strang_steps(c, 2.0, weak, 2e-4, 100):
-            pass
-    step = int(re.match(r"step (\d+):", str(alone.value)).group(1))
-    assert step > 1
     calm = np.zeros(9, dtype=complex)
     calm[4] = 1.0
-    with pytest.raises(ResolutionExceeded,
-                       match=rf"^step {step}, row 1: .*top mode band"):
-        for _ in _strang_steps(np.stack([calm, c]), 2.0, weak, 2e-4, 100):
-            pass
-    # The trace names the earliest node time instead of a step.
     with pytest.raises(ResolutionExceeded) as alone:
         evolve_trace(u0, weak, mono2, 1.0)
     t = re.match(r"t ([\d.e-]+):", str(alone.value)).group(1)
     with pytest.raises(ResolutionExceeded,
                        match=rf"^t {re.escape(t)}, row 1: .*top mode band"):
         schrodinger._curve_traces(np.stack([calm, c]), 2.0, weak, mono2, 1.0)
+
+
+def test_a_zero_initial_state_is_rejected_by_name(mono2):
+    # ||c||^2 divides every band share: zero data must stop before it.
+    zero = TorusState(np.zeros(9), 0.0, 2.0, 4)
+    for run in (lambda: evolve(zero, _COSINE, 0.1, dt=None),
+                lambda: evolve_trace(zero, _COSINE, mono2, 0.5)):
+        with pytest.raises(ValueError, match="^the initial state is zero"):
+            run()
+    calm = np.zeros(9, dtype=complex)
+    calm[4] = 1.0
+    with pytest.raises(ValueError, match="^row 1 of the initial states is zero"):
+        schrodinger._curve_traces(np.stack([calm, zero.coeffs]), 2.0, _COSINE,
+                                  mono2, 0.5)
 
 
 def test_picard_cross_checks_strang():
@@ -332,7 +327,10 @@ def _strang_simpson_trace(c, s, V, curve, T, steps):
     times = np.linspace(0.0, T, steps + 1)
     waves = np.exp(2j * np.pi * np.outer(np.mod(curve.p(times), 1.0),
                                          np.arange(-K, K + 1)))
-    states = [c] + [ck for ck, _ in _strang_steps(c, s, V, T / steps, steps)]
+    B = _step_matrix(K, s, V, T / steps)
+    states = [c]
+    for _ in range(steps):
+        states.append(states[-1] @ B)
     samples = [abs(waves[k] @ states[k]) ** 2 for k in range(steps + 1)]
     return float(simpson_weights(steps + 1, T / steps) @ samples)
 
@@ -479,6 +477,59 @@ def test_trace_error_counts_every_panel(mono2, monkeypatch):
     with pytest.raises(ToleranceNotMet,
                        match=r"^trace at T = 0\.3, K = 8: quadrature error "):
         evolve_trace(_random_state(8, 3), _COSINE, mono2, 0.3)
+
+
+def test_a_curve_with_an_infinite_slope_is_rejected_before_anything_is_built(
+        monkeypatch):
+    # p = t^(1/2) + t^(5/2) has p'(0) infinite, so no panel count bounds
+    # the phase speed of a trace.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built for a curve without a finite slope")
+
+    for name in ("_generator", "gram_matrix"):
+        monkeypatch.setattr(schrodinger, name, forbidden)
+    muntz = build_curve("Muntz", {"coefficients": [[1.0, 0.5], [1.0, 2.5]],
+                                  "t0": 0.0})
+    message = (r"^a trace needs a finite p' on \[0, T\]; the Muntz curve's "
+               r"p' is not finite on \[0, 0\.5\]$")
+    with pytest.raises(ValueError, match=message):
+        trace_bound_experiment(muntz, 2.0, _ZERO, 0.5, K=3, n_random=1,
+                               seed=DEFAULT_SEED)
+    with pytest.raises(ValueError, match=message):
+        evolve_trace(_random_state(6, 3), _COSINE, muntz, 0.5)
+
+
+def test_a_trace_past_the_panel_budget_raises_before_its_edges(mono2, monkeypatch):
+    # The first pass of a long trace along a parabola needs about
+    # (2K T)^2 / 2 panels: past the budget it must stop before building
+    # a panel.  So must a halving pass that would cross the budget.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("panels built past the budget")
+
+    u0 = _random_state(8, 3)
+    real = schrodinger._panel_sums
+    monkeypatch.setattr(schrodinger, "_panel_sums", forbidden)
+    with pytest.raises(ToleranceNotMet, match=r"^trace at T = 300\.0, K = 8: "
+                       r"\d+ panels exceed the panel budget 1048576$"):
+        evolve_trace(u0, _COSINE, mono2, 300.0)
+    passes = []
+
+    def spy(a, lam, Q, mass, curve, edges, rows):
+        passes.append(edges.size - 1)
+        return real(a, lam, Q, mass, curve, edges, rows)
+
+    monkeypatch.setattr(schrodinger, "_panel_sums", spy)
+    monkeypatch.setattr(schrodinger, "_TRACE_TOL", 0.0)   # every pass halves
+    with pytest.raises(ToleranceNotMet, match="after 4 panel halvings$"):
+        evolve_trace(u0, _COSINE, mono2, 0.3)
+    first = passes[0]
+    passes.clear()
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 2 * first - 1)
+    with pytest.raises(ToleranceNotMet, match=rf"^trace at T = 0\.3, K = 8: "
+                       rf"{2 * first} panels exceed the panel budget "
+                       rf"{2 * first - 1}$"):
+        evolve_trace(u0, _COSINE, mono2, 0.3)
+    assert passes == [first]
 
 
 def test_trace_argument_guards(mono2):
