@@ -10,19 +10,19 @@ with p' of constant sign on the window.  Validation checks the three
 inequalities on a log-spaced grid in (T*1e-6, T] with relative slack 1e-9,
 so exact-equality families (e.g. p = b t^alpha with c1 = c2) pass.
 
-Measures are planar probability measures represented by quadrature nodes
-z_k in R^2 and nonnegative weights w_k summing to one, with the transform
-convention
+Measures are planar probability measures, each the convolution of its
+factors: weighted node sets (t, x, w) of nodes z_k = (t_k, x_k) and
+weights w_k >= 0 summing to one, with the transform convention
 
     mu_hat(xi) = sum_k w_k exp(-2 pi i <xi, z_k>),      mu_hat(0) = 1.
 
-A tensor-product measure mu_t (x) mu_x also keeps its two 1-D factors, so
-that its transform is mu_hat_t(xi_t) mu_hat_x(xi_x) and its Gram matrix the
-Hadamard product of two 1-D Grams.
+So a measure's transform is the product of its factors' transforms, and
+its Gram matrix the Hadamard product of their Grams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +34,7 @@ from .quad import gl_grid
 _REL_SLACK = 1e-9  # relative slack for the grid inequalities
 _MU_HAT_CHUNK = 8  # frequencies per block of mu_hat_grid
 _DECAY_DIRECTIONS = 64  # equispaced directions per radius of a decay fit
+_NODES_PER_CYCLE = 16.0  # measure quadrature density of the high-frequency runs
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +304,43 @@ def curve_from_dict(doc: dict) -> CurveSpec:
 
 @dataclass
 class MeasureSpec:
-    """Planar probability measure sampled by quadrature nodes and weights.
-    It carries no decay exponent: fit_fourier_decay measures the decay of
-    its Fourier transform from the nodes and weights.
+    """Planar probability measure: the convolution of its factors, each a
+    weighted node set (t, x, w) of three 1-D arrays with w >= 0 summing
+    to 1.  It carries no decay exponent: fit_fourier_decay measures the
+    decay of its Fourier transform.
 
-    A tensor-product measure also carries axes = ((t, w_t), (x, w_x)), the
-    1-D nodes and weights (each summing to 1) of its two factors: nodes is
-    then the tensor grid of t and x, t outer, and weights is w_t (x) w_x to
-    rounding.  mu_hat_grid and riesz.gram_matrix use the factors whenever
-    they are set.
+    nodes (shape (M, 2), columns (t, x)) and weights (shape (M,)) are the
+    convolution cloud, built afresh on every read: the sums of one node
+    from each factor, t outer, and the products of their weights.
+    mu_hat_grid and riesz.gram_matrix never build it.
     """
 
     kind: str
     params: dict
-    nodes: np.ndarray        # shape (M, 2), columns (t, x)
-    weights: np.ndarray      # shape (M,), nonnegative, sums to 1
     resolution: int
-    axes: tuple | None = None
+    factors: tuple
+
+    def _cloud(self, column: int) -> np.ndarray:
+        """The cloud's t (column 0), x (1) or weight (2) over the factors."""
+        combine = np.multiply if column == 2 else np.add
+        return functools.reduce(lambda a, b: combine.outer(a, b).ravel(),
+                                (factor[column] for factor in self.factors))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.column_stack([self._cloud(0), self._cloud(1)])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._cloud(2)
 
     def diameter(self) -> float:
-        return float(np.max(np.hypot(self.nodes[:, 0], self.nodes[:, 1])))
+        return float(np.max(np.hypot(*self.nodes.T)))
+
+    def resolution_for(self, xi_max: float) -> int:
+        """The resolution that puts _NODES_PER_CYCLE nodes on each cycle of
+        the frequency xi_max across the measure's diameter (at least 4,096)."""
+        return max(4096, int(np.ceil(_NODES_PER_CYCLE * xi_max * self.diameter())))
 
     def with_resolution(self, resolution: int) -> "MeasureSpec":
         return build_measure(self.kind, self.params, resolution)
@@ -337,9 +355,8 @@ def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
     ProductNuDelta    nu (x) delta_0 where nu has density ~ |x|^(delta-1) e^(-2 pi |x|),
                       with the closed-form transform product_nu_hat below
 
-    The two tensor products, SmoothBump and ProductNuDelta, also fill
-    `axes` with their 1-D factors; the x factor of ProductNuDelta is the
-    single node 0 with weight 1.
+    SmoothBump is two factors, (tt, 0, w) and (0, xx, w), both on the same
+    Gauss-Legendre u grid; the other kinds are one factor each.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64 nodes")
@@ -358,8 +375,7 @@ def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
         total = w.sum()
         if not total > 0:
             raise DegenerateCurve("arc length collapsed to zero")
-        nodes = np.column_stack([t, curve.p(t)])
-        return MeasureSpec(kind, params, nodes, w / total, resolution)
+        return MeasureSpec(kind, params, resolution, ((t, curve.p(t), w / total),))
     if kind == "ArcLengthOnCircle":
         r = float(params["radius"])
         if r <= 0:
@@ -370,9 +386,9 @@ def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
             raise DegenerateCurve("empty circular arc")
         ct, cx = params.get("center", (0.0, 0.0))
         th, glw = gl_grid(theta0, theta1, math.ceil(resolution / 10))
-        nodes = np.column_stack([ct + r * np.cos(th), cx + r * np.sin(th)])
         w = glw / glw.sum()   # ds = r dtheta, uniform density in theta
-        return MeasureSpec(kind, params, nodes, w, resolution)
+        return MeasureSpec(kind, params, resolution,
+                           ((ct + r * np.cos(th), cx + r * np.sin(th), w),))
     if kind == "SmoothBump":
         t0, t1, x0, x1 = (float(v) for v in params["box"])
         order = int(params.get("order", 4))
@@ -380,15 +396,11 @@ def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
             raise ValueError("SmoothBump needs a nonempty box and order >= 1")
         per_axis = max(8, int(round(math.sqrt(resolution))))
         u, wu = gl_grid(-1.0, 1.0, math.ceil(per_axis / 10))
-        bump = (1.0 - u * u) ** order
+        bump = wu * (1.0 - u * u) ** order
         tt = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * u
         xx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * u
-        w_axis = wu * bump
-        W = np.outer(w_axis, w_axis).ravel()
-        nodes = np.column_stack([np.repeat(tt, xx.size), np.tile(xx, tt.size)])
-        w_axis = w_axis / w_axis.sum()
-        return MeasureSpec(kind, params, nodes, W / W.sum(), resolution,
-                           ((tt, w_axis), (xx, w_axis)))
+        w, zero = bump / bump.sum(), np.zeros_like(u)
+        return MeasureSpec(kind, params, resolution, ((tt, zero, w), (zero, xx, w)))
     if kind == "ProductNuDelta":
         delta = float(params["delta"])
         if not (0.0 < delta < 1.0):
@@ -406,10 +418,8 @@ def build_measure(kind: str, params: dict, resolution: int) -> MeasureSpec:
         w_half = wu * dens_u
         xs = np.concatenate([-x[::-1], x])
         ws = np.concatenate([w_half[::-1], w_half])
-        nodes = np.column_stack([xs, np.zeros_like(xs)])
-        ws = ws / ws.sum()
-        return MeasureSpec(kind, params, nodes, ws, resolution,
-                           ((xs, ws), (np.zeros(1), np.ones(1))))
+        return MeasureSpec(kind, params, resolution,
+                           ((xs, np.zeros_like(xs), ws / ws.sum()),))
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
@@ -426,14 +436,10 @@ def product_nu_hat(delta: float, xi) -> np.ndarray:
 
 def mu_hat_grid(measure: MeasureSpec, xis: np.ndarray) -> np.ndarray:
     """mu_hat(xi) over a (K, 2) array of frequencies xi: the product of the
-    two 1-D transforms of a measure with `axes`, otherwise the sum over
-    its node cloud."""
+    transforms of the measure's factors."""
     xis = np.asarray(xis, dtype=float)
-    if measure.axes is not None:
-        (t, w_t), (x, w_x) = measure.axes
-        return _transform(xis[:, :1], t[None, :], w_t) \
-            * _transform(xis[:, 1:], x[None, :], w_x)
-    return _transform(xis, measure.nodes.T, measure.weights)
+    return functools.reduce(np.multiply, (_transform(xis, np.stack([t, x]), w)
+                                          for t, x, w in measure.factors))
 
 
 def _transform(xis: np.ndarray, nodes_T: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -501,5 +507,5 @@ def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:
 
 def measure_from_dict(doc: dict) -> MeasureSpec:
     """Build a measure from its {kind, params, resolution} document; the
-    nodes and weights are always constructed, never read from it."""
+    factors are always constructed, never read from it."""
     return build_measure(doc["kind"], doc["params"], int(doc.get("resolution", 1024)))

@@ -29,7 +29,6 @@ _RANDOM_VECTORS = 64       # unit vectors of the Riesz sandwich check
 _EMPIRICAL_T_FRAC = 0.1    # share of the last lambda_min / T that marks the empirical T
 _BLOCK = 4096              # nodes per block of the E^H W E product
 _MAX_HALVINGS = 4          # panel halvings allowed to meet a curve Gram's tol
-_NODES_PER_CYCLE = 16.0    # measure quadrature density of the high-frequency runs
 _FIT_CACHE_SIZE = 256      # decay fits a process keeps, least recently used dropped
 # sharpness_sum's N x N tables peak at about 32 N^2 bytes (tracemalloc: 32 MiB
 # at N = 1024), so its largest N is capped at 512 MiB of tables.
@@ -231,24 +230,21 @@ def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
 def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
     """Gram matrix G[n, m] = <e_n, e_m> over the system's domain, formed
     as the PSD product E* W E over weighted nodes (positivity is
-    structural).  A measure with 1-D factors (`axes`) gives the Hadamard
-    product G_t o G_x of the Grams of its two axes, each taken on its own
-    coordinate with the other one zero, which is PSD by the Schur product
-    theorem; any other measure gives the product over its own nodes.  A
-    curve gives the product over the nodes (t, p(t)) on the panels of one
-    adaptive integral of the fastest pair: the 21-point Kronrod product,
-    accepted once it agrees with the 10-point Gauss product on the same
-    nodes to tol / dim.  A measure Gram applies no tol and records None."""
+    structural).  A measure gives the Hadamard product of the Grams of
+    its factors, each the product over the factor's own nodes, which is
+    PSD by the Schur product theorem; its mass is the product of the
+    factors' weight sums.  A curve gives the product over the nodes
+    (t, p(t)) on the panels of one adaptive integral of the fastest pair:
+    the 21-point Kronrod product, accepted once it agrees with the
+    10-point Gauss product on the same nodes to tol / dim.  A measure
+    Gram applies no tol and records None."""
     phi = _phase_vectors(system)
     if system.measure is not None:
-        meas = system.measure
-        if meas.axes is None:
-            G = _gram_product(meas.nodes[:, 0], meas.nodes[:, 1], meas.weights, phi)
-        else:
-            (t, w_t), (x, w_x) = meas.axes
-            G = _gram_product(t, np.zeros_like(t), w_t, phi) \
-                * _gram_product(np.zeros_like(x), x, w_x, phi)
-        return GramMatrix(G, system.indices, float(meas.weights.sum()), None)
+        factors = system.measure.factors
+        G = functools.reduce(np.multiply, [_gram_product(t, x, w, phi)
+                                           for t, x, w in factors])
+        mass = float(np.prod([w.sum() for _, _, w in factors]))
+        return GramMatrix(G, system.indices, mass, None)
     G = _curve_gram(system, phi, tol)
     mass = system.T if system.weight == "lebesgue" else float(G[0, 0].real)
     return GramMatrix(G, system.indices, mass, tol)
@@ -411,12 +407,6 @@ def _window_indices(N: int, window: int):
     return tuple(range(-(N + window), -N + 1)) + tuple(range(N, N + window + 1))
 
 
-def _resolution(measure: MeasureSpec, xi_max: float) -> int:
-    """The resolution that puts _NODES_PER_CYCLE nodes on each cycle of
-    the frequency xi_max across the measure's diameter (at least 4,096)."""
-    return max(4096, int(np.ceil(_NODES_PER_CYCLE * xi_max * measure.diameter())))
-
-
 def _decay_fit(measure: MeasureSpec, radii=None):
     """Fourier decay fit of the measure on radii (default 36 radii over
     [1, 200]), with a quadrature that resolves the largest radius, fitted
@@ -428,7 +418,7 @@ def _decay_fit(measure: MeasureSpec, radii=None):
                        dtype=float)
     params = json.dumps(measure.params, sort_keys=True, default=_param_document)
     return _fit_document(measure.kind, params,
-                         _resolution(measure, float(np.max(radii))), radii.tobytes())
+                         measure.resolution_for(float(np.max(radii))), radii.tobytes())
 
 
 def _param_document(value):
@@ -454,7 +444,7 @@ def _window_bounds(measure: MeasureSpec, s: float, indices) -> RieszReport:
     quadrature rebuilt to resolve the largest frequency difference."""
     phi = _phase_vectors(measure_system(indices, s, measure))
     span = phi.max(axis=0) - phi.min(axis=0)
-    meas = measure.with_resolution(_resolution(measure, float(np.hypot(span[0], span[1]))))
+    meas = measure.with_resolution(measure.resolution_for(float(np.hypot(*span))))
     return riesz_bounds(gram_matrix(measure_system(indices, s, meas)))
 
 

@@ -41,6 +41,9 @@ _MAX_DT_BASE = 0.01
 # Largest band K of a state; a trial run steps at band 2K.  The step
 # matrix and the generator are (2K+1)^2, and eigh grows as K^3.
 _MAX_BAND = 64
+# Most Strang steps one evolve takes: at 5-9 us a step (K 4 to 64 on a
+# 2-core x86-64 host), 5-10 s of stepping.
+_MAX_STEPS = 2 ** 20
 _TRACE_TOL = 1e-10         # quadrature error allowed per trace, times ||c||^2 T
 _CYCLES_PER_PANEL = 2.0    # first panel width, in cycles of the fastest phase of |u|^2
 _MAX_HALVINGS = 4          # panel halvings allowed to meet _TRACE_TOL
@@ -147,15 +150,20 @@ class PotentialSpec:
 
 def _check_data(coeffs: np.ndarray) -> None:
     """The band K of coeffs must be at most _MAX_BAND, and every row
-    must be nonzero and leave it dealiasing headroom."""
+    must be finite, nonzero and leave it dealiasing headroom."""
     K = coeffs.shape[-1] // 2
     if K > _MAX_BAND:
         raise ValueError(f"K must be at most {_MAX_BAND}, got {K}")
-    zero = np.flatnonzero(~np.atleast_2d(coeffs).any(-1))
+    rows = np.atleast_2d(coeffs)
+    where = "row {} of the initial states" if rows.shape[0] > 1 else "the initial state"
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, j = bad[0]
+        raise ValueError(f"{where.format(row)} has the non-finite coefficient "
+                         f"{rows[row, j]} at mode {j - K}")
+    zero = np.flatnonzero(~rows.any(-1))
     if zero.size:
-        where = f"row {zero[0]} of the initial states" \
-            if coeffs.size > coeffs.shape[-1] else "the initial state"
-        raise ValueError(f"{where} is zero; the flow needs nonzero data")
+        raise ValueError(f"{where.format(zero[0])} is zero; the flow needs nonzero data")
     if K < 2 * _max_active_mode(coeffs):
         raise ValueError("need K >= 2 * max active mode of the data")
 
@@ -226,7 +234,11 @@ def evolve(u0: TorusState, V: PotentialSpec, t_final: float,
     if t_final == 0:
         return TorusState(u0.coeffs.copy(), u0.time, u0.s, u0.K), \
             EvolveDiagnostics(0, 0.0, 0.0, 0.0)
-    steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
+    steps = np.ceil(t_final / dt - 1e-12)
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"T = {t_final:.6g} at dt = {dt:.3e} takes {steps:.3g} "
+                         f"steps, more than the step budget {_MAX_STEPS}")
+    steps = max(1, int(steps))
     dt = t_final / steps
     B = _step_matrix(u0.K, u0.s, V, dt)
     top = _top_band(u0.K)

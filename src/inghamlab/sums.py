@@ -260,9 +260,18 @@ def _tail_sums(gamma: float, delta: float, s: float, m: int, Ns,
         raise ValueError("the horizon must be at least the largest N")
     am, bs = abs(m), float(abs(m)) ** s
     n = np.arange(Ns[0], horizon, dtype=float)
-    n = n[n != am]
-    pair = 2.0 if gamma == 0.0 else \
-        np.abs(n - m) ** (-gamma) + np.abs(n + m) ** (-gamma)
+    keep = n != am
+    n = n[keep]
+    pair = 2.0
+    if gamma != 0.0:
+        # For n >= 0, {|n - m|, |n + m|} = {|n - |m||, n + |m|}: two slices
+        # of one table of |j|^(-gamma), j = Ns[0] - |m| .. horizon + |m| - 1,
+        # whose j = 0 (at the masked n = |m|) reads 1.
+        power = np.arange(Ns[0] - am, horizon + am, dtype=float)
+        np.abs(power, out=power)
+        np.maximum(power, 1.0, out=power)
+        power **= -gamma
+        pair = (power[:keep.size] + power[2 * am:2 * am + keep.size])[keep]
     ns = n ** s
     gap = np.abs(ns - bs)
     terms = pair * gap ** (-delta)

@@ -349,6 +349,8 @@ def docs(tmp_path, mono2_file):
                           "params": {"values": [0.0, float("nan")]}},
         "u0": {"K": 4, "s": 2.0, "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
         "u0_zero": {"K": 4, "s": 2.0, "coeffs_re": [0] * 9},
+        "u0_nan": {"K": 4, "s": 2.0,
+                   "coeffs_re": [0, 0, 1, 0, float("nan"), 0, 1, 0, 0]},
         "muntz_steep": {"kind": "Muntz",
                         "params": {"coefficients": [[1, 0.5], [1, 2.5]],
                                    "t0": 0}},
@@ -459,6 +461,15 @@ _EXPLICIT_CASES = {
     "schrodinger-trace-u0-zero": (["schrodinger", "--u0-file", "{u0_zero}",
                                    "--curve-file", "{mono2}", "--T", "0.2"], 1,
                                   "error: the initial state is zero"),
+    "schrodinger-u0-nan": (["schrodinger", "--u0-file", "{u0_nan}",
+                            "--T", "0.2"], 1,
+                           "error: the initial state has the non-finite "
+                           "coefficient (nan+0j) at mode 0"),
+    "schrodinger-T-past-step-budget": (["schrodinger", "--u0-file", "{u0}",
+                                        "--T", "1e300"], 1,
+                                       "error: T = 1e+300 at dt = 1.000e-02 "
+                                       "takes 1e+302 steps, more than the step "
+                                       "budget 1048576"),
     "schrodinger-curve-slope-infinite": (["schrodinger", "--curve-file",
                                           "{muntz_steep}", "--s", "2",
                                           "--T", "0.5", "--K", "3",

@@ -185,30 +185,36 @@ def test_measures_are_probability_measures(mono2, full_circle, quarter_circle):
 
 
 # kind, params, resolution: SmoothBump on an origin box and on a non-square
-# off-origin box, and ProductNuDelta, whose x factor is the point mass at 0.
+# off-origin box, two factors, one on each axis; and ProductNuDelta, one
+# factor on the t axis, whose x factor is the point mass at 0.
 TENSOR_MEASURES = {
     "bump-origin": ("SmoothBump", {"box": [-0.4, 0.4, -0.3, 0.3], "order": 2}, 4096),
     "bump-off-origin": ("SmoothBump", {"box": [0.1, 0.7, -0.2, 0.5], "order": 3}, 4096),
     "product-nu-delta": ("ProductNuDelta", {"delta": 0.5}, 2048),
 }
+POINT_MASS = (np.zeros(1), np.zeros(1), np.ones(1))
 
 
 @pytest.mark.parametrize("kind, params, resolution", TENSOR_MEASURES.values(),
                          ids=TENSOR_MEASURES.keys())
 def test_tensor_measure_axes_factor_its_nodes_and_weights(kind, params, resolution):
+    # Each factor lies on its own axis, and the cloud read from the
+    # measure is their tensor grid, t outer, with the product weights.
     m = curves.build_measure(kind, params, resolution=resolution)
-    (t, w_t), (x, w_x) = m.axes
+    on_t, on_x = m.factors if len(m.factors) == 2 else (*m.factors, POINT_MASS)
+    (t, x_of_t, w_t), (t_of_x, x, w_x) = on_t, on_x
+    assert not x_of_t.any() and not t_of_x.any()
     assert w_t.sum() == pytest.approx(1.0, abs=1e-14)
     assert w_x.sum() == pytest.approx(1.0, abs=1e-14)
     grid = np.column_stack([np.repeat(t, x.size), np.tile(x, t.size)])
     assert np.array_equal(m.nodes, grid)
-    np.testing.assert_allclose(m.weights, np.outer(w_t, w_x).ravel(), rtol=1e-14, atol=0)
+    assert np.array_equal(m.weights, np.outer(w_t, w_x).ravel())
 
 
 @pytest.mark.parametrize("kind, params, resolution", TENSOR_MEASURES.values(),
                          ids=TENSOR_MEASURES.keys())
 def test_tensor_transform_matches_the_cloud_sum(kind, params, resolution):
-    # The product of the two 1-D transforms against one plain sum over
+    # The product of the factor transforms against one plain sum over
     # the materialized node cloud.
     m = curves.build_measure(kind, params, resolution=resolution)
     xis = np.random.default_rng(13).uniform(-60.0, 60.0, size=(40, 2))
@@ -218,9 +224,13 @@ def test_tensor_transform_matches_the_cloud_sum(kind, params, resolution):
 
 
 def test_curve_measures_have_no_axes(mono2, quarter_circle):
+    # A curve-like measure is one factor, its own node cloud.
     graph = curves.build_measure("ArcLengthOnGraph", {"curve": mono2, "T": 1.0},
                                  resolution=1024)
-    assert graph.axes is None and quarter_circle.axes is None
+    for m in (graph, quarter_circle):
+        (t, x, w), = m.factors
+        assert np.array_equal(m.nodes, np.column_stack([t, x]))
+        assert m.weights is w
 
 
 def test_measure_constructor_guards():
@@ -372,7 +382,7 @@ def test_decay_fit_errors():
                                   resolution=1024)
     with pytest.raises(ValueError):
         curves.fit_fourier_decay(circle, np.geomspace(1.0, 40.0, 16))
-    point = curves.MeasureSpec("ArcLengthOnCircle", {}, np.zeros((4, 2)),
-                               np.full(4, 0.25), 64)
+    point = curves.MeasureSpec("ArcLengthOnCircle", {}, 64,
+                               ((np.zeros(4), np.zeros(4), np.full(4, 0.25)),))
     with pytest.raises(InsufficientDecay):
         curves.fit_fourier_decay(point, np.geomspace(1.0, 100.0, 17))

@@ -168,19 +168,44 @@ def test_measure_gram_matches_transform(full_circle):
             assert abs(G[i, j] - bessel) < 1e-8
 
 
-@pytest.mark.parametrize("kind, params, resolution", TENSOR_MEASURES.values(),
-                         ids=TENSOR_MEASURES.keys())
+# TENSOR_MEASURES and one measure of each curve-like kind
+MEASURES = dict(TENSOR_MEASURES, **{
+    "graph": ("ArcLengthOnGraph", {"curve": {"kind": "Monomial",
+                                             "params": {"b": 1.0, "alpha": 2.0}},
+                                   "T": 0.8}, 2048),
+    "circle-arc": ("ArcLengthOnCircle", {"radius": 0.7, "theta0": 0.5, "theta1": 3.5},
+                   2048),
+})
+
+
+@pytest.mark.parametrize("kind, params, resolution", MEASURES.values(),
+                         ids=MEASURES.keys())
 def test_tensor_measure_gram_matches_the_cloud_sum(kind, params, resolution):
-    # The Hadamard product of the two axis Grams against one plain sum
-    # over the materialized node cloud per entry.
+    # The Hadamard product of the factor Grams against one plain sum over
+    # the node cloud read from the measure, per entry.
     m = curves.build_measure(kind, params, resolution=resolution)
     idx = tuple(_window(4, 4))
-    G = riesz.gram_matrix(riesz.measure_system(idx, 2.5, m)).entries
+    G = riesz.gram_matrix(riesz.measure_system(idx, 2.5, m))
     phi = np.column_stack([np.abs(idx) ** 2.5, idx]).astype(float)
     diff = (phi[:, None, :] - phi[None, :, :]).reshape(-1, 2)
-    want = (np.exp(2j * np.pi * (m.nodes @ diff.T)).T @ m.weights).reshape(G.shape)
-    assert np.abs(G - want).max() <= 1e-13
-    assert np.array_equal(G, G.conj().T)
+    want = (np.exp(2j * np.pi * (m.nodes @ diff.T)).T @ m.weights).reshape(G.dim, G.dim)
+    assert np.abs(G.entries - want).max() <= 1e-13
+    assert np.array_equal(G.entries, G.entries.conj().T)
+    assert G.T_or_mass == pytest.approx(m.weights.sum(), abs=1e-15)
+
+
+def test_measure_gram_and_transform_never_build_the_cloud(monkeypatch):
+    measures = [curves.build_measure(*args) for args in MEASURES.values()]
+
+    def cloud(self):
+        raise AssertionError("the node cloud was built")
+
+    for name in ("nodes", "weights"):
+        monkeypatch.setattr(curves.MeasureSpec, name, property(cloud), raising=False)
+    xis = np.random.default_rng(3).uniform(-20.0, 20.0, size=(5, 2))
+    for m in measures:
+        riesz.gram_matrix(riesz.measure_system(_window(4, 4), 2.5, m))
+        curves.mu_hat_grid(m, xis)
 
 
 def _direct_gram(nodes, wts, taus, lams):
@@ -489,7 +514,7 @@ def test_decay_fits_share_no_entry_across_documents_and_radii(mono2, mono3, fit_
     assert fit_calls[5].resolution != fit_calls[6].resolution
     # Each fit is the uncached fit of its own measure and radii.
     for (m, radii), got, built in zip(fits, results, fit_calls):
-        assert built.resolution == riesz._resolution(m, float(radii.max()))
+        assert built.resolution == m.resolution_for(float(radii.max()))
         want = curves.fit_fourier_decay(m.with_resolution(built.resolution), radii)
         assert (got.delta_hat, got.eta_hat) == (want.delta_hat, want.eta_hat)
         assert np.array_equal(got.sup_values, want.sup_values)

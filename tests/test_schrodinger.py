@@ -270,6 +270,42 @@ def test_a_zero_initial_state_is_rejected_by_name(mono2):
                                   mono2, 0.5)
 
 
+def test_a_non_finite_coefficient_is_rejected_by_name(mono2):
+    # A NaN state would evolve into NaN with a norm drift of 0.0.
+    bad = TorusState([0, 0, 1, 0, np.nan, 0, 1, 0, 0], 0.0, 2.0, 4)
+    for run in (lambda: evolve(bad, _COSINE, 0.1, dt=None),
+                lambda: evolve_trace(bad, _COSINE, mono2, 0.5)):
+        with pytest.raises(ValueError, match=r"^the initial state has the "
+                           r"non-finite coefficient \(nan\+0j\) at mode 0$"):
+            run()
+    calm = np.zeros(9, dtype=complex)
+    calm[4] = 1.0
+    inf = calm.copy()
+    inf[6] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=r"^row 1 of the initial states has the "
+                       r"non-finite coefficient infj at mode 2$"):
+        schrodinger._curve_traces(np.stack([calm, inf]), 2.0, _COSINE, mono2, 0.5)
+
+
+def test_evolve_past_the_step_budget_raises_before_the_step_matrix(monkeypatch):
+    u0 = _random_state(4, 2)
+    budget = schrodinger._MAX_STEPS
+    monkeypatch.setattr(schrodinger, "_MAX_STEPS", 4)
+    assert evolve(u0, _ZERO, 0.02, dt=0.005)[1].steps == 4
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step matrix built past the step budget")
+
+    monkeypatch.setattr(schrodinger, "_step_matrix", forbidden)
+    with pytest.raises(ValueError, match=r"^T = 0\.025 at dt = 5\.000e-03 takes 5 "
+                       r"steps, more than the step budget 4$"):
+        evolve(u0, _ZERO, 0.025, dt=0.005)
+    monkeypatch.setattr(schrodinger, "_MAX_STEPS", budget)
+    with pytest.raises(ValueError, match=rf"^T = 1e\+300 at dt = 9\.091e-03 takes "
+                       rf"1\.1e\+302 steps, more than the step budget {budget}$"):
+        evolve(u0, _COSINE, 1e300, dt=None)
+
+
 def test_picard_cross_checks_strang():
     u0 = _random_state(16, 8)
     V = PotentialSpec("Cosine", {"amplitude": 0.2, "mode": 2})
