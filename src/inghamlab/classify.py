@@ -30,6 +30,14 @@ from .errors import OutOfDomain
 
 TAGS = ("Diagonal", "AntiDiagonal", "GoodPlus", "GoodMinus", "Bad")
 BRANCHES = ("EllipseUV", "EllipseVU", "MixedXPos", "MixedYPos")
+# A classify run peaks at about 380 bytes per cell of the (2N+1)^2 grid,
+# most of it the table rows (tracemalloc: 378 MiB at N = 500, of which the
+# grid's own arrays are 48 MiB), so N is capped near 1 GiB.
+_MAX_GRID_N = 800
+# A boundary run peaks at about 3.2 kB per sample (four branches, written
+# as JSON; tracemalloc: 308 MiB at 100,000 samples, 220 MiB as CSV), so
+# the sample count is capped near 1 GiB.
+_MAX_SAMPLES = 300_000
 
 
 def abs_pow(n: np.ndarray, s: float) -> np.ndarray:
@@ -76,6 +84,8 @@ class RegionGrid:
 def region_grid(s: float, tau: float, N: int) -> RegionGrid:
     if not (0 < tau < math.inf and math.isfinite(s)) or N < 1:
         raise ValueError("need finite s, finite tau > 0 and N >= 1")
+    if N > _MAX_GRID_N:
+        raise ValueError(f"grid half-width N must be at most {_MAX_GRID_N}, got {N}")
     axis = np.arange(-N, N + 1)
     pw = abs_pow(axis, s)
     nn, mm = np.meshgrid(axis, axis, indexing="ij")
@@ -148,6 +158,8 @@ def boundary_samples(branch: str, count: int) -> list[BoundaryPoint]:
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    if count > _MAX_SAMPLES:
+        raise ValueError(f"sample count must be at most {_MAX_SAMPLES}, got {count}")
     if branch in ("EllipseUV", "EllipseVU"):
         lo, hi = math.pi / 6.0 + 1e-6, math.pi / 2.0
     else:

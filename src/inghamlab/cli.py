@@ -147,21 +147,35 @@ def _potential(doc, p):
     return lab.schrodinger.PotentialSpec(doc["kind"], doc.get("params", {}))
 
 
+def _field(doc, key, parse):
+    """parse(doc[key]); a rejected value raises ValueError naming the key."""
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field '{key}': {exc}") from None
+
+
 def _state(doc, p):
     import numpy as np
     coeffs = np.asarray(doc["coeffs_re"], dtype=float) \
         + 1j * np.asarray(doc.get("coeffs_im", 0.0), dtype=float)
-    s = float(doc.get("s", 2.0 if p["s"] is None else p["s"]))
-    K = int(doc.get("K", (len(coeffs) - 1) // 2))
-    return lab.schrodinger.TorusState(coeffs, float(doc.get("time", 0.0)),
-                                      s, K)
+    if "s" not in doc:
+        s = 2.0 if p["s"] is None else p["s"]
+    elif p["s"] is None:
+        s = _field(doc, "s", _real)
+    else:
+        raise ValueError("s is set by both the state document and the "
+                         "parameter 's'; give it once")
+    K = _field(doc, "K", _int) if "K" in doc else (len(coeffs) - 1) // 2
+    time = _field(doc, "time", _real) if "time" in doc else 0.0
+    return lab.schrodinger.TorusState(coeffs, time, s, K)
 
 
 def _system(doc, p):
     import numpy as np
     coeffs = np.asarray(doc["coefficients_re"], dtype=float) \
         + 1j * np.asarray(doc.get("coefficients_im", 0.0), dtype=float)
-    return lab.rigidity.LowFreqSystem(int(doc["N"]), float(doc["s"]),
+    return lab.rigidity.LowFreqSystem(_field(doc, "N", _int), float(doc["s"]),
                                       tuple(doc["lambdas"]), tuple(coeffs))
 
 

@@ -154,8 +154,11 @@ def _monomial(params):
 def _muntz(params):
     """p = P(t0 + t) = sum_k a_k (t0 + t)^(e_k); with a_n the leading
     coefficient, c1 = alpha|a_n|/2, c2 = 3 alpha|a_n|/2 and
-    c3 = alpha(alpha-1)|a_n|/2.  Without t0 the smallest validating
-    shift is searched for."""
+    c3 = alpha(alpha-1)|a_n|/2.  Without t0 the curve is unshifted,
+    t0 = 0, and must pass validation on [0, 10].  No other shift is tried:
+    a lower-order term keeps p'(t0 + t) near p'(t0) as t -> 0 while
+    c2 t^(alpha-1) vanishes, so the upper bound fails at the grid's first
+    point unless t0 lies within about that point, 1e-5, of a root of p'."""
     coefficients = [(float(a), float(e)) for a, e in params["coefficients"]]
     exps = [e for _, e in coefficients]
     if any(e <= 0 for e in exps) or sorted(exps) != exps or len(set(exps)) != len(exps):
@@ -167,7 +170,11 @@ def _muntz(params):
         raise NonAdmissible(f"Muntz leading exponent alpha={al} must exceed 1")
     t0 = params.get("t0")
     if t0 is None:
-        t0 = _find_muntz_shift(coefficients)
+        t0 = 0.0
+        unshifted = build_curve("Muntz", {"coefficients": coefficients, "t0": t0})
+        if not validate_H_alpha(unshifted, 10.0, 256).passed:
+            raise NonAdmissible("the unshifted Muntz curve fails validation "
+                                "on [0, 10]; give its shift t0")
     t0 = float(t0)
 
     def series(terms):
@@ -253,38 +260,6 @@ def _curve_builder(kind: str):
     except KeyError:
         raise ValueError(f"unknown curve kind {kind!r}; "
                          f"choose from {tuple(CURVE_KINDS)}") from None
-
-
-def _find_muntz_shift(coefficients) -> float:
-    """Smallest shift t0 >= 0 whose grid validation passes on [0, 10].
-
-    The shift that tames the lower-order terms is not given by a formula;
-    we search: accept t0 = 0 if it already validates, otherwise scan a
-    geometric ladder for the first passing shift and bisect down to the
-    fail/pass boundary.
-    """
-    def passes(t0: float) -> bool:
-        cand = build_curve("Muntz", {"coefficients": coefficients, "t0": float(t0)})
-        return validate_H_alpha(cand, 10.0, 256).passed
-
-    if passes(0.0):
-        return 0.0
-    lo = 0.0
-    hi = None
-    for cand in np.geomspace(1e-3, 1e3, 80):
-        if passes(cand):
-            hi = float(cand)
-            break
-        lo = float(cand)
-    if hi is None:
-        raise NonAdmissible("no shift t0 in [0, 1e3] makes the declared constants pass")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def build_curve(kind: str, params: dict) -> CurveSpec:
@@ -507,5 +482,13 @@ def fit_fourier_decay(measure: MeasureSpec, radii) -> DecayFit:
 
 def measure_from_dict(doc: dict) -> MeasureSpec:
     """Build a measure from its {kind, params, resolution} document; the
-    factors are always constructed, never read from it."""
-    return build_measure(doc["kind"], doc["params"], int(doc.get("resolution", 1024)))
+    factors are always constructed, never read from it.  The resolution
+    must be an integer (a whole float counts, a boolean does not)."""
+    resolution = doc.get("resolution", 1024)
+    try:
+        whole = not isinstance(resolution, bool) and float(resolution).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"measure resolution must be an integer, got {resolution!r}")
+    return build_measure(doc["kind"], doc["params"], int(float(resolution)))

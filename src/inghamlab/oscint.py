@@ -63,8 +63,9 @@ class QuadResult:
 
 
 def _sign_change_roots(f, b: float) -> list:
-    """Roots of a continuous scalar function on (0, b) by bracketing.  The
-    grid skips t = 0, where p' is infinite for Muntz exponents below 1."""
+    """Roots of a continuous scalar function on (0, b): sign changes on a
+    fixed grid, each bisected by quad.bisect to _BISECT_TOL.  The grid
+    skips t = 0, where p' is infinite for Muntz exponents below 1."""
     grid = b * _GRID
     vals = np.asarray(f(grid), dtype=float)
     roots = []
@@ -73,21 +74,10 @@ def _sign_change_roots(f, b: float) -> list:
     for i in exact:
         if 0.0 < grid[i] < b:
             roots.append(float(grid[i]))
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    for i in idx:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = vals[i]
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = float(f(np.array([mid]))[0])
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        roots.append(quad.bisect(lambda t: float(f(np.array([t]))[0]),
+                                 float(grid[i]), float(grid[i + 1]),
+                                 float(vals[i]), lambda hi: _BISECT_TOL))
     return sorted(roots)
 
 

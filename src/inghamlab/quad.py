@@ -11,7 +11,8 @@ import numpy as np
 
 _GAUSS = 10   # Gauss-Legendre order that the Kronrod rule extends
 # Most panels one adaptive curve quadrature may split [0, T] into: the
-# phase integrals and the Schrodinger traces read it when they split.
+# phase integrals, the curve Grams and the Schrodinger traces read it
+# when they split.
 PANEL_BUDGET = 2 ** 20
 
 
@@ -96,6 +97,26 @@ def gauss_kronrod21():
     x[1::2] = gx
     order = np.r_[1:2 * _GAUSS + 1:2, 0:2 * _GAUSS + 1:2]
     return _frozen(x[order], w[order], gw)
+
+
+def bisect(f, lo: float, hi: float, f_lo: float, width) -> float:
+    """A root of the continuous scalar f in [lo, hi], where f(lo) = f_lo
+    and f(hi) are nonzero and of opposite signs.  The bracket is halved,
+    keeping the sign change, until it is at most width(hi) wide or no
+    float lies strictly between its ends; then its midpoint is returned.
+    A midpoint where f is exactly 0 is returned at once."""
+    while hi - lo > width(hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def kronrod_panels(a, b):

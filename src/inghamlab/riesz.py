@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zherk
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, quad
 from .classify import abs_pow
 from .curves import (CurveSpec, MeasureSpec, build_measure, fit_fourier_decay,
                      product_nu_hat)
@@ -209,6 +209,10 @@ def _curve_gram(system: ExpSystem, phi: np.ndarray, tol: float) -> np.ndarray:
     gauss = np.sqrt(wg / wk[:wg.size])   # G10 weights over K21 weights
 
     for halvings in range(_MAX_HALVINGS + 1):
+        if edges.size - 1 > quad.PANEL_BUDGET:
+            raise ToleranceNotMet(
+                f"curve Gram at T = {T}: {edges.size - 1} panels exceed the "
+                f"panel budget {quad.PANEL_BUDGET}")
         mid, half, t = kronrod_panels(edges[:-1], edges[1:])
         t = t.ravel()
         gw = (half[:, None] * wk).ravel()
@@ -236,8 +240,10 @@ def gram_matrix(system: ExpSystem, tol: float = 1e-9) -> GramMatrix:
     factors' weight sums.  A curve gives the product over the nodes
     (t, p(t)) on the panels of one adaptive integral of the fastest pair:
     the 21-point Kronrod product, accepted once it agrees with the
-    10-point Gauss product on the same nodes to tol / dim.  A measure
-    Gram applies no tol and records None."""
+    10-point Gauss product on the same nodes to tol / dim; each miss
+    halves every panel, and a pass of more than quad.PANEL_BUDGET panels
+    raises ToleranceNotMet before it is built.  A measure Gram applies no
+    tol and records None."""
     phi = _phase_vectors(system)
     if system.measure is not None:
         factors = system.measure.factors

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quad
 from .classify import abs_pow
 from .errors import AmbiguousCurve, InadmissiblePoints
 
@@ -326,19 +327,8 @@ def zero_set_probe(system: LowFreqSystem, gamma: ObservationCurveGamma,
         elif d_hi == 0.0:
             t_star = hi
         elif d_lo * d_hi < 0.0:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                d_mid = slope_sq(mid)
-                if d_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (d_mid < 0.0) == (d_lo < 0.0):
-                    lo, d_lo = mid, d_mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-                    break
-            t_star = 0.5 * (lo + hi)
+            t_star = quad.bisect(slope_sq, lo, hi, d_lo,
+                                 lambda h: 1e-15 * max(1.0, abs(h)))
         else:
             t_star = float(ts[i])
         if abs(f_and_df(t_star)[0]) < 1e-8 * c_norm:

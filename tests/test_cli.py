@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -351,6 +352,19 @@ def docs(tmp_path, mono2_file):
         "u0_zero": {"K": 4, "s": 2.0, "coeffs_re": [0] * 9},
         "u0_nan": {"K": 4, "s": 2.0,
                    "coeffs_re": [0, 0, 1, 0, float("nan"), 0, 1, 0, 0]},
+        "u0_s": {"s": 2.0, "coeffs_re": [0, 0, 0, 0, 1, 0, 0, 0, 0]},
+        "u0_K_fraction": {"K": 4.6, "s": 2.0,
+                          "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
+        "u0_time_true": {"time": True, "s": 2.0,
+                         "coeffs_re": [0, 0, 1, 0, 1, 0, 1, 0, 0]},
+        "system_N_fraction": {"N": 1.7, "s": 2.0,
+                              "lambdas": [-1.0, 0.0, 1.0],
+                              "coefficients_re": [0.0, 1.0, 1.0]},
+        "quarter_resolution_fraction": {
+            "kind": "ArcLengthOnCircle",
+            "params": {"radius": 1.0, "theta0": 0.0,
+                       "theta1": float(np.pi / 2)},
+            "resolution": 1024.9},
         "muntz_steep": {"kind": "Muntz",
                         "params": {"coefficients": [[1, 0.5], [1, 2.5]],
                                    "t0": 0}},
@@ -602,6 +616,25 @@ _EXPLICIT_CASES = {
     "sharpness-N-above-cap": (["sharpness", "--Ngrid", "32,10000000"], 1,
                               "N_grid sizes must be at most 4096, "
                               "got 10000000"),
+    "schrodinger-s-in-state-and-parameter": (
+        ["schrodinger", "--u0-file", "{u0_s}", "--T", "0.01", "--s", "3"], 1,
+        "parameter 'u0': s is set by both the state document and the "
+        "parameter 's'; give it once"),
+    "schrodinger-state-K-fraction": (
+        ["schrodinger", "--u0-file", "{u0_K_fraction}", "--T", "0.01"], 1,
+        "parameter 'u0': field 'K': expected an integer, got 4.6"),
+    "schrodinger-state-time-boolean": (
+        ["schrodinger", "--u0-file", "{u0_time_true}", "--T", "0.01"], 1,
+        "parameter 'u0': field 'time': expected a number, got True"),
+    "zeroprobe-system-N-fraction": (
+        ["zeroprobe", "--system-file", "{system_N_fraction}",
+         "--gamma-file", "{parabola}"], 1,
+        "parameter 'system': field 'N': expected an integer, got 1.7"),
+    "gram-measure-resolution-fraction": (
+        ["gram", "--measure-file", "{quarter_resolution_fraction}", "--s", "2",
+         "--N", "2"], 1,
+        "parameter 'measure': measure resolution must be an integer, "
+        "got 1024.9"),
 }
 
 
@@ -625,6 +658,61 @@ def test_explicit_values_are_honoured_and_bad_keys_exit_1(
         assert check(json.loads(captured.out)["summary"], out, sweeps)
     else:
         assert check in captured.err
+
+
+def _cli_process(argv, tmp_path, address_space=None):
+    """The CLI run in a fresh interpreter with a 60-s timeout, under an
+    address-space limit in bytes (ulimit -v) when one is given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "inghamlab.cli", *argv,
+         "--out-dir", str(tmp_path / "res")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=None if address_space is None else limit)
+
+
+def test_integral_with_a_stationary_point_past_t_512_exits(tmp_path):
+    # The stationary point of this pair lies past t = 512, where adjacent
+    # floats are wider apart than the 1e-13 bisection width.
+    path = tmp_path / "mono25.json"
+    path.write_text(json.dumps({"kind": "Monomial",
+                                "params": {"a": 0, "b": 1, "alpha": 2.5}}))
+    proc = _cli_process(["integral", "--curve-file", str(path), "--n",
+                         "-14500", "--m", "-14499", "--s", "2", "--T", "700"],
+                        tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: panel budget 1048576 exhausted while "
+                           "splitting phase\n")
+
+
+# Inputs whose arrays would not fit: each must exit 1 by name before it
+# allocates.  They run under a 3 GB address-space limit, so that a run
+# which does allocate fails with MemoryError instead of taking the host's
+# memory.
+_OVERSIZED_CASES = {
+    "tails-horizon": (["tails", "--gamma", "0", "--delta", "1", "--s", "2",
+                       "--Ngrid", "100,100000000", "--mset", "0"],
+                      "the tail horizon 10 max(N, |m|) = 1000000000 exceeds "
+                      "the cap 20000000"),
+    "classify-N": (["classify", "--s", "2", "--tau", "4", "--N", "100000"],
+                   "grid half-width N must be at most 800, got 100000"),
+    "boundary-samples": (["boundary", "--samples", "100000000"],
+                         "sample count must be at most 300000, got 100000000"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _OVERSIZED_CASES.values(),
+                         ids=_OVERSIZED_CASES.keys())
+def test_oversized_inputs_exit_1_before_allocating(argv, message, tmp_path):
+    proc = _cli_process(argv, tmp_path, address_space=3_000_000 * 1024)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
 
 
 def _missing(key):

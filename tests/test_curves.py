@@ -86,6 +86,23 @@ def test_muntz_multi_term_has_no_admissible_shift():
         curves.build_curve("Muntz", {"coefficients": [[1.0, 1.5], [0.5, 2.5]]})
 
 
+def test_muntz_without_t0_validates_only_the_unshifted_curve(monkeypatch):
+    # p'(t) = -1 + 2 t vanishes at 0.5, so the unshifted parabola fails the
+    # lower bound; no other shift is searched for.
+    calls = []
+    real = curves.validate_H_alpha
+
+    def spy(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(curves, "validate_H_alpha", spy)
+    with pytest.raises(NonAdmissible,
+                       match=r"unshifted Muntz curve fails validation on \[0, 10\]"):
+        curves.build_curve("Muntz", {"coefficients": [[-1, 1], [1, 2]]})
+    assert calls == [(10.0, 256)]
+
+
 def test_monomial_rejects_degenerate_parameters():
     with pytest.raises(NonAdmissible):
         curves.build_curve("Monomial", {"a": 0.0, "b": 1.0, "alpha": 1.0})

@@ -1,10 +1,11 @@
 """The embedded 10/21-point Gauss-Kronrod rule against an independent
-30-digit construction."""
+30-digit construction, and the bracket bisection that every root search
+shares."""
 
 import mpmath
 import numpy as np
 
-from inghamlab import quad
+from inghamlab import oscint, quad
 
 
 def _legendre_coefficients(n):
@@ -84,3 +85,46 @@ def test_gl_grid_covers_the_interval_with_order_10_panels():
     assert 0.5 < t.min() and t.max() < 2.5
     assert abs(w.sum() - 2.0) <= 1e-14
     assert abs(w @ t ** 19 - (2.5 ** 20 - 0.5 ** 20) / 20) <= 1e-9
+
+
+def _counted(f, limit=200):
+    """f with a call counter that raises past `limit` calls, so that a
+    bisection which cannot stop fails instead of hanging."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} evaluations")
+        return f(t)
+    return g, calls
+
+
+def test_bisect_stops_when_no_float_lies_inside_the_bracket():
+    # Past t = 512 adjacent floats are 1.14e-13 apart, so a 1e-13 width is
+    # never reached and only the float-spacing test can stop the loop.
+    step = 700.3123456789
+    f, calls = _counted(lambda t: -1.0 if t < step else 1.0)
+    root = quad.bisect(f, 0.0, 1400.0, -1.0, lambda hi: 1e-13)
+    assert abs(root - step) <= 2 * np.spacing(step)
+    assert len(calls) < 60
+
+
+def test_sign_change_roots_terminate_past_t_512():
+    step = 700.3123456789
+    f, _ = _counted(lambda t: np.where(t < step, -1.0, 1.0), limit=1000)
+    roots = oscint._sign_change_roots(f, 1400.0)
+    assert len(roots) == 1 and abs(roots[0] - step) <= 2 * np.spacing(step)
+
+
+def test_bisect_stops_at_the_requested_width():
+    f, calls = _counted(lambda t: t - 0.3)
+    root = quad.bisect(f, 0.0, 1.0, -0.3, lambda hi: 1e-3)
+    assert abs(root - 0.3) <= 0.5e-3
+    assert len(calls) == 10          # 2^-10 < 1e-3 < 2^-9
+
+
+def test_bisect_returns_an_exact_zero_at_a_midpoint():
+    f, calls = _counted(lambda t: t - 0.75)
+    assert quad.bisect(f, 0.5, 1.0, -0.25, lambda hi: 1e-15) == 0.75
+    assert calls == [0.75]

@@ -153,6 +153,16 @@ def test_curve_gram_without_halvings_raises(curve_args, s, T, monkeypatch):
         riesz.gram_matrix(system)
 
 
+def test_curve_gram_checks_the_panel_budget_before_each_pass(monkeypatch):
+    # The tabulated sine's passes take 150 and then 300 panels.
+    curve_args, s, T = _HALVING_CASES["tabulated-sine"]
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 150)
+    system = riesz.curve_system(range(-10, 11), s, curves.build_curve(*curve_args), T)
+    with pytest.raises(ToleranceNotMet, match="curve Gram at T = 1.5: 300 panels "
+                                              "exceed the panel budget 150"):
+        riesz.gram_matrix(system)
+
+
 def test_measure_gram_matches_transform(full_circle):
     idx = (-2, 0, 1, 3)
     system = riesz.measure_system(idx, 2.5, full_circle)
